@@ -1,49 +1,46 @@
-// Net-runtime scale benchmark: the epoll reactor vs the legacy poll(2)
-// loop, head to head in one process (DESIGN.md §12).
+// Net-runtime scale benchmark: the coordinator's reactor at fleet scale,
+// single loop vs multi-loop vs the io_uring backend (DESIGN.md §12, §14).
 //
 // For each fleet size N the bench boots a CoordinatorNode, joins N raw
 // loopback connections (Hello + one acked Heartbeat each), and measures
-// three phases per event-loop mode (options.poll_loop forces each path,
-// independent of VOLLEY_POLL_LOOP):
+// three phases per reactor configuration:
 //
-//   idle   — nobody sends anything. The legacy loop turns every 20 ms and
-//            rebuilds + scans an N-wide pollfd array each turn; the reactor
-//            sleeps in epoll_wait (its only turns are the timer wheel's
-//            ~0.5 s lap ticks while the coalesced liveness deadline is far
-//            out). Reported: loop wakeups/sec and coordinator-thread CPU
-//            (pthread_getcpuclockid) across the window.
+//   idle   — nobody sends anything. The reactor sleeps in epoll_wait (its
+//            only turns are the timer wheel's ~0.5 s lap ticks while the
+//            coalesced liveness deadline is far out). Reported: loop
+//            wakeups/sec and coordinator-thread CPU (pthread_getcpuclockid)
+//            across the window.
 //   load   — worker threads blast batched Heartbeat frames over every
 //            connection and drain the acks. Reported: messages the
 //            coordinator handled per second (ingress drain + batched
-//            writev egress vs per-frame blocking send_all).
+//            writev egress).
 //   polls  — one connection reports a LocalViolation; every connection
 //            answers the resulting global PollRequest. Reported: p50/p99
 //            violation-to-settle latency from coordinator.poll_settle_ms().
 //
-// On top of the legacy-vs-reactor comparison, each fleet size also runs:
+// Configurations per fleet size:
 //
-//   multi  — the reactor sharded across VOLLEY_NET_THREADS-style loops
-//            (options.net_threads forces it): accepted sessions round-robin
-//            onto worker loops, ingress arrives home as decoded batches,
-//            egress leaves as one posted batch per loop. Reported as
-//            multi-loop ingest speedup over the single-loop reactor.
-//   uring  — the io_uring backend (options.uring forces it; skipped when the
-//            kernel lacks support): poll readiness arrives via a mmap'd
-//            completion ring, so a loop turn costs one io_uring_enter
-//            instead of epoll_wait + per-fd syscalls. Reported as estimated
-//            syscalls per ingested frame (net/io_counters.h instrumented
-//            wrappers; bench workers use raw send/recv and stay invisible).
+//   reactor — one epoll loop, the default runtime.
+//   multi   — the reactor sharded across VOLLEY_NET_THREADS-style loops
+//             (options.net_threads forces it): accepted sessions round-robin
+//             onto worker loops, ingress arrives home as decoded batches,
+//             egress leaves as one posted batch per loop. Reported as
+//             multi-loop ingest speedup over the single-loop reactor.
+//   uring   — the io_uring backend (options.uring forces it; skipped when
+//             the kernel lacks support): poll readiness arrives via a mmap'd
+//             completion ring, so a loop turn costs one io_uring_enter
+//             instead of epoll_wait + per-fd syscalls. Reported as estimated
+//             syscalls per ingested frame (net/io_counters.h instrumented
+//             wrappers; bench workers use raw send/recv and stay invisible).
 //
-// A per-size identity check pins the single-loop epoll reactor to the same
-// protocol outcomes as the legacy loop (same polls settled over the same
-// script) — the multi-loop/io_uring work must not perturb the default path.
+// identity_ok per size: the single-loop reactor settled every scripted poll.
+// The run fails (exit 1) when it did not at any size.
 //
-// Acceptance targets (full mode): at N = 1000, idle wakeup reduction >= 5x
-// and sustained report throughput >= 2x; at N = 4000, multi-loop (>= 2
-// loops) ingest >= 2x the single-loop reactor; io_uring records fewer
-// syscalls per frame than epoll. VOLLEY_BENCH_QUICK=1 shrinks the fleet
-// sizes and windows to smoke size. Emits BENCH_net.json (schema checked by
-// the CI bench-smoke job).
+// Acceptance targets (full mode): at N = 4000, multi-loop (>= 2 loops)
+// ingest >= 2x the single-loop reactor; io_uring records fewer syscalls per
+// frame than epoll. VOLLEY_BENCH_QUICK=1 shrinks the fleet sizes and
+// windows to smoke size. Emits BENCH_net.json (schema checked by the CI
+// bench-smoke job).
 #include <poll.h>
 #include <pthread.h>
 #include <sys/resource.h>
@@ -53,6 +50,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -120,29 +118,6 @@ double percentile(std::vector<double> values, double p) {
   return values[std::min(rank, values.size() - 1)];
 }
 
-/// Sends the whole buffer on a nonblocking fd, parking on POLLOUT as
-/// needed — the must-deliver path (poll responses, violations).
-bool send_reliable(int fd, const std::vector<std::byte>& bytes) {
-  std::size_t off = 0;
-  const auto deadline = steady_ms() + 2000.0;
-  while (off < bytes.size() && steady_ms() < deadline) {
-    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 100);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return off == bytes.size();
-}
-
 // Worker phases, switched by the driving thread.
 enum : int { kPhaseQuiet = 0, kPhaseLoad = 1, kPhaseRespond = 2, kPhaseExit = 3 };
 
@@ -151,13 +126,22 @@ struct WorkerShared {
   std::atomic<std::int64_t> violations_requested{0};
   std::atomic<std::int64_t> violations_sent{0};
   std::atomic<std::int64_t> poll_responses{0};
+  std::atomic<std::int64_t> broken_connections{0};
+  std::atomic<std::int64_t> unsent_connections{0};  // stalled at exit
 };
 
 /// One worker owns a contiguous slice of the fleet's connections. During
-/// kPhaseLoad it streams pre-framed Heartbeat batches (finishing any
-/// partially-accepted batch first so frames never tear) and drains acks;
-/// during kPhaseRespond it only reads, answering PollRequests; the worker
+/// kPhaseLoad it streams pre-framed Heartbeat batches and drains acks;
+/// during kPhaseRespond it reads, answering PollRequests, and the worker
 /// holding connection 0 also emits the requested LocalViolations.
+///
+/// Every send is non-blocking and every pass also drains the connection, so
+/// a worker never waits on a peer that is itself blocked writing acks back.
+/// Frames are only ever appended whole behind the unsent tail of the
+/// connection's byte stream (first the in-flight heartbeat burst, then the
+/// queued responses), so a frame can never land in the middle of another:
+/// that would corrupt the stream's length prefixes. A connection whose send
+/// fails hard is marked broken and never written again.
 void worker_main(const std::vector<TcpConnection>* fleet,
                  std::size_t begin, std::size_t end, WorkerShared* shared,
                  std::int64_t round_base) {
@@ -167,6 +151,9 @@ void worker_main(const std::vector<TcpConnection>* fleet,
     std::vector<std::byte> batch;  // pre-framed heartbeat burst
     std::size_t batch_off{0};      // bytes of the burst already accepted
     bool batch_in_flight{false};
+    std::vector<std::byte> queued;  // whole frames waiting behind the burst
+    std::size_t queued_off{0};
+    bool broken{false};  // a send failed; the stream may end mid-frame
   };
   std::vector<ConnState> states(end - begin);
   for (std::size_t i = begin; i < end; ++i) {
@@ -177,6 +164,51 @@ void worker_main(const std::vector<TcpConnection>* fleet,
       batch.insert(batch.end(), one.begin(), one.end());
     }
   }
+
+  // Writes bytes[off..] until the socket would block. False on a hard
+  // error, after which the connection is marked broken.
+  const auto send_some = [&](std::size_t i, const std::vector<std::byte>& bytes,
+                             std::size_t& off, const char* what) {
+    ConnState& st = states[i - begin];
+    while (off < bytes.size()) {
+      const ssize_t n = ::send((*fleet)[i].fd(), bytes.data() + off,
+                               bytes.size() - off, MSG_NOSIGNAL);
+      if (n > 0) {
+        off += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+      st.broken = true;
+      shared->broken_connections.fetch_add(1, std::memory_order_relaxed);
+      std::fprintf(stderr,
+                   "bench net: connection %zu broken: %s send failed "
+                   "(errno %d); no further frames on it\n",
+                   i, what, errno);
+      return false;
+    }
+    return true;
+  };
+  // Pushes connection i's unsent tail: the burst first, then queued frames.
+  const auto flush = [&](std::size_t i) {
+    ConnState& st = states[i - begin];
+    if (st.broken) return;
+    if (st.batch_in_flight) {
+      if (!send_some(i, st.batch, st.batch_off, "heartbeat burst")) return;
+      if (st.batch_off < st.batch.size()) return;
+      st.batch_in_flight = false;
+    }
+    if (!send_some(i, st.queued, st.queued_off, "queued frame")) return;
+    if (st.queued_off == st.queued.size()) {
+      st.queued.clear();
+      st.queued_off = 0;
+    }
+  };
+  const auto enqueue = [&](std::size_t i, const std::vector<std::byte>& frame) {
+    ConnState& st = states[i - begin];
+    st.queued.insert(st.queued.end(), frame.begin(), frame.end());
+    flush(i);
+  };
 
   std::vector<std::byte> buf(65536);
   // `decode_frames` is false on the load-phase fast path: everything the
@@ -200,7 +232,7 @@ void worker_main(const std::vector<TcpConnection>* fleet,
         if (const auto* poll = std::get_if<PollRequest>(&*message)) {
           PollResponse response{static_cast<MonitorId>(i), poll->poll_id,
                                 poll->tick, 1.0, poll->task};
-          send_reliable(fd, frame_payload(net::encode(Message{response})));
+          enqueue(i, frame_payload(net::encode(Message{response})));
           shared->poll_responses.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -209,35 +241,25 @@ void worker_main(const std::vector<TcpConnection>* fleet,
 
   for (;;) {
     const int phase = shared->phase.load(std::memory_order_acquire);
-    if (phase == kPhaseExit) return;
+    if (phase == kPhaseExit) break;
     if (phase == kPhaseQuiet) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       continue;
     }
     if (phase == kPhaseLoad) {
       for (std::size_t i = begin; i < end; ++i) {
-        const int fd = (*fleet)[i].fd();
         ConnState& st = states[i - begin];
-        if (!st.batch_in_flight) {
+        if (!st.batch_in_flight && st.queued.empty()) {
           st.batch_off = 0;
           st.batch_in_flight = true;
         }
-        while (st.batch_off < st.batch.size()) {
-          const ssize_t n = ::send(fd, st.batch.data() + st.batch_off,
-                                   st.batch.size() - st.batch_off,
-                                   MSG_NOSIGNAL);
-          if (n > 0) {
-            st.batch_off += static_cast<std::size_t>(n);
-          } else {
-            break;  // EAGAIN: resume this batch next pass, no frame tear
-          }
-        }
-        if (st.batch_off == st.batch.size()) st.batch_in_flight = false;
+        flush(i);
         drain_and_respond(i, /*decode_frames=*/false);
       }
       continue;
     }
-    // kPhaseRespond: read-only duty cycle plus the violation trigger.
+    // kPhaseRespond: finish the load phase's half-sent bursts behind which
+    // any response queues, plus the violation trigger.
     if (begin == 0 && shared->violations_sent.load(std::memory_order_relaxed) <
                           shared->violations_requested.load(
                               std::memory_order_relaxed)) {
@@ -245,20 +267,24 @@ void worker_main(const std::vector<TcpConnection>* fleet,
           shared->violations_sent.fetch_add(1, std::memory_order_relaxed);
       const LocalViolation violation{
           0, static_cast<Tick>(round_base + round * 100), 1000.0};
-      send_reliable((*fleet)[0].fd(),
-                    frame_payload(net::encode(Message{violation})));
+      enqueue(0, frame_payload(net::encode(Message{violation})));
     }
     for (std::size_t i = begin; i < end; ++i) {
+      flush(i);
       drain_and_respond(i, /*decode_frames=*/true);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+  std::int64_t unsent = 0;
+  for (const ConnState& st : states) {
+    if (!st.broken && (st.batch_in_flight || !st.queued.empty())) ++unsent;
+  }
+  shared->unsent_connections.fetch_add(unsent, std::memory_order_relaxed);
 }
 
-/// One event-loop configuration for run_mode: the legacy loop, the reactor
-/// with a given loop count, or the reactor on a forced backend.
+/// One reactor configuration for run_mode: a loop count and a forced
+/// backend.
 struct ModeSpec {
-  int poll_loop{0};
   int net_threads{1};
   int uring{0};  // tri-state override: 0 = epoll, 1 = io_uring
 };
@@ -275,7 +301,6 @@ std::optional<ModeResult> run_mode(std::size_t connections,
   copt.idle_timeout_ms = 600000;
   copt.heartbeat_timeout_ms = 600000;  // the fleet stays ACTIVE while quiet
   copt.staleness_bound_ms = 600000;
-  copt.poll_loop = spec.poll_loop;
   copt.net_threads = spec.net_threads;
   copt.uring = spec.uring;
   net::CoordinatorNode coordinator(copt);
@@ -418,6 +443,15 @@ std::optional<ModeResult> run_mode(std::size_t connections,
 
   shared.phase.store(kPhaseExit, std::memory_order_release);
   for (auto& w : workers) w.join();
+  const auto broken = shared.broken_connections.load();
+  const auto unsent = shared.unsent_connections.load();
+  if (broken > 0 || unsent > 0) {
+    std::fprintf(stderr,
+                 "bench net: N=%zu: %lld connections broken, %lld still "
+                 "holding unsent frames\n",
+                 connections, static_cast<long long>(broken),
+                 static_cast<long long>(unsent));
+  }
   coordinator.request_stop();
   coord_thread.join();
   return result;
@@ -430,23 +464,12 @@ struct MultiLoopResult {
 
 struct SizeRow {
   std::size_t connections{0};
-  ModeResult legacy;
   ModeResult reactor;
   std::vector<MultiLoopResult> multi;  // sharded reactor, >= 2 loops
   bool have_uring{false};
-  ModeResult uring;       // io_uring backend, single loop
-  bool identity_ok{true};  // single-loop epoll matched legacy outcomes
+  ModeResult uring;        // io_uring backend, single loop
+  bool identity_ok{true};  // single-loop epoll settled every scripted poll
 
-  double idle_wakeup_reduction() const {
-    // +1 on both sides: an idle reactor can legitimately record zero turns.
-    return (legacy.idle_wakeups_per_sec + 1.0) /
-           (reactor.idle_wakeups_per_sec + 1.0);
-  }
-  double throughput_speedup() const {
-    return legacy.load_msgs_per_sec > 0.0
-               ? reactor.load_msgs_per_sec / legacy.load_msgs_per_sec
-               : 0.0;
-  }
   double multi_loop_speedup(int loops) const {
     for (const auto& m : multi) {
       if (m.loops == loops && reactor.load_msgs_per_sec > 0.0)
@@ -497,8 +520,6 @@ void write_json(const std::vector<SizeRow>& rows, bool quick) {
     };
     std::fprintf(f, "%s{\"connections\":%zu,", i == 0 ? "" : ",",
                  row.connections);
-    mode_json("legacy", row.legacy);
-    std::fprintf(f, ",");
     mode_json("reactor", row.reactor);
     std::fprintf(f, ",\"multi_loop\":[");
     for (std::size_t m = 0; m < row.multi.size(); ++m) {
@@ -515,11 +536,8 @@ void write_json(const std::vector<SizeRow>& rows, bool quick) {
       std::fprintf(f, ",\"uring_syscall_ratio\":%.3f",
                    row.uring_syscall_ratio());
     }
-    std::fprintf(f,
-                 ",\"identity_ok\":%s,\"idle_wakeup_reduction\":%.2f,"
-                 "\"throughput_speedup\":%.2f}",
-                 row.identity_ok ? "true" : "false",
-                 row.idle_wakeup_reduction(), row.throughput_speedup());
+    std::fprintf(f, ",\"identity_ok\":%s}",
+                 row.identity_ok ? "true" : "false");
   }
   std::fprintf(f, "]}\n");
   std::fclose(f);
@@ -551,8 +569,7 @@ int bench_main() {
 
   const bool uring_ok = net::uring_supported();
   bench::print_header(
-      "bench net scale: legacy poll(2) vs reactor (epoll / io_uring / "
-      "multi-loop)",
+      "bench net scale: reactor (epoll / io_uring / multi-loop)",
       "DESIGN.md §12+§14 — event-driven I/O, loop sharding, ring batching");
   if (!uring_ok) {
     std::printf("  (io_uring unsupported on this kernel: uring rows "
@@ -580,28 +597,22 @@ int bench_main() {
     }
     SizeRow row;
     row.connections = n;
-    const auto legacy = run_mode(n, ModeSpec{.poll_loop = 1}, cfg);
     const auto reactor =
         run_mode(n, ModeSpec{.net_threads = 1, .uring = 0}, cfg);
-    if (!legacy || !reactor) {
+    if (!reactor) {
       std::fprintf(stderr, "bench net: N=%zu setup failed, skipping\n", n);
       continue;
     }
-    row.legacy = *legacy;
     row.reactor = *reactor;
-    // Identity check: the single-loop epoll reactor must carry the scripted
-    // session at least as far as the legacy loop (the legacy run can itself
-    // drop a round to driver timing, so >= rather than == keeps the pin on
-    // the reactor, not on legacy flakiness).
-    row.identity_ok = row.reactor.polls_settled >= row.legacy.polls_settled;
+    row.identity_ok =
+        row.reactor.polls_settled >= static_cast<std::size_t>(cfg.polls);
     if (!row.identity_ok) {
       std::fprintf(stderr,
                    "bench net: IDENTITY MISMATCH at N=%zu — reactor settled "
-                   "%zu polls, legacy %zu\n",
-                   n, row.reactor.polls_settled, row.legacy.polls_settled);
+                   "%zu of %d scripted polls\n",
+                   n, row.reactor.polls_settled, cfg.polls);
     }
-    print_mode(std::to_string(n), "legacy", row.legacy);
-    print_mode("", "reactor", row.reactor);
+    print_mode(std::to_string(n), "reactor", row.reactor);
     for (const int loops : cfg.multi_loops) {
       const auto multi =
           run_mode(n, ModeSpec{.net_threads = loops, .uring = 0}, cfg);
@@ -622,9 +633,8 @@ int bench_main() {
         print_mode("", "uring", *uring);
       }
     }
-    std::printf("  -> idle reduction %.1fx, throughput %.2fx, multi-loop "
-                "%.2fx, uring sys/frame ratio %.3f, identity %s\n",
-                row.idle_wakeup_reduction(), row.throughput_speedup(),
+    std::printf("  -> multi-loop %.2fx, uring sys/frame ratio %.3f, "
+                "identity %s\n",
                 row.best_multi_loop_speedup(), row.uring_syscall_ratio(),
                 row.identity_ok ? "ok" : "MISMATCH");
     rows.push_back(row);
@@ -635,14 +645,9 @@ int bench_main() {
   bool identity_all = true;
   for (const SizeRow& row : rows) identity_all &= row.identity_ok;
   if (!quick) {
-    // Acceptance gates: N = 1000 idle/throughput vs legacy; N = 4000
-    // multi-loop ingest vs the single-loop reactor; io_uring syscall budget.
+    // Acceptance gates: N = 4000 multi-loop ingest vs the single-loop
+    // reactor; io_uring syscall budget.
     for (const SizeRow& row : rows) {
-      if (row.connections == 1000) {
-        std::printf("acceptance (N=1000): idle %.1fx (target 5x), "
-                    "throughput %.2fx (target 2x)\n",
-                    row.idle_wakeup_reduction(), row.throughput_speedup());
-      }
       if (row.connections == 4000) {
         const unsigned cores = std::thread::hardware_concurrency();
         std::printf("acceptance (N=4000): multi-loop ingest %.2fx over "

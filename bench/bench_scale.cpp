@@ -2,16 +2,11 @@
 //
 // Part 1 — single-task coordinator tick throughput at 1k/10k/50k monitors.
 // A quiet workload (every sampler pinned at Im in steady state) is driven
-// through Coordinator::run_tick three ways, all asserted bit-identical:
-//   scan+scalar   legacy full scan with the verbatim β̄ loop — the
-//                 pre-due-index, pre-kernel baseline;
-//   index+scalar  due index, still the scalar β̄ loop (VOLLEY_SCALAR_BETA
-//                 semantics) — isolates the scheduling win;
-//   index+kernel  due index plus the likelihood kernel's batched drain —
-//                 the default path; isolates the β̄-evaluation win.
-// Idle ticks (nothing due — the due index's O(1) case) and sample ticks
-// (every monitor due — the β̄ kernel's case) are timed as separate phases.
-// Im = 128 also exercises the Im-derived interval-histogram bound.
+// through Coordinator::run_tick (due index + the likelihood kernel's
+// batched drain). Idle ticks (nothing due — the due index's O(1) case) and
+// sample ticks (every monitor due — the β̄ kernel's case) are timed as
+// separate phases. Im = 128 also exercises the Im-derived interval-histogram
+// bound.
 //
 // Part 2 — the β̄-evaluation phase alone: identical lane populations
 // evaluated by the scalar loop, the batch kernel (cold memos), and the
@@ -24,8 +19,7 @@
 // Part 3 — a mixed fleet of 200 tasks on the discrete-event simulator with
 // the paper's default-interval mix (1 s application, 5 s system, 15 s
 // network tasks) and occasional bursts that force global polls, reporting
-// events/sec scan vs indexed with the same identity assertion over every
-// task's accounting and the run-scoped metrics snapshot.
+// events/sec.
 //
 // VOLLEY_BENCH_QUICK=1 shrinks all parts to smoke size. Emits
 // BENCH_scale.json (schema checked by the CI bench-smoke job). The
@@ -72,15 +66,14 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 // Steady state is phase-locked by construction: every monitor follows the
 // same adaptation timeline (identical options, always-safe series), so all
 // of them are due on the same tick once per Im — the remaining Im-1 ticks
-// are no-op ticks, which is where the scan pays O(monitors) for nothing.
-// The two tick classes are timed separately (idle ticks in blocks between
-// sample ticks, so no per-tick clock reads pollute the idle numbers):
-//  * idle ticks — pure scheduling overhead, the cost the due index removes;
-//  * sample ticks — dominated by the adaptation rule itself (the O(I)
-//    beta-bound product per observation), identical work in both modes.
+// are no-op ticks. The two tick classes are timed separately (idle ticks in
+// blocks between sample ticks, so no per-tick clock reads pollute the idle
+// numbers):
+//  * idle ticks — pure scheduling overhead, O(1) with the due index;
+//  * sample ticks — dominated by the adaptation rule itself (the β̄ bound
+//    per observation, drained through the batch kernel).
 
 struct SingleTiming {
-  RunResult result;
   double idle_seconds{0.0};
   double sample_seconds{0.0};
   Tick idle_ticks{0};
@@ -98,10 +91,8 @@ struct SingleTiming {
   }
 };
 
-SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
-                        Tick timed, Tick max_interval) {
-  const bool prior_scalar = scalar_beta();
-  set_scalar_beta(scalar);
+SingleTiming run_single(std::size_t n, Tick warmup, Tick timed,
+                        Tick max_interval) {
   SingleTiming out;
   obs::MetricsRegistry registry;
   {
@@ -118,8 +109,7 @@ SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
     spec.max_interval = max_interval;
     spec.patience = 1;
     // No reallocation round inside the measured run: draining coordination
-    // stats is O(monitors) in both modes and would blur the idle-tick
-    // numbers (Part 2 exercises reallocation; the identity tests cover it).
+    // stats is O(monitors) and would blur the idle-tick numbers.
     spec.updating_period = warmup + timed + 1;
     spec.estimator.stats_window = 32;
 
@@ -146,18 +136,11 @@ SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
     Coordinator coordinator(spec, std::move(monitors),
                             std::make_unique<EvenAllocation>());
 
-    RunResult& r = out.result;
-    r.ticks = total;
-    r.monitors = n;
-    // Untimed warm-up, always due-indexed (cheaper; both modes' runs stay
-    // identical since the mode only changes *how* due monitors are found):
-    // lets the AIMD rule climb to Im so the timed segment measures the
-    // steady state a long-lived task lives in.
+    // Untimed warm-up: lets the AIMD rule climb to Im so the timed segment
+    // measures the steady state a long-lived task lives in.
     Tick last_due = -1;
     for (Tick t = 0; t < warmup; ++t) {
-      const auto tick = coordinator.run_tick(t);
-      r.local_violations += tick.local_violations;
-      if (tick.any_due) last_due = t;
+      if (coordinator.run_tick(t).any_due) last_due = t;
     }
     if (last_due < 0 || coordinator.monitor(0).interval() != max_interval) {
       std::fprintf(stderr,
@@ -167,7 +150,6 @@ SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
                    static_cast<long long>(max_interval));
       std::exit(1);
     }
-    coordinator.set_scan_ticks(scan);
 
     // Phase lock makes the sample ticks predictable: t = last_due (mod Im).
     const Tick residue = last_due % max_interval;
@@ -180,7 +162,6 @@ SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
         const auto tick = coordinator.run_tick(t);
         out.sample_seconds += bench::now_seconds() - s0;
         ++out.sample_ticks;
-        r.local_violations += tick.local_violations;
         if (!tick.any_due) {
           std::fprintf(stderr, "bench scale: lost phase lock at tick %lld\n",
                        static_cast<long long>(t));
@@ -189,7 +170,6 @@ SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
         block_t0 = bench::now_seconds();
       } else {
         const auto tick = coordinator.run_tick(t);
-        r.local_violations += tick.local_violations;
         ++out.idle_ticks;
         if (tick.any_due) {
           std::fprintf(stderr, "bench scale: lost phase lock at tick %lld\n",
@@ -199,18 +179,7 @@ SingleTiming run_single(std::size_t n, bool scan, bool scalar, Tick warmup,
       }
     }
     out.idle_seconds += bench::now_seconds() - block_t0;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const Monitor& m = coordinator.monitor(i);
-      r.scheduled_ops += m.scheduled_ops();
-      r.forced_ops += m.forced_ops();
-    }
-    r.total_cost = coordinator.total_cost();
-    r.global_polls = coordinator.global_polls();
-    r.reallocations = coordinator.reallocations();
-    r.metrics_json = registry.to_json();
   }
-  set_scalar_beta(prior_scalar);
   return out;
 }
 
@@ -238,8 +207,6 @@ struct BetaEvalTiming {
 
 BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
                               int reps, Tick interval) {
-  const bool prior_scalar = scalar_beta();
-  set_scalar_beta(false);  // the kernel variants must not take the hatch
   BetaEvalTiming out;
   out.lanes = lanes;
   out.reps = reps;
@@ -262,7 +229,7 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
     }
   }
 
-  // Scalar baseline loop.
+  // Scalar baseline: the literal Inequality 3 loop, called directly.
   std::vector<double> expected(lanes);
   const double s0 = bench::now_seconds();
   for (int rep = 0; rep < reps; ++rep) {
@@ -321,7 +288,6 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
   check(batch, "incremental");
   out.incremental_ns =
       incremental_seconds * 1e9 / (static_cast<double>(lanes) * reps);
-  set_scalar_beta(prior_scalar);
   return out;
 }
 
@@ -330,24 +296,9 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
 struct SimOutcome {
   std::uint64_t events{0};
   double run_seconds{0.0};
-  std::string metrics_json;
-  // Per-task accounting, compared field by field between the two modes.
-  std::vector<Tick> ticks_run;
-  std::vector<std::int64_t> alerts;
-  std::vector<std::int64_t> total_ops;
-  std::vector<std::int64_t> polls;
-  std::vector<std::int64_t> violations;
-  std::vector<double> costs;
-
-  bool same_as(const SimOutcome& o) const {
-    return events == o.events && ticks_run == o.ticks_run &&
-           alerts == o.alerts && total_ops == o.total_ops &&
-           polls == o.polls && violations == o.violations &&
-           costs == o.costs && metrics_json == o.metrics_json;
-  }
 };
 
-SimOutcome run_sim(std::size_t tasks, SimTime horizon, bool scan) {
+SimOutcome run_sim(std::size_t tasks, SimTime horizon) {
   SimOutcome out;
   obs::MetricsRegistry registry;
   {
@@ -380,7 +331,7 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon, bool scan) {
         const std::uint64_t key = task * kMonitorsPerTask + i;
         // Mildly noisy baseline with rare bursts past the local threshold:
         // the bursts trigger local violations and global polls, so the
-        // identity check covers the poll + index-rebuild path too.
+        // poll + index-rebuild path is timed too.
         task_sources.push_back(std::make_unique<CallableSource>(
             [key](Tick t) {
               const std::uint64_t h = mix(key, static_cast<std::uint64_t>(t));
@@ -395,7 +346,6 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon, bool scan) {
       }
       auto coordinator = std::make_unique<Coordinator>(
           spec, std::move(monitors), std::make_unique<EvenAllocation>());
-      coordinator->set_scan_ticks(scan);
       // Real fleets are not phase-aligned: stagger task starts.
       const double offset =
           id_seconds * static_cast<double>(task % 8) / 8.0;
@@ -406,21 +356,6 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon, bool scan) {
     const double t0 = bench::now_seconds();
     out.events = sim.run(horizon + 60.0);
     out.run_seconds = bench::now_seconds() - t0;
-
-    for (std::size_t task = 0; task < tasks; ++task) {
-      const auto& stats = sim.stats(task);
-      const Coordinator& c = sim.coordinator(task);
-      out.ticks_run.push_back(stats.ticks_run);
-      out.alerts.push_back(stats.alerts);
-      out.total_ops.push_back(c.total_ops());
-      out.polls.push_back(c.global_polls());
-      std::int64_t lv = 0;
-      for (std::size_t i = 0; i < c.monitor_count(); ++i)
-        lv += c.monitor(i).local_violations();
-      out.violations.push_back(lv);
-      out.costs.push_back(c.total_cost());
-    }
-    out.metrics_json = registry.to_json();
   }
   return out;
 }
@@ -429,18 +364,9 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon, bool scan) {
 
 struct SingleRow {
   std::size_t monitors;
-  double scan_idle_tps;
-  double indexed_idle_tps;
-  double speedup;  // idle-tick run_tick throughput ratio: the scan tax
-  double scan_overall_tps;
-  double indexed_overall_tps;
-  double overall_speedup;
-  // β̄ kernel columns (index+kernel vs index+scalar, DESIGN.md §11):
-  double scalar_sample_tps;   // sample ticks/s, scalar β̄ loop
-  double kernel_sample_tps;   // sample ticks/s, batched kernel
-  double kernel_sample_speedup;
-  double kernel_overall_tps;
-  double kernel_overall_speedup;  // vs index+scalar: the headline claim
+  double idle_tps;
+  double sample_tps;
+  double overall_tps;
 };
 
 bool simd_enabled() {
@@ -455,8 +381,7 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
                       const std::vector<SingleRow>& rows,
                       const BetaEvalTiming& quiet_eval,
                       const BetaEvalTiming& noisy_eval,
-                      std::size_t sim_tasks, const SimOutcome& sim_scan,
-                      const SimOutcome& sim_indexed) {
+                      std::size_t sim_tasks, const SimOutcome& sim) {
   std::FILE* f = std::fopen("BENCH_scale.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench scale: cannot write BENCH_scale.json\n");
@@ -469,22 +394,11 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     std::fprintf(f,
-                 "%s{\"monitors\":%zu,\"scan_idle_ticks_per_sec\":%.1f,"
-                 "\"indexed_idle_ticks_per_sec\":%.1f,\"speedup\":%.3f,"
-                 "\"scan_overall_ticks_per_sec\":%.1f,"
-                 "\"indexed_overall_ticks_per_sec\":%.1f,"
-                 "\"overall_speedup\":%.3f,"
-                 "\"scalar_sample_ticks_per_sec\":%.1f,"
-                 "\"kernel_sample_ticks_per_sec\":%.1f,"
-                 "\"kernel_sample_speedup\":%.3f,"
-                 "\"kernel_overall_ticks_per_sec\":%.1f,"
-                 "\"kernel_overall_speedup\":%.3f}",
-                 i == 0 ? "" : ",", r.monitors, r.scan_idle_tps,
-                 r.indexed_idle_tps, r.speedup, r.scan_overall_tps,
-                 r.indexed_overall_tps, r.overall_speedup,
-                 r.scalar_sample_tps, r.kernel_sample_tps,
-                 r.kernel_sample_speedup, r.kernel_overall_tps,
-                 r.kernel_overall_speedup);
+                 "%s{\"monitors\":%zu,\"idle_ticks_per_sec\":%.1f,"
+                 "\"sample_ticks_per_sec\":%.1f,"
+                 "\"overall_ticks_per_sec\":%.1f}",
+                 i == 0 ? "" : ",", r.monitors, r.idle_tps, r.sample_tps,
+                 r.overall_tps);
   }
   std::fprintf(f,
                "],\"beta_eval\":{\"interval\":%lld,\"simd\":%s,"
@@ -504,22 +418,11 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
                noisy_eval.reps, noisy_eval.scalar_ns, noisy_eval.kernel_ns,
                noisy_eval.incremental_ns, noisy_eval.kernel_speedup(),
                noisy_eval.incremental_speedup());
-  const double scan_eps =
-      sim_scan.run_seconds > 0.0
-          ? static_cast<double>(sim_scan.events) / sim_scan.run_seconds
-          : 0.0;
-  const double indexed_eps =
-      sim_indexed.run_seconds > 0.0
-          ? static_cast<double>(sim_indexed.events) / sim_indexed.run_seconds
-          : 0.0;
   std::fprintf(f,
                "\"sim_tasks\":%zu,\"sim_events\":%llu,"
-               "\"sim_scan_events_per_sec\":%.1f,"
-               "\"sim_indexed_events_per_sec\":%.1f,\"sim_speedup\":%.3f,"
-               "\"identical\":true}\n",
-               sim_tasks, static_cast<unsigned long long>(sim_scan.events),
-               scan_eps, indexed_eps,
-               scan_eps > 0.0 ? indexed_eps / scan_eps : 0.0);
+               "\"sim_events_per_sec\":%.1f}\n",
+               sim_tasks, static_cast<unsigned long long>(sim.events),
+               static_cast<double>(sim.events) / sim.run_seconds);
   std::fclose(f);
 }
 
@@ -545,58 +448,28 @@ void run() {
       "in-process mirror of the paper's 800-VM deployment scale (Sec. V)");
   std::printf(
       "steady state: every sampler pinned at Im=%lld, so %lld of every "
-      "%lld run_tick calls are no-op (idle) ticks — the scan still pays "
-      "O(monitors) on each of them, the due index pays O(1). Sample-tick "
-      "work (the adaptation rule itself) is identical in both modes.\n\n",
+      "%lld run_tick calls are no-op (idle) ticks — the due index pays "
+      "O(1) on each of them; sample ticks drain every monitor's β̄ through "
+      "the batch kernel.\n\n",
       static_cast<long long>(max_interval),
       static_cast<long long>(max_interval - 1),
       static_cast<long long>(max_interval));
 
-  bench::print_row({"monitors", "idle speedup", "beta speedup", "overall",
-                    "vs seed"});
+  bench::print_row({"monitors", "idle tps", "sample tps", "overall tps"});
   std::vector<SingleRow> rows;
   for (std::size_t n : sizes) {
-    const auto scan = run_single(n, true, true, warmup, timed, max_interval);
-    const auto scalar =
-        run_single(n, false, true, warmup, timed, max_interval);
-    const auto kernel =
-        run_single(n, false, false, warmup, timed, max_interval);
-    if (!bench::same_result(scan.result, scalar.result) ||
-        !bench::same_result(scalar.result, kernel.result)) {
-      std::fprintf(stderr,
-                   "bench scale: scan/scalar/kernel runs diverged at "
-                   "%zu monitors (determinism violation)\n",
-                   n);
-      std::exit(1);
-    }
+    const auto timing = run_single(n, warmup, timed, max_interval);
     SingleRow row;
     row.monitors = n;
-    row.scan_idle_tps = scan.idle_tps();
-    row.indexed_idle_tps = scalar.idle_tps();
-    row.speedup = row.indexed_idle_tps / row.scan_idle_tps;
-    row.scan_overall_tps = scan.overall_tps();
-    row.indexed_overall_tps = scalar.overall_tps();
-    row.overall_speedup = row.indexed_overall_tps / row.scan_overall_tps;
-    row.scalar_sample_tps = scalar.sample_tps();
-    row.kernel_sample_tps = kernel.sample_tps();
-    row.kernel_sample_speedup = row.kernel_sample_tps / row.scalar_sample_tps;
-    row.kernel_overall_tps = kernel.overall_tps();
-    row.kernel_overall_speedup =
-        row.kernel_overall_tps / row.indexed_overall_tps;
+    row.idle_tps = timing.idle_tps();
+    row.sample_tps = timing.sample_tps();
+    row.overall_tps = timing.overall_tps();
     rows.push_back(row);
-    bench::print_row({std::to_string(n), bench::fmt(row.speedup, 1) + "x",
-                      bench::fmt(row.kernel_sample_speedup, 1) + "x",
-                      bench::fmt(row.kernel_overall_speedup, 2) + "x",
-                      bench::fmt(row.kernel_overall_tps /
-                                     row.scan_overall_tps, 2) + "x"});
+    bench::print_row({std::to_string(n), bench::fmt(row.idle_tps, 0),
+                      bench::fmt(row.sample_tps, 0),
+                      bench::fmt(row.overall_tps, 0)});
   }
-  std::printf(
-      "\n(idle speedup: due-index vs scan on ticks with nothing due; beta "
-      "speedup: batched likelihood kernel vs the scalar β̄ loop on sample "
-      "ticks; overall: index+kernel vs index+scalar across all ticks — the "
-      "DESIGN.md §11 headline; vs seed: index+kernel vs scan+scalar, the "
-      "pre-index pre-kernel baseline. Identical RunResult accounting "
-      "asserted across all three runs per size.)\n\n");
+  std::printf("\n(tps: run_tick calls per second)\n\n");
 
   // --- Part 2: β̄ evaluation in isolation ------------------------------
   const std::size_t eval_lanes = quick ? 20000 : 50000;
@@ -625,31 +498,14 @@ void run() {
 
   const std::size_t sim_tasks = quick ? 40 : 200;
   const SimTime horizon = quick ? 900.0 : 3600.0;
-  const auto sim_scan = run_sim(sim_tasks, horizon, true);
-  const auto sim_indexed = run_sim(sim_tasks, horizon, false);
-  if (!sim_scan.same_as(sim_indexed)) {
-    std::fprintf(stderr,
-                 "bench scale: mixed-fleet due-index run diverged from the "
-                 "scan (determinism violation)\n");
-    std::exit(1);
-  }
-  const double scan_eps =
-      static_cast<double>(sim_scan.events) / sim_scan.run_seconds;
-  const double indexed_eps =
-      static_cast<double>(sim_indexed.events) / sim_indexed.run_seconds;
+  const auto sim = run_sim(sim_tasks, horizon);
   std::printf("mixed fleet: %zu tasks (1 s / 5 s / 15 s Id mix), %llu "
-              "events over %.0f virtual seconds\n",
-              sim_tasks, static_cast<unsigned long long>(sim_scan.events),
-              horizon);
-  bench::print_row({"mode", "events/s", "", ""});
-  bench::print_row({"scan", bench::fmt(scan_eps, 0), "", ""});
-  bench::print_row({"due-index", bench::fmt(indexed_eps, 0), "", ""});
-  std::printf("\nsim speedup: %.2fx (identical per-task accounting and "
-              "metrics snapshots asserted)\n",
-              indexed_eps / scan_eps);
+              "events over %.0f virtual seconds: %.0f events/s\n",
+              sim_tasks, static_cast<unsigned long long>(sim.events), horizon,
+              static_cast<double>(sim.events) / sim.run_seconds);
 
   write_scale_json(quick, max_interval, timed, rows, quiet_eval, noisy_eval,
-                   sim_tasks, sim_scan, sim_indexed);
+                   sim_tasks, sim);
   std::printf("-> BENCH_scale.json\n");
   obs::set_global_trace_enabled(true);
 }

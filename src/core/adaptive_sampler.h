@@ -40,11 +40,10 @@
 // estimators, so it is confined to the same thread as the monitors it
 // drains: one coordinator, one thread. Future coordinator shards each own
 // their monitors and their batch, so shards never share sampler state —
-// the kernel itself is stateless apart from the process-global escape
-// hatch (an atomic). Every observe_finish() also feeds the process-global
-// obs/ registry (counters volley_sampler_*, histograms of chosen interval
-// and beta bound); those instruments are thread-safe, so concurrent
-// monitors can share them.
+// the kernel itself is stateless. Every observe_finish() also feeds the
+// process-global obs/ registry (counters volley_sampler_*, histograms of
+// chosen interval and beta bound); those instruments are thread-safe, so
+// concurrent monitors can share them.
 #pragma once
 
 #include <cstdint>

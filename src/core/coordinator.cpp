@@ -1,8 +1,6 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -45,14 +43,6 @@ struct CoordinatorMetrics {
 /// is bit-identical either way, so the constant is pure tuning.
 constexpr std::size_t kBatchMin = 8;
 
-/// VOLLEY_SCAN_TICKS: set (and not "0") forces the legacy scan-all loop.
-bool scan_ticks_from_env() {
-  // Read once per Coordinator construction, before any monitor threads
-  // exist; nothing in-tree calls setenv concurrently.
-  const char* v = std::getenv("VOLLEY_SCAN_TICKS");  // NOLINT(concurrency-mt-unsafe)
-  return v != nullptr && std::strcmp(v, "0") != 0;
-}
-
 }  // namespace
 
 Coordinator::Coordinator(const TaskSpec& spec,
@@ -70,21 +60,12 @@ Coordinator::Coordinator(const TaskSpec& spec,
   for (auto& m : monitors_) m->set_error_allowance(share);
   next_update_ = spec_.updating_period;
 
-  scan_ticks_ = scan_ticks_from_env();
   Tick max_interval = 1;
   for (const auto& m : monitors_)
     max_interval = std::max(max_interval, m->sampler().max_interval());
   window_ = static_cast<std::size_t>(max_interval) + 2;
   buckets_.resize(window_);
   rebuild_due_index();
-}
-
-void Coordinator::set_scan_ticks(bool scan) {
-  if (scan == scan_ticks_) return;
-  scan_ticks_ = scan;
-  // Re-entering indexed mode: the ring is stale (scan mode doesn't maintain
-  // it), so re-derive it from the monitors' current schedules.
-  if (!scan) rebuild_due_index();
 }
 
 void Coordinator::due_index_insert(MonitorId id, Tick next) {
@@ -130,51 +111,39 @@ void Coordinator::collect_due(Tick t) {
   // advanced by exactly `span`; a jump past the ring (rare: first tick of
   // a late-starting task) recomputes it.
   cursor_slot_ = jump == span ? slot : static_cast<std::size_t>(cursor_) % window_;
-  // Buckets accumulate ids in insertion order across ticks; the legacy
-  // contract is ascending id order among same-tick monitors.
+  // Buckets accumulate ids in insertion order across ticks; the contract
+  // is ascending id order among same-tick monitors.
   if (due_scratch_.size() > 1)
     std::sort(due_scratch_.begin(), due_scratch_.end());
 }
 
 Coordinator::TickResult Coordinator::run_tick(Tick t) {
   TickResult result;
-  if (scan_ticks_) {
-    // Legacy path: scan every monitor. Kept verbatim as the identity
-    // baseline (VOLLEY_SCAN_TICKS, identity tests, bench_scale).
-    for (auto& m : monitors_) {
-      if (!m->due(t)) continue;
-      const auto outcome = m->step(t);
+  collect_due(t);
+  if (due_scratch_.size() >= kBatchMin) {
+    // Batched drain: every due monitor's β̄ is evaluated in one
+    // likelihood-kernel invocation (DESIGN.md §11). Side effects run in
+    // the finish phase, in ascending id order, so metrics, traces, and
+    // results stay bit-identical to the per-monitor loop below.
+    beta_batch_.clear();
+    for (const MonitorId id : due_scratch_)
+      monitors_[id]->begin_step(t, beta_batch_);
+    beta_bound_batch(beta_batch_);
+    std::size_t lane = 0;
+    for (const MonitorId id : due_scratch_) {
+      Monitor& m = *monitors_[id];
+      const auto outcome = m.finish_step(t, beta_batch_.beta[lane++]);
       result.any_due = true;
       if (outcome.local_violation) ++result.local_violations;
+      due_index_insert(id, m.next_sample_tick());
     }
-    if (t >= cursor_) cursor_ = t + 1;
   } else {
-    collect_due(t);
-    if (due_scratch_.size() >= kBatchMin && !scalar_beta()) {
-      // Batched drain: every due monitor's β̄ is evaluated in one
-      // likelihood-kernel invocation (DESIGN.md §11). Side effects run in
-      // the finish phase, in ascending id order, so metrics, traces, and
-      // results stay bit-identical to the per-monitor loop below.
-      beta_batch_.clear();
-      for (const MonitorId id : due_scratch_)
-        monitors_[id]->begin_step(t, beta_batch_);
-      beta_bound_batch(beta_batch_);
-      std::size_t lane = 0;
-      for (const MonitorId id : due_scratch_) {
-        Monitor& m = *monitors_[id];
-        const auto outcome = m.finish_step(t, beta_batch_.beta[lane++]);
-        result.any_due = true;
-        if (outcome.local_violation) ++result.local_violations;
-        due_index_insert(id, m.next_sample_tick());
-      }
-    } else {
-      for (const MonitorId id : due_scratch_) {
-        Monitor& m = *monitors_[id];
-        const auto outcome = m.step(t);
-        result.any_due = true;
-        if (outcome.local_violation) ++result.local_violations;
-        due_index_insert(id, m.next_sample_tick());
-      }
+    for (const MonitorId id : due_scratch_) {
+      Monitor& m = *monitors_[id];
+      const auto outcome = m.step(t);
+      result.any_due = true;
+      if (outcome.local_violation) ++result.local_violations;
+      due_index_insert(id, m.next_sample_tick());
     }
   }
 
@@ -201,7 +170,7 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     }
     // The poll rescheduled every monitor that wasn't already sampled at t,
     // invalidating their ring entries wholesale; re-derive the index.
-    if (!scan_ticks_) rebuild_due_index();
+    rebuild_due_index();
   }
 
   maybe_reallocate(t);
@@ -213,7 +182,7 @@ double Coordinator::force_poll(Tick t) {
   for (auto& m : monitors_) sum += m->force_sample(t).sample.value;
   // Every monitor that wasn't already sampled at t rescheduled; the ring's
   // entries are stale wholesale (same invariant as the in-tick poll).
-  if (!scan_ticks_) rebuild_due_index();
+  rebuild_due_index();
   return sum;
 }
 

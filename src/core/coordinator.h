@@ -54,18 +54,8 @@ class Coordinator {
   /// effect are bit-identical to scanning all monitors in id order. When
   /// enough monitors are due at once, their β̄ evaluations are drained
   /// into one likelihood-kernel batch invocation (begin_step /
-  /// beta_bound_batch / finish_step, DESIGN.md §11) — also bit-identical,
-  /// and disabled along with the kernel by VOLLEY_SCALAR_BETA.
+  /// beta_bound_batch / finish_step, DESIGN.md §11) — also bit-identical.
   TickResult run_tick(Tick t);
-
-  /// Escape hatch: when true, run_tick scans every monitor calling due(t)
-  /// — the legacy O(monitors) loop — instead of consulting the due index.
-  /// Initialized from the VOLLEY_SCAN_TICKS environment variable (set and
-  /// not "0"); the identity tests and bench_scale flip it per run to prove
-  /// both paths agree. Switching scanning back off rebuilds the index from
-  /// the monitors' current schedules.
-  void set_scan_ticks(bool scan);
-  bool scan_ticks() const { return scan_ticks_; }
 
   const TaskSpec& spec() const { return spec_; }
   std::size_t monitor_count() const { return monitors_.size(); }
@@ -121,7 +111,7 @@ class Coordinator {
   // so a tick where nothing is due costs O(1) instead of O(monitors) —
   // the in-process mirror of why adaptive sampling exists at all.
   //
-  // Invariants (when scan_ticks_ is false):
+  // Invariants:
   //  * cursor_ is the next tick run_tick will consume; every monitor's
   //    pending entry lives at a tick in [cursor_, cursor_ + window_ - 1],
   //    which is why window_ = max Im + 2 buckets suffice: a sample at t
@@ -130,7 +120,8 @@ class Coordinator {
   //    (the clamp lets a freshly built index catch up when the first
   //    run_tick happens at t > 0, e.g. tasks arriving mid-run).
   //  * same-tick monitors run in ascending id order — collect_due sorts
-  //    the drained ids — so results are bit-identical to the legacy scan.
+  //    the drained ids — so results are bit-identical to scanning every
+  //    monitor's due(t) in id order (tests/reference/scan_all.h).
   //  * a global poll force-samples every monitor, invalidating most
   //    entries at once; rebuild_due_index() re-derives the ring in O(n),
   //    the same order as the poll itself.
@@ -149,7 +140,6 @@ class Coordinator {
   Tick next_update_{0};
   CoordStats last_period_stats_{};
 
-  bool scan_ticks_{false};
   Tick cursor_{0};
   std::size_t cursor_slot_{0};                    // cursor_ % window_, cached
   std::size_t window_{0};                         // bucket count (max Im + 2)

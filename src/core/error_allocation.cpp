@@ -35,6 +35,16 @@ struct AllocationMetrics {
   }
 };
 
+/// The per-monitor floor fraction·err, unless n such floors do not fit in
+/// err (more than 1/fraction monitors): then err/(2n), which keeps half the
+/// budget floor-protected and lets the other half follow the yields.
+double feasible_floor(double err, std::size_t n, double fraction) {
+  const double floor_value = fraction * err;
+  if (floor_value * static_cast<double>(n) > err)
+    return err / (2.0 * static_cast<double>(n));
+  return floor_value;
+}
+
 }  // namespace
 
 std::vector<double> EvenAllocation::allocate(double err,
@@ -139,7 +149,8 @@ std::vector<double> redistribute_allowance(
   } else {
     for (double& a : alive) a *= err / sum;
   }
-  alive = clamp_and_normalize(std::move(alive), err, 0.01 * err);
+  const double floor_value = feasible_floor(err, alive.size(), 0.01);
+  alive = clamp_and_normalize(std::move(alive), err, floor_value);
   std::size_t j = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!dead[i]) out[i] = alive[j++];
@@ -189,7 +200,7 @@ std::vector<double> AdaptiveAllocation::allocate(
     out[i] += options_.smoothing * (target - out[i]);
   }
   return clamp_and_normalize(std::move(out), err,
-                             options_.min_fraction * err);
+                             feasible_floor(err, n, options_.min_fraction));
 }
 
 }  // namespace volley

@@ -71,7 +71,9 @@ class EvenAllocation final : public AllowanceAllocator {
 class AdaptiveAllocation final : public AllowanceAllocator {
  public:
   struct Options {
-    double min_fraction{0.01};      // err_min = min_fraction * err
+    // err_min = min_fraction * err; err/(2n) when n monitors' floors
+    // would exceed err (n > 1/min_fraction).
+    double min_fraction{0.01};
     double uniformity_band{0.1};    // skip when max_y/min_y - 1 < band
     double epsilon_allowance{1e-9}; // floor for e_i to avoid division by 0
     // Step size toward the yield-proportional target per updating period.
@@ -101,11 +103,11 @@ std::vector<double> clamp_and_normalize(std::vector<double> alloc,
 
 /// Reclaims the allowance of failed monitors. Entries whose index appears
 /// in `excluded` are zeroed; the surviving entries are rescaled (keeping
-/// their relative proportions, with the standard err/100 floor) so the
-/// whole vector sums to `err` again — because beta_c <= sum_i beta_i holds
-/// over the *reachable* monitors, a dead monitor's unused allowance is free
-/// error budget for the survivors. Excluding every monitor yields all
-/// zeros.
+/// their relative proportions, with the standard err/100 floor — err/(2n)
+/// beyond 100 survivors) so the whole vector sums to `err` again — because
+/// beta_c <= sum_i beta_i holds over the *reachable* monitors, a dead
+/// monitor's unused allowance is free error budget for the survivors.
+/// Excluding every monitor yields all zeros.
 std::vector<double> redistribute_allowance(
     double err, std::span<const double> current,
     std::span<const std::size_t> excluded);

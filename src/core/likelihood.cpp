@@ -80,11 +80,6 @@ double ViolationLikelihoodEstimator::beta_bound(double threshold,
     return beta_bound_with(v, threshold, *stats, interval,
                            gaussian_step_bound);
   }
-  if (scalar_beta()) {
-    // Escape hatch (VOLLEY_SCALAR_BETA): the verbatim identity baseline.
-    return beta_bound_with(v, threshold, *stats, interval,
-                           chebyshev_step_bound);
-  }
   return beta_bound_chebyshev(v, threshold, *stats, interval, &cache_);
 }
 

@@ -32,11 +32,9 @@
 // of β̄'s value. The fast paths in likelihood_kernel.h (zero-β̄ certificate,
 // incremental prefix reuse, blocked/SIMD loop, SoA batch) are pure
 // accelerations: they must return the identical double for every input,
-// property-tested in tests/test_likelihood_kernel.cpp and re-asserted by
-// bench_scale on every run. `VOLLEY_SCALAR_BETA=1` (or set_scalar_beta)
-// routes evaluation back through this loop verbatim. Numerics notes,
-// including why the incremental form keeps a product prefix rather than a
-// log-space sum, live in DESIGN.md §11.
+// property-tested in tests/test_likelihood_kernel.cpp against direct calls
+// of this loop. Numerics notes, including why the incremental form keeps a
+// product prefix rather than a log-space sum, live in DESIGN.md §11.
 //
 // `GaussianLikelihoodEstimator` is the ablation comparator (bench_ablation_
 // estimator): identical interface but assumes delta ~ Normal(mu, sigma),
@@ -146,8 +144,8 @@ class ViolationLikelihoodEstimator {
   /// interval, from the most recent observation. Returns 1 while fewer than
   /// `min_observations` delta values have been seen. Chebyshev evaluations
   /// go through the likelihood kernel (certificate + incremental memo +
-  /// SIMD loop) unless scalar_beta() is set; the value returned is bitwise
-  /// identical either way (the kernel's identity contract).
+  /// SIMD loop), bitwise identical to the literal loop (the kernel's
+  /// identity contract).
   double beta_bound(double threshold, Tick interval) const;
 
   /// Pushes this estimator's current β̄ evaluation inputs — post-observe

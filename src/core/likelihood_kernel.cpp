@@ -1,10 +1,7 @@
 #include "core/likelihood_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace volley {
@@ -147,25 +144,7 @@ void store(BetaBoundCache* cache, double value, double threshold,
   cache->saturated = out.saturated;
 }
 
-std::atomic<bool>& scalar_beta_flag() {
-  static std::atomic<bool> flag{[] {
-    // Read once at first use, like VOLLEY_SCAN_TICKS; nothing in-tree
-    // calls setenv concurrently.
-    const char* v = std::getenv("VOLLEY_SCALAR_BETA");  // NOLINT(concurrency-mt-unsafe)
-    return v != nullptr && std::strcmp(v, "0") != 0;
-  }()};
-  return flag;
-}
-
 }  // namespace
-
-bool scalar_beta() {
-  return scalar_beta_flag().load(std::memory_order_relaxed);
-}
-
-void set_scalar_beta(bool scalar) {
-  scalar_beta_flag().store(scalar, std::memory_order_relaxed);
-}
 
 double beta_bound_chebyshev(double value, double threshold,
                             const DeltaStats& stats, Tick interval,
@@ -247,7 +226,6 @@ void BetaBatch::push_lane(double v, double t, const DeltaStats& s, Tick i,
 void beta_bound_batch(BetaBatch& batch) {
   const std::size_t lanes = batch.size();
   batch.beta.resize(lanes);
-  const bool scalar = scalar_beta();
   for (std::size_t l = 0; l < lanes; ++l) {
     if (batch.cold[l] != 0) {
       batch.beta[l] = 1.0;  // cold start: conservative bound (likelihood.h)
@@ -259,9 +237,6 @@ void beta_bound_batch(BetaBatch& batch) {
       // step); it runs the baseline loop exactly as the estimator does.
       batch.beta[l] = beta_bound_with(batch.value[l], batch.threshold[l], s,
                                       batch.interval[l], gaussian_step_bound);
-    } else if (scalar) {
-      batch.beta[l] = beta_bound_with(batch.value[l], batch.threshold[l], s,
-                                      batch.interval[l], chebyshev_step_bound);
     } else {
       batch.beta[l] = beta_bound_chebyshev(batch.value[l], batch.threshold[l],
                                            s, batch.interval[l],

@@ -43,15 +43,12 @@
 // (cold start, Gaussian ablation bound) so a batch evaluation is exactly
 // `ViolationLikelihoodEstimator::beta_bound` per lane.
 //
-// Escape hatch / identity baseline: `set_scalar_beta(true)` (env:
-// `VOLLEY_SCALAR_BETA=1`, read once like VOLLEY_SCAN_TICKS) routes every
-// evaluation back through the verbatim baseline loop and disables the
-// coordinator's batch drain. tests/test_likelihood_kernel.cpp asserts
-// kernel == baseline bitwise across a property sweep; bench_scale
-// re-asserts identical runs scalar-vs-kernel on every invocation.
+// Identity baseline: tests/test_likelihood_kernel.cpp calls
+// `beta_bound_with(..., chebyshev_step_bound)` — the literal Inequality 3
+// loop — directly and asserts kernel == baseline bitwise across a property
+// sweep.
 //
-// Thread-safety: the flag accessors are thread-safe (relaxed atomic). A
-// `BetaBoundCache` belongs to one estimator and inherits its confinement
+// Thread-safety: a `BetaBoundCache` belongs to one estimator and inherits its confinement
 // (one monitor, one thread). A `BetaBatch` is scratch owned by one
 // coordinator; concurrent coordinator shards must each own their batch —
 // the kernel itself keeps no mutable global state, so shards never
@@ -66,14 +63,6 @@
 #include "core/likelihood.h"
 
 namespace volley {
-
-/// True when the legacy scalar β̄ path is forced. Initialized from the
-/// VOLLEY_SCALAR_BETA environment variable (set and not "0") on first use.
-bool scalar_beta();
-
-/// Overrides the escape hatch at runtime (tests and benches flip it per
-/// run to prove both paths agree).
-void set_scalar_beta(bool scalar);
 
 /// Chebyshev β̄(I), bitwise identical to
 /// `beta_bound_with(value, threshold, stats, interval, chebyshev_step_bound)`.
@@ -104,8 +93,8 @@ struct BetaBatch {
 
 /// Evaluates every lane: per lane the result is bitwise identical to what
 /// `ViolationLikelihoodEstimator::beta_bound` would return for that
-/// estimator state — including the cold-start 1.0, the Gaussian ablation
-/// path, and the scalar_beta() escape hatch.
+/// estimator state — including the cold-start 1.0 and the Gaussian
+/// ablation path.
 void beta_bound_batch(BetaBatch& batch);
 
 }  // namespace volley

@@ -78,7 +78,6 @@ struct AggregatorNodeOptions {
   int heartbeat_timeout_ms{2000};
   int staleness_bound_ms{6000};
   std::string registry_path{};
-  int poll_loop{-1};
   /// Embedded coordinator's reactor loop count / backend (DESIGN.md §14):
   /// -1 follows VOLLEY_NET_THREADS / VOLLEY_URING.
   int net_threads{-1};

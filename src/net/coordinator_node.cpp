@@ -1,7 +1,5 @@
 #include "net/coordinator_node.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -178,31 +176,25 @@ void CoordinatorNode::push_attach_all(const TaskRuntime& rt) {
   }
 }
 
-bool CoordinatorNode::send_to(MonitorId id, Session& session,
+void CoordinatorNode::send_to(MonitorId id, Session& session,
                               const Message& message) {
-  if (!session.connected) return false;
+  if (!session.connected) return;
   const auto payload = encode(message);
-  if (reactor_mode_) {
-    if (multi_loop_) {
-      // The session's FrameWriter lives on its owner loop; buffer the
-      // encoded frame home-side and batch-post it at the end of this turn
-      // (flush_dirty), so one turn's fan-out costs one task per loop.
-      session.pending_egress.push_back(frame_payload(payload));
-    } else {
-      // Queue; frames coalesce into one writev at the next flush_dirty()
-      // (or the EPOLLOUT drain if the kernel buffer is full). Peer loss
-      // surfaces there or on the read side — never a blocking write here.
-      session.out.enqueue(frame_payload(payload));
-    }
-    if (!session.dirty) {
-      session.dirty = true;
-      dirty_sessions_.push_back(id);
-    }
-    return true;
+  if (multi_loop_) {
+    // The session's FrameWriter lives on its owner loop; buffer the
+    // encoded frame home-side and batch-post it at the end of this turn
+    // (flush_dirty), so one turn's fan-out costs one task per loop.
+    session.pending_egress.push_back(frame_payload(payload));
+  } else {
+    // Queue; frames coalesce into one writev at the next flush_dirty()
+    // (or the EPOLLOUT drain if the kernel buffer is full). Peer loss
+    // surfaces there or on the read side — never a blocking write here.
+    session.out.enqueue(frame_payload(payload));
   }
-  if (session.conn.send_all(frame_payload(payload))) return true;
-  disconnect_session(id, session);
-  return false;
+  if (!session.dirty) {
+    session.dirty = true;
+    dirty_sessions_.push_back(id);
+  }
 }
 
 void CoordinatorNode::broadcast(const Message& message) {
@@ -225,23 +217,21 @@ void CoordinatorNode::start_poll(TaskId task, TaskRuntime& rt, Tick tick) {
   rt.poll_values.clear();
   rt.poll_started_ms = now_ms();
   ++global_polls_;
-  if (reactor_mode_) {
-    // Timer-wheel deadline instead of the legacy per-turn scan. The
-    // captured poll id guards against firing on a later poll of the same
-    // task: finish_poll cancels, but a timer mid-dispatch can still run.
-    const std::uint64_t poll_id = *rt.active_poll;
-    rt.poll_timer =
-        reactor_.add_timer(options_.poll_timeout_ms, [this, task, poll_id] {
-          auto it = tasks_.find(task);
-          if (it == tasks_.end()) return;
-          TaskRuntime& rt2 = it->second;
-          if (!rt2.active_poll || *rt2.active_poll != poll_id) return;
-          VLOG_WARN("coordinator", "global poll for task ", task,
-                    " timed out with ", rt2.poll_values.size(), "/",
-                    options_.monitors, " responses");
-          finish_poll(task, rt2);
-        });
-  }
+  // Timer-wheel deadline. The captured poll id guards against firing on a
+  // later poll of the same task: finish_poll cancels, but a timer
+  // mid-dispatch can still run.
+  const std::uint64_t poll_id = *rt.active_poll;
+  rt.poll_timer =
+      reactor_.add_timer(options_.poll_timeout_ms, [this, task, poll_id] {
+        auto it = tasks_.find(task);
+        if (it == tasks_.end()) return;
+        TaskRuntime& rt2 = it->second;
+        if (!rt2.active_poll || *rt2.active_poll != poll_id) return;
+        VLOG_WARN("coordinator", "global poll for task ", task,
+                  " timed out with ", rt2.poll_values.size(), "/",
+                  options_.monitors, " responses");
+        finish_poll(task, rt2);
+      });
   broadcast(PollRequest{tick, *rt.active_poll, task});
   check_poll_completion(task, rt);  // every reachable monitor may be gone
 }
@@ -370,7 +360,7 @@ void CoordinatorNode::mark_suspect(MonitorId id, Session& session) {
   VLOG_WARN("coordinator", "monitor ", id, " is suspect");
   check_all_poll_completions();
   // The new suspect's dead-deadline may now be the earliest liveness event.
-  if (reactor_mode_) schedule_liveness_timer();
+  schedule_liveness_timer();
 }
 
 void CoordinatorNode::declare_dead(MonitorId id, Session& session) {
@@ -619,9 +609,7 @@ void CoordinatorNode::disconnect_session(MonitorId id, Session& session) {
   if (multi_loop_ && session.remote) {
     detach_remote(session);
   } else {
-    if (reactor_mode_ && session.conn.valid()) {
-      reactor_.remove_fd(session.conn.fd());
-    }
+    if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
     session.conn.close();
     session.out.clear();  // undeliverable now; a reconnect resyncs instead
   }
@@ -680,7 +668,7 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     const bool was_down = session.state != MonitorLiveness::kActive;
     if (multi_loop_ && session.remote) {
       detach_remote(session);  // the old connection's loop closes it
-    } else if (reactor_mode_ && session.conn.valid()) {
+    } else if (session.conn.valid()) {
       reactor_.remove_fd(session.conn.fd());
     }
     session.out.clear();  // frames addressed to the old connection
@@ -724,6 +712,7 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     if (!message) continue;
     handle_message(id, session, *message);
   }
+  if (session.reader.corrupt()) disconnect_session(id, session);
 }
 
 void CoordinatorNode::handle_message(MonitorId id, Session& session,
@@ -808,186 +797,17 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
   (void)id;
 }
 
+// Event-driven dispatch: a quiet coordinator sleeps in epoll until the next
+// frame or the next due deadline (liveness sweep, poll timeout,
+// pending-Hello drop, idle guard).
 void CoordinatorNode::run() {
-  if (resolve_poll_loop(options_.poll_loop)) {
-    run_poll_loop();
-  } else {
-    run_reactor();
-  }
-}
-
-// The pre-reactor event loop, preserved as the behavioral baseline behind
-// VOLLEY_POLL_LOOP (plus the loop_wakeups_ count the bench compares).
-void CoordinatorNode::run_poll_loop() {
-  std::array<std::byte, 8192> buf;
-  std::int64_t last_activity_ms = now_ms();
-
-  while (!stop_.load()) {
-    loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    if (all_joined() && finished_sessions() >= options_.monitors) break;
-
-    // fds: [0] listener, then pending connections, then live sessions.
-    std::vector<pollfd> fds;
-    std::vector<MonitorId> session_order;
-    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-    const std::size_t pending_count = pending_.size();
-    for (const auto& pending : pending_) {
-      fds.push_back(pollfd{pending.conn.fd(), POLLIN, 0});
-    }
-    for (const auto& [id, session] : sessions_) {
-      if (!session.connected) continue;
-      fds.push_back(pollfd{session.conn.fd(), POLLIN, 0});
-      session_order.push_back(id);
-    }
-    const int ready = ::poll(fds.data(), fds.size(), 20);
-    if (ready < 0 && errno != EINTR) break;
-    const std::int64_t now = now_ms();
-
-    // Pending connections: wait for Hello, then bind to a session.
-    std::vector<PendingConn> still_pending;
-    for (std::size_t i = 0; i < pending_count; ++i) {
-      PendingConn& pending = pending_[i];
-      bool drop = false;
-      bool bound = false;
-      if (fds[1 + i].revents & (POLLIN | POLLHUP | POLLERR)) {
-        const auto n = pending.conn.recv_some(buf);
-        if (n && *n == 0) drop = true;
-        if (n && *n > 0) {
-          last_activity_ms = now;
-          pending.reader.feed(std::span<const std::byte>(buf.data(), *n));
-          while (auto payload = pending.reader.next()) {
-            const auto message = decode(*payload);
-            if (!message) continue;
-            if (const auto* hello = std::get_if<Hello>(&*message)) {
-              bind_session(std::move(pending), *hello);
-              bound = true;
-              break;
-            }
-            if (const auto* sh = std::get_if<ShardHello>(&*message)) {
-              // An aggregator joining as a shard session.
-              bind_session(std::move(pending), Hello{sh->shard, sh->resume},
-                           /*shard=*/true, sh->monitors);
-              bound = true;
-              break;
-            }
-            if (const auto* stats = std::get_if<StatsRequest>(&*message)) {
-              // Introspection client (e.g. tools/volley_stats): answer and
-              // drop; never a monitor.
-              serve_stats(pending.conn, *stats);
-              drop = true;
-              break;
-            }
-            if (is_control_request(*message)) {
-              // Control client (e.g. tools/volleyctl): mutate or list the
-              // task registry, answer, drop; never a monitor.
-              serve_control(pending.conn, *message);
-              drop = true;
-              break;
-            }
-            VLOG_WARN("coordinator", "dropping pre-Hello frame");
-          }
-        }
-      }
-      // A connection silent for a whole heartbeat timeout never said Hello.
-      if (!bound && !drop &&
-          now - pending.since_ms > options_.heartbeat_timeout_ms) {
-        drop = true;
-      }
-      if (!bound && !drop) still_pending.push_back(std::move(pending));
-    }
-    pending_ = std::move(still_pending);
-
-    // New connections (initial joins and reconnects alike); they are polled
-    // for their Hello from the next loop turn on.
-    if (fds[0].revents & POLLIN) {
-      while (auto conn = listener_.accept()) {
-        conn->set_nonblocking(true);
-        PendingConn pending;
-        pending.conn = std::move(*conn);
-        pending.since_ms = now;
-        pending_.push_back(std::move(pending));
-        last_activity_ms = now;
-      }
-    }
-
-    // Live sessions.
-    for (std::size_t i = 0; i < session_order.size(); ++i) {
-      const auto revents = fds[1 + pending_count + i].revents;
-      if (!(revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      const MonitorId id = session_order[i];
-      Session& session = sessions_.at(id);
-      if (!session.connected) continue;
-      const auto n = session.conn.recv_some(buf);
-      if (!n) continue;
-      if (*n == 0) {
-        // Peer vanished. After Bye this is the normal end of a monitor;
-        // mid-session it makes the monitor suspect (it may reconnect).
-        disconnect_session(id, session);
-        continue;
-      }
-      last_activity_ms = now;
-      session.last_seen_ms = now;
-      session.reader.feed(std::span<const std::byte>(buf.data(), *n));
-      while (auto payload = session.reader.next()) {
-        const auto message = decode(*payload);
-        if (!message) {
-          VLOG_WARN("coordinator", "dropping malformed frame");
-          continue;
-        }
-        handle_message(id, session, *message);
-      }
-    }
-
-    // Liveness deadlines: silent -> suspect -> dead.
-    for (auto& [id, session] : sessions_) {
-      if (session.done) continue;
-      if (session.state == MonitorLiveness::kActive &&
-          now - session.last_seen_ms > options_.heartbeat_timeout_ms) {
-        mark_suspect(id, session);
-      } else if (session.state == MonitorLiveness::kSuspect &&
-                 now - session.suspect_since_ms >
-                     options_.staleness_bound_ms) {
-        declare_dead(id, session);
-      }
-    }
-
-    // Poll timeouts: settle each task with whatever arrived.
-    for (auto& [task, rt] : tasks_) {
-      if (rt.active_poll &&
-          now - rt.poll_started_ms > options_.poll_timeout_ms) {
-        VLOG_WARN("coordinator", "global poll for task ", task,
-                  " timed out with ", rt.poll_values.size(), "/",
-                  options_.monitors, " responses");
-        finish_poll(task, rt);
-      }
-    }
-    // Idle guard: a fully silent session means lost monitors; bail out.
-    if (now - last_activity_ms > options_.idle_timeout_ms) {
-      VLOG_ERROR("coordinator", "session idle too long; aborting");
-      break;
-    }
-  }
-
-  // request_stop() simulates a crash: vanish without a Shutdown so monitors
-  // exercise their reconnect path against a successor.
-  if (!stop_.load()) broadcast(Shutdown{});
-}
-
-// ---------------------------------------------------------------------------
-// Reactor path: same protocol handlers, event-driven dispatch. A quiet
-// coordinator sleeps in epoll until the next frame or the next due deadline
-// (liveness sweep, poll timeout, pending-Hello drop, idle guard) instead of
-// scanning every session 50x/s.
-
-void CoordinatorNode::run_reactor() {
-  reactor_mode_ = true;
   multi_loop_ = pool_.size() > 1;
   idle_abort_ = false;
   last_activity_ms_ = now_ms();
   pool_.enable_loop_stats();
   pool_.start();  // no-op when size() == 1
   reactor_.add_fd(listener_.fd(),
-                  [this](std::uint32_t) { reactor_on_accept(); });
+                  [this](std::uint32_t) { on_accept(); });
   schedule_idle_timer();
 
   while (!stop_.load()) {
@@ -1004,11 +824,11 @@ void CoordinatorNode::run_reactor() {
     flush_dirty();
   }
   reactor_.remove_fd(listener_.fd());
-  for (const auto& [fd, pending] : reactor_pending_) {
+  for (const auto& [fd, pending] : pending_) {
     (void)pending;
     reactor_.remove_fd(fd);
   }
-  reactor_pending_.clear();
+  pending_.clear();
 
   if (!stop_.load()) {
     broadcast(Shutdown{});
@@ -1050,30 +870,29 @@ void CoordinatorNode::run_reactor() {
     session.pending_egress.clear();
   }
   dirty_sessions_.clear();
-  reactor_mode_ = false;
   multi_loop_ = false;
 }
 
-void CoordinatorNode::reactor_on_accept() {
+void CoordinatorNode::on_accept() {
   while (auto conn = listener_.accept()) {
     conn->set_nonblocking(true);
     const int fd = conn->fd();
     PendingConn pending;
     pending.conn = std::move(*conn);
     pending.since_ms = now_ms();
-    reactor_pending_.emplace(fd, std::move(pending));
+    pending_.emplace(fd, std::move(pending));
     reactor_.add_fd(fd, [this, fd](std::uint32_t events) {
-      reactor_on_pending(fd, events);
+      on_pending(fd, events);
     });
     last_activity_ms_ = now_ms();
   }
   schedule_pending_timer();
 }
 
-void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
+void CoordinatorNode::on_pending(int fd, std::uint32_t events) {
   if (!Reactor::readable(events)) return;
-  auto it = reactor_pending_.find(fd);
-  if (it == reactor_pending_.end()) return;
+  auto it = pending_.find(fd);
+  if (it == pending_.end()) return;
   PendingConn& pending = it->second;
   std::array<std::byte, 8192> buf;
   bool drop = false;
@@ -1117,10 +936,11 @@ void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
       }
       VLOG_WARN("coordinator", "dropping pre-Hello frame");
     }
+    if (pending.reader.corrupt()) drop = true;  // peer loss, like EOF
   }
   if (bound) {
     PendingConn taken = std::move(it->second);
-    reactor_pending_.erase(it);
+    pending_.erase(it);
     bind_session(std::move(taken), hello, shard_hello, shard_weight);
     const auto sit = sessions_.find(hello.monitor);
     if (sit != sessions_.end() && sit->second.connected &&
@@ -1136,7 +956,7 @@ void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
         install_remote(id, sit->second);
       } else {
         reactor_.update_handler(fd, [this, id](std::uint32_t ev) {
-          reactor_on_session(id, ev);
+          on_session(id, ev);
         });
       }
       schedule_liveness_timer();
@@ -1147,11 +967,11 @@ void CoordinatorNode::reactor_on_pending(int fd, std::uint32_t events) {
     }
   } else if (drop) {
     reactor_.remove_fd(fd);
-    reactor_pending_.erase(it);
+    pending_.erase(it);
   }
 }
 
-void CoordinatorNode::reactor_on_session(MonitorId id, std::uint32_t events) {
+void CoordinatorNode::on_session(MonitorId id, std::uint32_t events) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   Session& session = it->second;
@@ -1183,6 +1003,10 @@ void CoordinatorNode::reactor_on_session(MonitorId id, std::uint32_t events) {
       }
       handle_message(id, session, *message);
       if (!session.connected) return;
+    }
+    if (session.reader.corrupt()) {
+      disconnect_session(id, session);  // peer loss, like EOF
+      return;
     }
   }
 }
@@ -1350,6 +1174,10 @@ void CoordinatorNode::remote_on_event(const std::shared_ptr<RemoteIo>& io,
       }
       batch.push_back(std::move(*message));
     }
+    if (io->reader.corrupt()) {
+      peer_gone = true;  // the frames before the bad prefix still go home
+      break;
+    }
   }
   if (!batch.empty()) {
     pool_.post(0, [this, id = io->id, epoch = io->epoch,
@@ -1450,9 +1278,9 @@ void CoordinatorNode::schedule_liveness_timer() {
 }
 
 void CoordinatorNode::schedule_pending_timer() {
-  if (pending_timer_armed_ || reactor_pending_.empty()) return;
-  std::int64_t min_since = reactor_pending_.begin()->second.since_ms;
-  for (const auto& [fd, pending] : reactor_pending_) {
+  if (pending_timer_armed_ || pending_.empty()) return;
+  std::int64_t min_since = pending_.begin()->second.since_ms;
+  for (const auto& [fd, pending] : pending_) {
     (void)fd;
     min_since = std::min(min_since, pending.since_ms);
   }
@@ -1461,11 +1289,11 @@ void CoordinatorNode::schedule_pending_timer() {
   pending_timer_ = reactor_.add_timer(delay, [this] {
     pending_timer_armed_ = false;
     const std::int64_t now = now_ms();
-    for (auto it = reactor_pending_.begin(); it != reactor_pending_.end();) {
+    for (auto it = pending_.begin(); it != pending_.end();) {
       // A connection silent for a whole heartbeat timeout never said Hello.
       if (now - it->second.since_ms > options_.heartbeat_timeout_ms) {
         reactor_.remove_fd(it->first);
-        it = reactor_pending_.erase(it);
+        it = pending_.erase(it);
       } else {
         ++it;
       }

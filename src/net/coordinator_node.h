@@ -1,9 +1,8 @@
 // A runnable Volley coordinator speaking the wire protocol over TCP.
 //
 // The coordinator accepts the expected number of monitors, then runs an
-// event loop — the epoll reactor (net/reactor.h: readiness dispatch, batched
-// writev egress, timer-wheel deadlines) by default, or the legacy 20 ms
-// poll(2) loop under VOLLEY_POLL_LOOP — handling:
+// event loop — the reactor (net/reactor.h: readiness dispatch, batched
+// writev egress, timer-wheel deadlines) — handling:
 //  * LocalViolation  -> start a global poll for the violated task (coincident
 //    violations while that task's poll is in flight are absorbed by it, as in
 //    the paper: one global poll answers "is the global condition violated
@@ -85,16 +84,12 @@ struct CoordinatorNodeOptions {
   /// When non-empty, the task registry persists to `<path>.snapshot` /
   /// `<path>.journal` and is restored from them on construction.
   std::string registry_path{};
-  /// Event-loop selection: -1 follows VOLLEY_POLL_LOOP, 0 forces the epoll
-  /// reactor, 1 forces the legacy poll(2) loop (benches run both in-process).
-  int poll_loop{-1};
   /// Reactor loop count (DESIGN.md §14): -1 follows VOLLEY_NET_THREADS,
   /// otherwise the count itself (>= 1). 1 = the single-loop runtime,
   /// behavior-identical to before the pool existed. With N > 1 the run()
   /// thread keeps loop 0 (listener, protocol state, timers) and session
   /// I/O shards round-robin across loops 1..N-1, one loop per session for
-  /// its whole life. Only the reactor path shards; the legacy poll(2) loop
-  /// ignores this.
+  /// its whole life.
   int net_threads{-1};
   /// Readiness backend: -1 follows VOLLEY_URING, 0 forces epoll, 1 forces
   /// io_uring (falls back to epoll when unsupported; benches force both
@@ -232,7 +227,7 @@ class CoordinatorNode {
   struct Session {
     TcpConnection conn;
     FrameReader reader;
-    FrameWriter out;  // reactor path: batched egress queue
+    FrameWriter out;  // batched egress queue
     /// Multi-loop mode: the session's I/O, owned by loop `remote->loop`.
     /// While set, conn/reader/out above are moved-out husks.
     std::shared_ptr<RemoteIo> remote;
@@ -274,7 +269,7 @@ class CoordinatorNode {
     Tick active_poll_tick{0};
     std::map<MonitorId, double> poll_values;
     std::int64_t poll_started_ms{0};
-    Reactor::TimerId poll_timer{0};         // reactor path: timeout timer
+    Reactor::TimerId poll_timer{0};         // timeout timer
     std::optional<Tick> pending_poll_tick;  // violation before full house
 
     // Stats-report state.
@@ -312,14 +307,10 @@ class CoordinatorNode {
   TaskAttach make_attach(const TaskRuntime& rt, MonitorId id) const;
   void push_attach_all(const TaskRuntime& rt);
 
-  // Event loops: run() picks per options_.poll_loop / VOLLEY_POLL_LOOP.
-  void run_poll_loop();  // the legacy poll(2) loop, preserved verbatim
-  void run_reactor();
-
-  // Reactor-path plumbing.
-  void reactor_on_accept();
-  void reactor_on_pending(int fd, std::uint32_t events);
-  void reactor_on_session(MonitorId id, std::uint32_t events);
+  // Reactor plumbing.
+  void on_accept();
+  void on_pending(int fd, std::uint32_t events);
+  void on_session(MonitorId id, std::uint32_t events);
   void flush_session(MonitorId id, Session& session);
   void flush_dirty();
 
@@ -359,7 +350,7 @@ class CoordinatorNode {
   void redistribute_and_push();
   void disconnect_session(MonitorId id, Session& session);
   void broadcast(const Message& message);
-  bool send_to(MonitorId id, Session& session, const Message& message);
+  void send_to(MonitorId id, Session& session, const Message& message);
   bool all_joined() const { return sessions_.size() >= options_.monitors; }
   std::size_t finished_sessions() const;
   /// Fleet weight: total_weight when configured (root over shards), else
@@ -375,16 +366,14 @@ class CoordinatorNode {
   CoordinatorNodeOptions options_;
   TcpListener listener_;
   std::map<MonitorId, Session> sessions_;
-  std::vector<PendingConn> pending_;  // legacy loop's pre-Hello connections
 
   ReactorPool pool_;
   Reactor& reactor_{pool_.loop(0)};  // the home loop, run()'s thread
-  bool reactor_mode_{false};  // set for run()'s lifetime on the reactor path
-  bool multi_loop_{false};    // reactor path with pool_.size() > 1
+  bool multi_loop_{false};  // set for run()'s lifetime when pool_.size() > 1
   /// Sticky session -> owner-loop map; entries are never overwritten (the
   /// no-migration invariant) and survive reconnects.
   std::map<MonitorId, std::size_t> session_loop_;
-  std::map<int, PendingConn> reactor_pending_;  // keyed by fd (stable refs)
+  std::map<int, PendingConn> pending_;  // pre-Hello conns keyed by fd
   std::vector<MonitorId> dirty_sessions_;
   std::int64_t last_activity_ms_{0};
   bool idle_abort_{false};

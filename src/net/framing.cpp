@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/log.h"
 #include "net/io_counters.h"
 #include "obs/metrics.h"
 
@@ -20,11 +21,15 @@ std::vector<std::byte> frame_payload(std::span<const std::byte> payload) {
   std::vector<std::byte> out(4 + payload.size());
   const auto len = static_cast<std::uint32_t>(payload.size());
   std::memcpy(out.data(), &len, 4);  // little-endian on all supported targets
-  std::memcpy(out.data() + 4, payload.data(), payload.size());
+  // An empty span may carry a null data() — memcpy from null is UB even
+  // for zero bytes.
+  if (!payload.empty())
+    std::memcpy(out.data() + 4, payload.data(), payload.size());
   return out;
 }
 
 void FrameReader::feed(std::span<const std::byte> data) {
+  if (corrupt_) return;
   if (offset_ == buffer_.size()) {
     buffer_.clear();
     offset_ = 0;
@@ -37,8 +42,14 @@ std::optional<std::vector<std::byte>> FrameReader::next() {
   if (avail < 4) return std::nullopt;
   std::uint32_t len = 0;
   std::memcpy(&len, buffer_.data() + offset_, 4);
-  if (len > kMaxFrameBytes)
-    throw std::runtime_error("FrameReader: oversized frame");
+  if (len > kMaxFrameBytes) {
+    VLOG_WARN("framing", "oversized frame length ", len,
+              "; dropping the stream");
+    corrupt_ = true;
+    buffer_.clear();
+    offset_ = 0;
+    return std::nullopt;
+  }
   if (avail < 4 + static_cast<std::size_t>(len)) return std::nullopt;
   const auto begin = buffer_.begin() + static_cast<std::ptrdiff_t>(offset_);
   std::vector<std::byte> payload(begin + 4, begin + 4 + len);

@@ -4,7 +4,9 @@
 // payload. The FrameReader is an incremental decoder: feed it whatever
 // recv() returned and pop complete frames — partial frames simply wait for
 // more bytes, and oversized lengths are rejected so a corrupt peer cannot
-// make us allocate unbounded memory.
+// make us allocate unbounded memory. A rejected length leaves the reader
+// corrupt for good: there is no way to resynchronise a length-prefixed
+// stream, so every read site treats corrupt() like EOF and drops the peer.
 #pragma once
 
 #include <cstddef>
@@ -23,12 +25,16 @@ std::vector<std::byte> frame_payload(std::span<const std::byte> payload);
 
 class FrameReader {
  public:
-  /// Appends raw stream bytes. Throws std::runtime_error on a frame whose
-  /// declared length exceeds kMaxFrameBytes (protocol violation).
+  /// Appends raw stream bytes; ignored once the reader is corrupt.
   void feed(std::span<const std::byte> data);
 
-  /// Pops the next complete frame's payload, if any.
+  /// Pops the next complete frame's payload, if any. A declared length
+  /// above kMaxFrameBytes is a protocol violation: the reader drops its
+  /// buffer, turns corrupt and returns nothing from then on.
   std::optional<std::vector<std::byte>> next();
+
+  /// True once the stream carried an oversized length prefix (sticky).
+  bool corrupt() const { return corrupt_; }
 
   std::size_t buffered_bytes() const { return buffer_.size() - offset_; }
 
@@ -41,9 +47,10 @@ class FrameReader {
 
   std::vector<std::byte> buffer_;
   std::size_t offset_{0};  // bytes of buffer_ already consumed
+  bool corrupt_{false};
 };
 
-/// Batched frame egress for the reactor path: queued frames coalesce into a
+/// Batched frame egress for the reactor: queued frames coalesce into a
 /// single vectored write (`sendmsg` scatter-gather, MSG_NOSIGNAL) per flush,
 /// and a partially-written front frame resumes at its offset on the next
 /// flush — the socket stays non-blocking and EAGAIN surfaces as kBlocked so

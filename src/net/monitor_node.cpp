@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <thread>
 
 #include "common/log.h"
 #include "obs/metrics.h"
@@ -126,7 +125,7 @@ void MonitorNode::drop_connection() {
   if (connected_) {
     VLOG_WARN("monitor", "lost coordinator link; entering degraded mode");
   }
-  if (reactor_mode_ && conn_.valid()) reactor_.remove_fd(conn_.fd());
+  if (conn_.valid()) reactor_.remove_fd(conn_.fd());
   conn_.close();
   connected_ = false;
   reader_ = FrameReader{};
@@ -141,11 +140,9 @@ bool MonitorNode::try_attach_session(bool resume) {
   if (!conn) return false;
   conn->set_nonblocking(true);
   conn_ = std::move(*conn);
-  if (reactor_mode_) {
-    // Registered with a no-op handler: readiness only ends the tick wait;
-    // wait_tick drains the socket through service_messages right after.
-    reactor_.add_fd(conn_.fd(), [](std::uint32_t) {});
-  }
+  // Registered with a no-op handler: readiness only ends the tick wait;
+  // wait_tick drains the socket through service_messages right after.
+  reactor_.add_fd(conn_.fd(), [](std::uint32_t) {});
   reader_ = FrameReader{};
   connected_ = true;
   last_rx_ms_ = now_ms();
@@ -299,7 +296,7 @@ MonitorNode::ServiceResult MonitorNode::service_messages(Tick t) {
       if (!send(resp)) return ServiceResult::kDisconnected;
     }
   }
-  if (peer_closed) {
+  if (peer_closed || reader_.corrupt()) {
     drop_connection();
     return ServiceResult::kDisconnected;
   }
@@ -308,10 +305,6 @@ MonitorNode::ServiceResult MonitorNode::service_messages(Tick t) {
 
 MonitorNode::ServiceResult MonitorNode::wait_tick(Tick t,
                                                   std::int64_t wait_ns) {
-  if (!reactor_mode_) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(wait_ns));
-    return ServiceResult::kOk;
-  }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::nanoseconds(wait_ns);
   while (!stop_.load()) {
@@ -329,15 +322,11 @@ MonitorNode::ServiceResult MonitorNode::wait_tick(Tick t,
 }
 
 void MonitorNode::run() {
-  reactor_mode_ = !resolve_poll_loop(options_.poll_loop);
   // One loop per monitor by design — a monitor owns a single upstream
   // connection, so VOLLEY_NET_THREADS has nothing to shard here. The
   // readiness backend (epoll / io_uring via VOLLEY_URING) applies to the
   // tick waits and socket dispatch alike.
-  if (reactor_mode_) {
-    VLOG_DEBUG("monitor", "reactor backend: ",
-               backend_name(reactor_.backend()));
-  }
+  VLOG_DEBUG("monitor", "reactor backend: ", backend_name(reactor_.backend()));
   backoff_ms_ = options_.reconnect_backoff_ms;
   next_attempt_ms_ = now_ms();
   if (try_attach_session(/*resume=*/false)) {
@@ -432,20 +421,15 @@ void MonitorNode::run() {
     // Straggler polls are answered with the last in-range tick's state.
     if (service_messages(options_.ticks - 1) != ServiceResult::kOk) return;
     heartbeat_if_due(now_ms());
-    if (reactor_mode_) {
-      // Park until a straggler frame, the next heartbeat, or the deadline —
-      // the legacy loop instead spins this check every millisecond.
-      const auto now = std::chrono::steady_clock::now();
-      const auto wait = std::min(
-          deadline - now,
-          std::chrono::steady_clock::duration(
-              std::chrono::milliseconds(options_.heartbeat_interval_ms)));
-      if (wait.count() > 0) {
-        reactor_.run_once_for(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(wait));
-      }
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Park until a straggler frame, the next heartbeat, or the deadline.
+    const auto now = std::chrono::steady_clock::now();
+    const auto wait = std::min(
+        deadline - now,
+        std::chrono::steady_clock::duration(
+            std::chrono::milliseconds(options_.heartbeat_interval_ms)));
+    if (wait.count() > 0) {
+      reactor_.run_once_for(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(wait));
     }
   }
 }

@@ -70,9 +70,6 @@ struct MonitorNodeOptions {
   /// sample log (storage/sample_log.h) for offline event analysis — the
   /// "sampling data persistence" cost component of Section III-B.
   std::string sample_log_path{};
-  /// Event-loop selection: -1 follows VOLLEY_POLL_LOOP, 0 forces the epoll
-  /// reactor tick wait, 1 forces the legacy sleep_for tick wait.
-  int poll_loop{-1};
 };
 
 class MonitorNode {
@@ -125,10 +122,9 @@ class MonitorNode {
 
   /// Handles every buffered coordinator message.
   ServiceResult service_messages(Tick t);
-  /// Sleeps out the rest of tick `t`. Reactor mode parks in epoll and
-  /// services coordinator frames the moment they arrive (a PollRequest is
-  /// answered mid-tick instead of at the next boundary); legacy mode is the
-  /// original unconditional sleep_for.
+  /// Sleeps out the rest of tick `t`, parked in the reactor: coordinator
+  /// frames are serviced the moment they arrive (a PollRequest is answered
+  /// mid-tick instead of at the next boundary).
   ServiceResult wait_tick(Tick t, std::int64_t wait_ns);
   void apply_attach(const TaskAttach& attach, Tick t);
   void apply_detach(const TaskDetach& detach);
@@ -161,7 +157,6 @@ class MonitorNode {
 
   // Connection state (only touched from run()'s thread).
   Reactor reactor_;
-  bool reactor_mode_{false};
   TcpConnection conn_;
   FrameReader reader_;
   bool connected_{false};

@@ -69,8 +69,6 @@ bool env_flag(const char* name) {
 
 }  // namespace
 
-bool poll_loop_from_env() { return env_flag("VOLLEY_POLL_LOOP"); }
-
 bool uring_from_env() { return env_flag("VOLLEY_URING"); }
 
 const char* backend_name(ReactorBackend backend) {

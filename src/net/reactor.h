@@ -1,8 +1,8 @@
 // Event-loop reactor + calendar-ring timer wheel for the Volley net runtime.
 //
 // One Reactor instance is one event loop: file descriptors register a
-// handler once (persistent registration — no per-tick fd-vector rebuild
-// like the legacy poll(2) loops) and are dispatched on readiness;
+// handler once (persistent registration — no per-tick fd-vector rebuild)
+// and are dispatched on readiness;
 // millisecond timers live in a calendar bucket ring (the due-index idiom
 // from core/coordinator.cpp, one ring level plus lap carry-over for
 // far-out deadlines). A quiet loop therefore sleeps until the next due
@@ -28,11 +28,6 @@
 // writes an eventfd registered with the readiness engine, so another
 // thread can nudge a sleeping loop (request_stop and ReactorPool::post do
 // this).
-//
-// `VOLLEY_POLL_LOOP` (set and not "0") is the escape hatch that keeps the
-// legacy poll(2) loops as the behavioral baseline, same discipline as
-// VOLLEY_SCAN_TICKS / VOLLEY_SCALAR_BETA; nodes read it through
-// poll_loop_from_env() at construction and accept a per-node override.
 #pragma once
 
 #include <chrono>
@@ -45,17 +40,6 @@
 
 namespace volley::net {
 
-/// True when VOLLEY_POLL_LOOP is set (and not "0"): run the legacy
-/// poll(2) loops instead of the epoll reactor.
-bool poll_loop_from_env();
-
-/// Resolves a per-node tri-state override against the environment:
-/// negative = follow VOLLEY_POLL_LOOP, 0 = reactor, positive = legacy.
-inline bool resolve_poll_loop(int override_flag) {
-  if (override_flag < 0) return poll_loop_from_env();
-  return override_flag > 0;
-}
-
 /// Readiness engine behind the Reactor interface.
 enum class ReactorBackend { kEpoll, kUring };
 
@@ -67,9 +51,9 @@ bool uring_from_env();
 /// probe) support check; cached after the first call.
 bool uring_supported();
 
-/// Per-node tri-state, same discipline as resolve_poll_loop: negative =
-/// follow VOLLEY_URING, 0 = epoll, positive = io_uring (benches force both
-/// backends in one process regardless of the environment).
+/// Per-node tri-state: negative = follow VOLLEY_URING, 0 = epoll,
+/// positive = io_uring (benches force both backends in one process
+/// regardless of the environment).
 ReactorBackend resolve_backend(int override_flag);
 
 const char* backend_name(ReactorBackend backend);

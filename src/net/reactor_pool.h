@@ -21,7 +21,7 @@
 // size()==1 degenerates to exactly the single-Reactor world: no threads,
 // next_loop() always 0, post(0,·) is just a deferred call on the home
 // turn. VOLLEY_NET_THREADS (default 1) picks the size at node
-// construction, same escape-hatch discipline as VOLLEY_POLL_LOOP.
+// construction.
 #pragma once
 
 #include <atomic>
@@ -41,9 +41,8 @@ namespace volley::net {
 /// nodes that shard sessions across loops.
 std::size_t net_threads_from_env();
 
-/// Tri-state per-node override, same shape as resolve_poll_loop:
-/// negative = follow VOLLEY_NET_THREADS, otherwise the value itself
-/// (clamped to >= 1).
+/// Tri-state per-node override: negative = follow VOLLEY_NET_THREADS,
+/// otherwise the value itself (clamped to >= 1).
 std::size_t resolve_net_threads(int override_count);
 
 class ReactorPool {

@@ -105,7 +105,7 @@ TcpConnection TcpConnection::connect(const std::string& host,
   }
   // TCP_NODELAY before connect, not after: every exit of this function —
   // immediate success, the EINPROGRESS wait, and any caller that later
-  // hands the fd to the legacy poll(2) loop or the reactor — carries it,
+  // hands the fd to a reactor — carries it,
   // so a small frame (heartbeat, ack) never sits behind Nagle.
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

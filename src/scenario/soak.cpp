@@ -634,6 +634,7 @@ std::optional<net::Message> control_round_trip(std::uint16_t port,
     if (*n == 0) break;
     reader.feed(std::span<const std::byte>(buf.data(), *n));
     if (auto payload = reader.next()) return net::decode(*payload);
+    if (reader.corrupt()) break;
   }
   return std::nullopt;
 }

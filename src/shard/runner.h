@@ -7,7 +7,7 @@
 // With options.shards == 1 the result (metrics_json included) is
 // byte-identical to run_volley: the single shard IS a flat coordinator and
 // the root tier is never entered (tests/test_shard.cpp and bench_shard
-// assert it, the same discipline as VOLLEY_SCAN_TICKS).
+// assert it).
 #pragma once
 
 #include <cstddef>

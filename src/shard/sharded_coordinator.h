@@ -30,8 +30,7 @@
 // Identity discipline: with shards == 1, run_tick forwards to the single
 // Coordinator and the root tier is never entered — no extra metrics, no
 // extra traces, bit-identical results to the flat tick loop (asserted by
-// tests/test_shard.cpp and bench_shard, the same discipline as
-// VOLLEY_SCAN_TICKS / VOLLEY_SCALAR_BETA).
+// tests/test_shard.cpp and bench_shard).
 //
 // Thread-safety: none — one ShardedCoordinator is one single-threaded tick
 // loop, like the flat Coordinator. The distributed mirror (AggregatorNode

@@ -109,6 +109,7 @@ int main(int argc, char** argv) {
       if (*n == 0) break; // peer closed before replying
       reader.feed(std::span<const std::byte>(buf.data(), *n));
       if (auto payload = reader.next()) reply = net::decode(*payload);
+      if (reader.corrupt()) break;
     }
     if (!reply) {
       std::fprintf(stderr, "volley_stats: no reply within %d ms\n",

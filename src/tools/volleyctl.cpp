@@ -103,8 +103,9 @@ std::optional<net::Message> round_trip(const std::string& host,
     if (!n) continue;    // spurious wakeup on a blocking socket
     if (*n == 0) break;  // peer closed before replying
     reader.feed(std::span<const std::byte>(buf.data(), *n));
-    if (auto payload = reader.next()) {
-      auto reply = net::decode(*payload);
+    const auto payload = reader.next();
+    if (payload || reader.corrupt()) {
+      auto reply = payload ? net::decode(*payload) : std::nullopt;
       if (reply) return reply;
       std::fprintf(stderr, "volleyctl: malformed reply frame\n");
       exit_code = kExitTransport;

@@ -1,20 +1,20 @@
-// Scan-vs-index identity: Coordinator::run_tick must produce bit-identical
-// results whether it scans every monitor per tick (the legacy loop, kept
-// behind the VOLLEY_SCAN_TICKS escape hatch) or consults the due index.
-// Mirrors the serial-vs-parallel identity suite from the sweep engine: the
-// figure configurations (quick sizes) run through both paths and every
-// RunResult field — including the byte-exact metrics_json snapshot and the
-// per-monitor op schedules — must agree.
+// Due-index identity: Coordinator::run_tick must step exactly the monitors
+// whose due(t) holds, in ascending id order, on every tick — the set and
+// order the scan-all loop it replaced would step (tests/reference/
+// scan_all.h keeps that loop as an oracle). The figure configurations
+// (quick sizes) and a busy multi-monitor task run tick by tick under the
+// oracle, and the production runner (sim/runner.h) must then reproduce the
+// checked run's accounting exactly.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/coordinator.h"
 #include "core/error_allocation.h"
+#include "reference/scan_all.h"
 #include "sim/runner.h"
 #include "tasks/network_task.h"
 #include "trace/trace.h"
@@ -22,61 +22,29 @@
 namespace volley {
 namespace {
 
-/// RAII guard for the VOLLEY_SCAN_TICKS escape hatch (read at Coordinator
-/// construction). Restores the prior state on destruction.
-class ScanTicksEnv {
- public:
-  explicit ScanTicksEnv(bool scan) {
-    const char* prior = std::getenv("VOLLEY_SCAN_TICKS");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) prior_ = prior;
-    set(scan);
+using reference::CheckedRun;
+
+/// Runs every tick of `series` under the scan-all oracle, then asserts the
+/// production runner's RunResult matches the checked run's accounting.
+void check_against_runner(const TaskSpec& spec,
+                          const std::vector<TimeSeries>& series,
+                          const std::vector<double>& locals,
+                          const RunResult& runner) {
+  CheckedRun run(spec, series, locals, std::make_unique<AdaptiveAllocation>());
+  for (Tick t = 0; t < series.front().ticks(); ++t) {
+    ASSERT_TRUE(run.tick(t));
   }
-  ~ScanTicksEnv() {
-    if (had_prior_) {
-      ::setenv("VOLLEY_SCAN_TICKS", prior_.c_str(), 1);
-    } else {
-      ::unsetenv("VOLLEY_SCAN_TICKS");
-    }
+  const Coordinator& c = run.coordinator();
+  std::int64_t scheduled = 0, forced = 0;
+  for (std::size_t i = 0; i < c.monitor_count(); ++i) {
+    scheduled += c.monitor(i).scheduled_ops();
+    forced += c.monitor(i).forced_ops();
   }
-  ScanTicksEnv(const ScanTicksEnv&) = delete;
-  ScanTicksEnv& operator=(const ScanTicksEnv&) = delete;
-
- private:
-  static void set(bool scan) {
-    if (scan) {
-      ::setenv("VOLLEY_SCAN_TICKS", "1", 1);
-    } else {
-      ::unsetenv("VOLLEY_SCAN_TICKS");
-    }
-  }
-
-  bool had_prior_{false};
-  std::string prior_;
-};
-
-void expect_identical(const RunResult& scan, const RunResult& indexed) {
-  EXPECT_EQ(scan.ticks, indexed.ticks);
-  EXPECT_EQ(scan.monitors, indexed.monitors);
-  EXPECT_EQ(scan.scheduled_ops, indexed.scheduled_ops);
-  EXPECT_EQ(scan.forced_ops, indexed.forced_ops);
-  EXPECT_EQ(scan.total_cost, indexed.total_cost);  // bit-exact, same op set
-  EXPECT_EQ(scan.true_alert_ticks, indexed.true_alert_ticks);
-  EXPECT_EQ(scan.detected_alert_ticks, indexed.detected_alert_ticks);
-  EXPECT_EQ(scan.true_episodes, indexed.true_episodes);
-  EXPECT_EQ(scan.detected_episodes, indexed.detected_episodes);
-  EXPECT_EQ(scan.local_violations, indexed.local_violations);
-  EXPECT_EQ(scan.global_polls, indexed.global_polls);
-  EXPECT_EQ(scan.reallocations, indexed.reallocations);
-  EXPECT_EQ(scan.op_ticks, indexed.op_ticks);
-  EXPECT_EQ(scan.interval_trajectory, indexed.interval_trajectory);
-  EXPECT_EQ(scan.metrics_json, indexed.metrics_json);
-}
-
-RunResult run_with(bool scan, const TaskSpec& spec, const TimeSeries& series,
-                   const GroundTruth& truth, const RunOptions& options) {
-  ScanTicksEnv env(scan);
-  return run_volley_single(spec, series, truth, options);
+  EXPECT_EQ(runner.scheduled_ops, scheduled);
+  EXPECT_EQ(runner.forced_ops, forced);
+  EXPECT_EQ(runner.total_cost, c.total_cost());  // bit-exact, same op set
+  EXPECT_EQ(runner.global_polls, c.global_polls());
+  EXPECT_EQ(runner.reallocations, c.reallocations());
 }
 
 // --- figure configurations, quick sizes -------------------------------
@@ -115,17 +83,12 @@ class Fig5Identity : public ::testing::TestWithParam<double> {};
 
 TEST_P(Fig5Identity, ScanAndIndexAgreeByteForByte) {
   const double selectivity = GetParam();
-  RunOptions options;
-  options.record_ops = true;
-  options.record_intervals = true;
   for (const auto& task : fig5_style_tasks(selectivity, 0.008)) {
     const GroundTruth truth =
         GroundTruth::from_series(task.traffic.rho, task.threshold);
-    const auto scan = run_with(true, task.spec, task.traffic.rho, truth,
-                               options);
-    const auto indexed = run_with(false, task.spec, task.traffic.rho, truth,
-                                  options);
-    expect_identical(scan, indexed);
+    const auto runner = run_volley_single(task.spec, task.traffic.rho, truth);
+    check_against_runner(task.spec, {task.traffic.rho},
+                         {task.spec.global_threshold}, runner);
   }
 }
 
@@ -150,8 +113,6 @@ TEST(Fig6Identity, CpuWorkloadAgreesAcrossAllowances) {
   NetworkWorkload workload(options);
   const auto traffic = workload.generate_traffic();
 
-  RunOptions run_options;
-  run_options.record_ops = true;
   for (double err : {0.008, 0.032}) {
     for (const auto& vm : traffic) {
       VmTraffic copy;
@@ -162,11 +123,9 @@ TEST(Fig6Identity, CpuWorkloadAgreesAcrossAllowances) {
       task.spec.estimator.stats_window = 240;
       const GroundTruth truth =
           GroundTruth::from_series(vm.rho, task.threshold);
-      const auto scan =
-          run_with(true, task.spec, vm.rho, truth, run_options);
-      const auto indexed =
-          run_with(false, task.spec, vm.rho, truth, run_options);
-      expect_identical(scan, indexed);
+      const auto runner = run_volley_single(task.spec, vm.rho, truth);
+      check_against_runner(task.spec, {vm.rho}, {task.spec.global_threshold},
+                           runner);
     }
   }
 }
@@ -195,39 +154,13 @@ TEST(DistributedIdentity, PollsAndReallocationsAgree) {
   spec.updating_period = 500;
   const auto locals = split_threshold(spec.global_threshold, series.size());
 
-  RunOptions options;
-  options.record_ops = true;
-  RunResult scan, indexed;
-  {
-    ScanTicksEnv env(true);
-    scan = run_volley(spec, series, locals, options);
-  }
-  {
-    ScanTicksEnv env(false);
-    indexed = run_volley(spec, series, locals, options);
-  }
-  ASSERT_GT(scan.global_polls, 0);
-  ASSERT_GT(scan.reallocations, 0);
-  expect_identical(scan, indexed);
+  const auto runner = run_volley(spec, series, locals);
+  ASSERT_GT(runner.global_polls, 0);
+  ASSERT_GT(runner.reallocations, 0);
+  check_against_runner(spec, series, locals, runner);
 }
 
 // --- direct Coordinator exercises -------------------------------------
-
-std::unique_ptr<Coordinator> make_coordinator(
-    const std::vector<TimeSeries>& series, const TaskSpec& spec,
-    std::vector<std::unique_ptr<SeriesSource>>& sources) {
-  const auto locals = split_threshold(spec.global_threshold, series.size());
-  std::vector<std::unique_ptr<Monitor>> monitors;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    sources.push_back(std::make_unique<SeriesSource>(series[i]));
-    monitors.push_back(std::make_unique<Monitor>(
-        static_cast<MonitorId>(i), *sources[i],
-        spec.sampler_options(spec.error_allowance / series.size()),
-        locals[i]));
-  }
-  return std::make_unique<Coordinator>(spec, std::move(monitors),
-                                       std::make_unique<AdaptiveAllocation>());
-}
 
 std::vector<TimeSeries> walk_series(int monitors, Tick ticks,
                                     std::uint64_t seed) {
@@ -257,82 +190,40 @@ TEST(DueIndex, FirstTickAfterZeroCatchesUp) {
   spec.error_allowance = 0.02;
   spec.max_interval = 10;
   spec.updating_period = 400;
+  const auto locals = split_threshold(spec.global_threshold, series.size());
 
   for (Tick start : {Tick{1}, Tick{7}, Tick{137}, Tick{500}}) {
-    std::vector<std::unique_ptr<SeriesSource>> sources_a, sources_b;
-    auto scan = make_coordinator(series, spec, sources_a);
-    scan->set_scan_ticks(true);
-    auto indexed = make_coordinator(series, spec, sources_b);
-    indexed->set_scan_ticks(false);
+    CheckedRun run(spec, series, locals,
+                   std::make_unique<AdaptiveAllocation>());
     for (Tick t = start; t < ticks; ++t) {
-      const auto a = scan->run_tick(t);
-      const auto b = indexed->run_tick(t);
-      ASSERT_EQ(a.any_due, b.any_due) << "start=" << start << " t=" << t;
-      ASSERT_EQ(a.local_violations, b.local_violations);
-      ASSERT_EQ(a.global_poll, b.global_poll);
-      ASSERT_EQ(a.global_value, b.global_value);
-      ASSERT_EQ(a.global_violation, b.global_violation);
+      ASSERT_TRUE(run.tick(t)) << "start=" << start;
     }
-    EXPECT_EQ(scan->total_ops(), indexed->total_ops());
-    EXPECT_EQ(scan->global_polls(), indexed->global_polls());
-    EXPECT_EQ(scan->reallocations(), indexed->reallocations());
-    EXPECT_EQ(scan->allocation(), indexed->allocation());
+    EXPECT_GT(run.coordinator().global_polls(), 0) << "start=" << start;
   }
 }
 
-TEST(DueIndex, ScanToggleMidRunAgrees) {
-  // Flipping the escape hatch mid-run rebuilds the index from the
-  // monitors' live schedules; accounting must track an always-scan twin.
+TEST(DueIndex, BatchedDrainStepsExactlyTheDueMonitors) {
+  // Enough monitors that sample ticks take the batched β̄ drain, with polls
+  // and reallocation rounds interleaved.
   const Tick ticks = 3000;
-  const auto series = walk_series(4, ticks, 99);
+  const auto series = walk_series(24, ticks, 99);
   TaskSpec spec;
   spec.global_threshold =
       TimeSeries::sum(series).threshold_for_selectivity(1.0);
   spec.error_allowance = 0.03;
   spec.max_interval = 8;
   spec.updating_period = 300;
+  const auto locals = split_threshold(spec.global_threshold, series.size());
 
-  std::vector<std::unique_ptr<SeriesSource>> sources_a, sources_b;
-  auto always_scan = make_coordinator(series, spec, sources_a);
-  always_scan->set_scan_ticks(true);
-  auto toggled = make_coordinator(series, spec, sources_b);
-  toggled->set_scan_ticks(false);
-
+  CheckedRun run(spec, series, locals, std::make_unique<AdaptiveAllocation>());
+  std::size_t widest = 0;
   for (Tick t = 0; t < ticks; ++t) {
-    if (t == ticks / 3) toggled->set_scan_ticks(true);
-    if (t == 2 * ticks / 3) toggled->set_scan_ticks(false);
-    const auto a = always_scan->run_tick(t);
-    const auto b = toggled->run_tick(t);
-    ASSERT_EQ(a.any_due, b.any_due) << "t=" << t;
-    ASSERT_EQ(a.local_violations, b.local_violations) << "t=" << t;
-    ASSERT_EQ(a.global_value, b.global_value) << "t=" << t;
+    widest = std::max(widest, reference::scan_due(run.coordinator(), t).size());
+    ASSERT_TRUE(run.tick(t));
   }
-  EXPECT_EQ(always_scan->total_ops(), toggled->total_ops());
-  EXPECT_EQ(always_scan->global_polls(), toggled->global_polls());
-}
-
-TEST(DueIndex, EnvVariableSelectsPath) {
-  const auto series = walk_series(1, 100, 5);
-  TaskSpec spec;
-  spec.global_threshold = 1e9;  // quiet: no polls needed here
-  spec.error_allowance = 0.01;
-  {
-    ScanTicksEnv env(true);
-    std::vector<std::unique_ptr<SeriesSource>> sources;
-    EXPECT_TRUE(make_coordinator(series, spec, sources)->scan_ticks());
-  }
-  {
-    ScanTicksEnv env(false);
-    std::vector<std::unique_ptr<SeriesSource>> sources;
-    EXPECT_FALSE(make_coordinator(series, spec, sources)->scan_ticks());
-  }
-  {
-    // "0" means off, matching the bench conventions.
-    ::setenv("VOLLEY_SCAN_TICKS", "0", 1);
-    std::vector<std::unique_ptr<SeriesSource>> sources;
-    EXPECT_FALSE(make_coordinator(series, spec, sources)->scan_ticks());
-    ::unsetenv("VOLLEY_SCAN_TICKS");
-  }
+  EXPECT_GE(widest, 8u);  // the batched drain ran
+  EXPECT_GT(run.coordinator().global_polls(), 0);
+  EXPECT_GT(run.coordinator().reallocations(), 0);
 }
 
 }  // namespace

@@ -289,5 +289,42 @@ TEST(AdaptiveAllocation, NestedTwoLevelSplitConservesErr) {
   EXPECT_NEAR(leaf_total, kErr, 1e-12);
 }
 
+TEST(AdaptiveAllocation, DefaultFloorStaysFeasibleBeyondHundredMonitors) {
+  // err/100 per monitor cannot fit 200 monitors into err; the allocator
+  // falls back to an err/(2n) floor instead of throwing, repeatedly.
+  constexpr std::size_t kMonitors = 200;
+  constexpr double kErr = 0.01;
+  AdaptiveAllocation adaptive;
+  std::vector<double> current(kMonitors, kErr / kMonitors);
+  std::vector<CoordStats> s;
+  for (std::size_t i = 0; i < kMonitors; ++i) {
+    // Skewed: a handful of hot monitors, a long quiet tail, some at zero.
+    const double gain = i < 5 ? 0.5 : (i % 3 == 0 ? 0.0 : 0.01);
+    s.push_back(stats(gain, 0.001));
+  }
+  for (int round = 0; round < 5; ++round) {
+    std::vector<double> out;
+    ASSERT_NO_THROW(out = adaptive.allocate(kErr, current, s));
+    ASSERT_EQ(out.size(), kMonitors);
+    EXPECT_NEAR(sum(out), kErr, 1e-12);
+    for (const double a : out) EXPECT_GE(a, kErr / (2.0 * kMonitors) - 1e-15);
+    EXPECT_GT(out[0], out[kMonitors - 1]);
+    current = out;
+  }
+}
+
+TEST(RedistributeAllowance, DefaultFloorStaysFeasibleBeyondHundredSurvivors) {
+  constexpr std::size_t kMonitors = 150;
+  constexpr double kErr = 0.02;
+  std::vector<double> current(kMonitors, kErr / kMonitors);
+  current[0] = kErr / 2.0;  // skewed survivors
+  const std::vector<std::size_t> dead{7, 8};
+  std::vector<double> out;
+  ASSERT_NO_THROW(out = redistribute_allowance(kErr, current, dead));
+  EXPECT_NEAR(sum(out), kErr, 1e-12);
+  EXPECT_EQ(out[7], 0.0);
+  EXPECT_EQ(out[8], 0.0);
+}
+
 }  // namespace
 }  // namespace volley

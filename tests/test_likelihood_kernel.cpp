@@ -3,9 +3,11 @@
 // SoA batch, coordinator batch drain — must return the double that the
 // baseline `beta_bound_with(..., chebyshev_step_bound)` loop returns,
 // compared *bitwise*, across a property sweep that covers σ = 0, k ≤ 0,
-// cold start, saturation early-exits, and the AIMD access pattern. Plus the
-// VOLLEY_SCALAR_BETA escape-hatch regression: with the hatch on, the legacy
-// per-monitor evaluation is restored and a whole run is byte-identical.
+// cold start, saturation early-exits, and the AIMD access pattern. The
+// baseline is called directly: it is the literal Inequality 3 loop
+// (likelihood.h). A whole-run regression checks every β̄ decision a
+// coordinator makes — batched drain, per-monitor steps and poll samples —
+// against the same direct call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "core/likelihood_kernel.h"
 #include "core/threshold_split.h"
 #include "sim/runner.h"
+#include "trace/trace.h"
 
 namespace volley {
 namespace {
@@ -37,20 +40,6 @@ std::uint64_t bits(double x) {
 double scalar_reference(double v, double t, const DeltaStats& s, Tick i) {
   return beta_bound_with(v, t, s, i, chebyshev_step_bound);
 }
-
-/// RAII guard for the runtime escape hatch; restores the prior state.
-class ScalarBetaGuard {
- public:
-  explicit ScalarBetaGuard(bool scalar) : prior_(scalar_beta()) {
-    set_scalar_beta(scalar);
-  }
-  ~ScalarBetaGuard() { set_scalar_beta(prior_); }
-  ScalarBetaGuard(const ScalarBetaGuard&) = delete;
-  ScalarBetaGuard& operator=(const ScalarBetaGuard&) = delete;
-
- private:
-  bool prior_;
-};
 
 // --- beta_bound_chebyshev vs the baseline loop ------------------------
 
@@ -208,23 +197,19 @@ void feed(ViolationLikelihoodEstimator& est, std::uint64_t seed, int n) {
 }
 
 TEST(KernelEstimator, BetaBoundMatchesScalarFlag) {
-  // The estimator's kernel-backed beta_bound must equal the same call with
-  // the escape hatch on (which routes through the verbatim legacy loop).
-  ViolationLikelihoodEstimator kernel_est, scalar_est;
-  feed(kernel_est, 31, 300);
-  feed(scalar_est, 31, 300);
+  // The name is kept for test-ID continuity; there is no scalar flag. The
+  // estimator's kernel-backed beta_bound must equal the literal loop
+  // (beta_bound_with + chebyshev_step_bound, called directly) over the same
+  // estimator state, memo warm or cold.
+  ViolationLikelihoodEstimator est;
+  feed(est, 31, 300);
+  const auto stats = est.delta_stats();
+  ASSERT_TRUE(stats.has_value());
   for (Tick i : {Tick{1}, Tick{5}, Tick{40}, Tick{128}}) {
     for (double t : {5.0, 50.0, 1e6}) {
-      double with_kernel = 0.0, with_scalar = 0.0;
-      {
-        ScalarBetaGuard guard(false);
-        with_kernel = kernel_est.beta_bound(t, i);
-      }
-      {
-        ScalarBetaGuard guard(true);
-        with_scalar = scalar_est.beta_bound(t, i);
-      }
-      ASSERT_BITEQ(with_kernel, with_scalar) << "T=" << t << " I=" << i;
+      ASSERT_BITEQ(est.beta_bound(t, i),
+                   scalar_reference(*est.last_value(), t, *stats, i))
+          << "T=" << t << " I=" << i;
     }
   }
 }
@@ -266,6 +251,14 @@ TEST(KernelBatch, LanesMatchPerEstimatorResults) {
     const auto interval = static_cast<Tick>(1 + 11 * m % 64);
     ASSERT_BITEQ(batch.beta[m], ests[m]->beta_bound(threshold, interval))
         << "lane " << m;
+    // Chebyshev lanes against the literal loop, called directly.
+    const auto stats = ests[m]->delta_stats();
+    if (stats && m != ests.size() - 1) {
+      ASSERT_BITEQ(batch.beta[m],
+                   scalar_reference(*ests[m]->last_value(), threshold, *stats,
+                                    interval))
+          << "lane " << m;
+    }
   }
   // The cold lane is the conservative 1.0 by construction.
   EXPECT_BITEQ(batch.beta[12], 1.0);
@@ -278,34 +271,7 @@ TEST(KernelBatch, LanesMatchPerEstimatorResults) {
   EXPECT_EQ(batch.value.capacity(), cap);
 }
 
-TEST(KernelBatch, ScalarFlagRoutesLanesThroughLegacyLoop) {
-  ViolationLikelihoodEstimator est;
-  feed(est, 71, 250);
-  const auto stats = est.delta_stats();
-  ASSERT_TRUE(stats.has_value());
-
-  BetaBatch batch;
-  est.push_lane(30.0, 24, batch);
-  {
-    ScalarBetaGuard guard(true);
-    beta_bound_batch(batch);
-  }
-  EXPECT_BITEQ(batch.beta[0],
-               scalar_reference(*est.last_value(), 30.0, *stats, 24));
-}
-
-// --- escape-hatch flag -------------------------------------------------
-
-TEST(ScalarBetaFlag, SetterRoundTrips) {
-  const bool prior = scalar_beta();
-  set_scalar_beta(true);
-  EXPECT_TRUE(scalar_beta());
-  set_scalar_beta(false);
-  EXPECT_FALSE(scalar_beta());
-  set_scalar_beta(prior);
-}
-
-// --- whole-run regression: batch drain vs legacy per-monitor loop ------
+// --- whole-run regression: every decision against the literal loop -----
 
 std::vector<TimeSeries> walk_series(int monitors, Tick ticks,
                                     std::uint64_t seed) {
@@ -324,12 +290,14 @@ std::vector<TimeSeries> walk_series(int monitors, Tick ticks,
 }
 
 TEST(ScalarBetaRegression, WholeRunIsByteIdenticalEitherWay) {
+  // The name is kept for test-ID continuity; there is no scalar switch to
+  // flip, the run is checked against the literal loop called directly.
   // 16 monitors >= the coordinator's batch threshold: tick 0 (and every
   // poll rebuild) drains through the batched kernel path, later sparse
-  // ticks through the per-monitor loop. With the hatch on, every
-  // evaluation instead takes the verbatim legacy loop. The two runs must
-  // agree byte for byte — including the metrics_json snapshot, which
-  // covers every counter and histogram either path touches.
+  // ticks through the per-monitor loop, and polls force-sample through the
+  // estimator. Each sample evaluates β̄ exactly once, at the interval the
+  // sampler held before the sample, over the estimator state right after
+  // it; that value must be the literal loop's, bit for bit.
   const Tick ticks = 4000;
   const auto series = walk_series(16, ticks, 321);
   TaskSpec spec;
@@ -340,29 +308,41 @@ TEST(ScalarBetaRegression, WholeRunIsByteIdenticalEitherWay) {
   spec.updating_period = 500;
   const auto locals = split_threshold(spec.global_threshold, series.size());
 
-  RunOptions options;
-  options.record_ops = true;
-  options.record_intervals = true;
-  RunResult legacy, kernel;
-  {
-    ScalarBetaGuard guard(true);
-    legacy = run_volley(spec, series, locals, options);
+  std::vector<std::unique_ptr<SeriesSource>> sources;
+  std::vector<std::unique_ptr<Monitor>> monitors;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    sources.push_back(std::make_unique<SeriesSource>(series[i]));
+    monitors.push_back(std::make_unique<Monitor>(
+        static_cast<MonitorId>(i), *sources.back(),
+        spec.sampler_options(spec.error_allowance), locals[i]));
   }
-  {
-    ScalarBetaGuard guard(false);
-    kernel = run_volley(spec, series, locals, options);
+  Coordinator coordinator(spec, std::move(monitors),
+                          std::make_unique<AdaptiveAllocation>());
+
+  std::vector<Tick> interval(series.size());
+  std::vector<std::int64_t> ops(series.size(), 0);
+  std::int64_t checked = 0;
+  for (Tick t = 0; t < ticks; ++t) {
+    for (std::size_t i = 0; i < series.size(); ++i)
+      interval[i] = coordinator.monitor(i).interval();
+    coordinator.run_tick(t);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      const Monitor& m = coordinator.monitor(i);
+      if (m.total_ops() == ops[i]) continue;  // not sampled (or cached)
+      ops[i] = m.total_ops();
+      const auto& est = m.sampler().estimator();
+      const double expected =
+          est.has_statistics()
+              ? scalar_reference(*est.last_value(), m.local_threshold(),
+                                 *est.delta_stats(), interval[i])
+              : 1.0;  // cold start
+      ASSERT_BITEQ(m.sampler().last_beta(), expected)
+          << "monitor " << i << " tick " << t;
+      ++checked;
+    }
   }
-  ASSERT_GT(legacy.global_polls, 0);
-  EXPECT_EQ(legacy.scheduled_ops, kernel.scheduled_ops);
-  EXPECT_EQ(legacy.forced_ops, kernel.forced_ops);
-  EXPECT_EQ(legacy.total_cost, kernel.total_cost);
-  EXPECT_EQ(legacy.local_violations, kernel.local_violations);
-  EXPECT_EQ(legacy.global_polls, kernel.global_polls);
-  EXPECT_EQ(legacy.reallocations, kernel.reallocations);
-  EXPECT_EQ(legacy.detected_alert_ticks, kernel.detected_alert_ticks);
-  EXPECT_EQ(legacy.op_ticks, kernel.op_ticks);
-  EXPECT_EQ(legacy.interval_trajectory, kernel.interval_trajectory);
-  EXPECT_EQ(legacy.metrics_json, kernel.metrics_json);
+  ASSERT_GT(coordinator.global_polls(), 0);
+  EXPECT_GT(checked, 4000);
 }
 
 }  // namespace

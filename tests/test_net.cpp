@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <array>
 #include <csignal>
 #include <set>
 
@@ -94,12 +95,24 @@ TEST(Framing, HandlesCoalescedFrames) {
 }
 
 TEST(Framing, RejectsOversizedFrame) {
-  std::vector<std::byte> evil(4);
+  // A good frame, then a length prefix above the limit: the good frame
+  // still pops, then the reader turns corrupt for good — it yields nothing
+  // and ignores later input, even a well-formed frame.
+  auto stream = frame_payload(std::vector<std::byte>(3, std::byte{9}));
   const std::uint32_t huge = kMaxFrameBytes + 1;
-  std::memcpy(evil.data(), &huge, 4);
+  const auto* prefix = reinterpret_cast<const std::byte*>(&huge);
+  stream.insert(stream.end(), prefix, prefix + 4);
   FrameReader reader;
-  reader.feed(evil);
-  EXPECT_THROW(reader.next(), std::runtime_error);
+  reader.feed(stream);
+  ASSERT_TRUE(reader.next().has_value());
+  EXPECT_FALSE(reader.corrupt());
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_TRUE(reader.corrupt());
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
+  reader.feed(frame_payload(std::vector<std::byte>(2, std::byte{1})));
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_TRUE(reader.corrupt());
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
 }
 
 TEST(Framing, EmptyPayloadIsLegal) {
@@ -778,52 +791,6 @@ TEST(NetIntegration, CoordinatorAndMonitorsDetectViolation) {
   }
 }
 
-// The VOLLEY_POLL_LOOP escape hatch: the pre-reactor poll(2) loops must
-// still carry a full session end to end (all three roles forced legacy via
-// the options override, independent of the environment).
-TEST(NetIntegration, LegacyPollLoopPathStillCompletesSession) {
-  constexpr Tick kTicks = 300;
-  net::CoordinatorNodeOptions copt;
-  copt.monitors = 1;
-  copt.global_threshold = 10.0;
-  copt.error_allowance = 0.02;
-  copt.poll_loop = 1;  // force the legacy loop
-  net::CoordinatorNode coordinator(copt);
-
-  net::ChaosProxyOptions popt;
-  popt.upstream_port = coordinator.port();
-  popt.poll_loop = 1;
-  net::ChaosProxy proxy(popt);
-
-  CallableSource spiky(
-      [](Tick t) { return (t >= 100 && t < 160) ? 20.0 : 0.5; }, kTicks);
-  net::MonitorNodeOptions mopt;
-  mopt.id = 0;
-  mopt.coordinator_port = proxy.port();
-  mopt.local_threshold = 10.0;
-  mopt.ticks = kTicks;
-  mopt.updating_period = 100;
-  mopt.tick_micros = 300;
-  mopt.poll_loop = 1;
-  net::MonitorNode monitor(mopt, spiky);
-
-  std::thread ct([&coordinator] { coordinator.run(); });
-  std::thread pt([&proxy] { proxy.run(); });
-  std::thread mt([&monitor] { monitor.run(); });
-  mt.join();
-  ct.join();
-  proxy.request_stop();
-  pt.join();
-
-  EXPECT_GT(coordinator.global_polls(), 0);
-  EXPECT_FALSE(coordinator.alerts().empty());
-  EXPECT_EQ(coordinator.reported_ops().size(), 1u);
-  EXPECT_GT(proxy.stats().forwarded_frames, 0);
-  // The legacy loops turn on a cadence whether or not traffic flows.
-  EXPECT_GT(proxy.loop_wakeups(), 0);
-  EXPECT_GT(coordinator.loop_wakeups(), 0);
-}
-
 // Multi-loop coordinator: with VOLLEY_NET_THREADS-style sharding forced to
 // three loops, a full three-monitor session must complete exactly as on one
 // loop, every session must be pinned to a worker loop (never the home loop,
@@ -835,8 +802,6 @@ TEST(NetIntegration, MultiLoopFleetPinsSessionsToWorkerLoops) {
   copt.monitors = 3;
   copt.global_threshold = 10.0;
   copt.error_allowance = 0.03;
-  copt.poll_loop = 0;    // loop sharding needs the reactor runtime, so the
-                         // test must hold even under VOLLEY_POLL_LOOP=1 CI
   copt.net_threads = 3;  // home loop + two worker loops
   net::CoordinatorNode coordinator(copt);
   ASSERT_EQ(coordinator.net_threads(), 3u);
@@ -1192,6 +1157,70 @@ TEST(NetFaults, CoordinatorRestartMonitorReconnectsAndResumes) {
 // poll_timeout_ms: a poll blocked on a live-but-unresponsive monitor must
 // settle with the responses that arrived (no last known value -> simply
 // aggregate without the silent monitor).
+/// Blocks until the peer closes `conn` (recv returns 0); false on timeout.
+bool await_peer_close(TcpConnection& conn, int timeout_ms) {
+  std::array<std::byte, 256> buf;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{conn.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    const auto n = conn.recv_some(buf);
+    if (n && *n == 0) return true;
+  }
+  return false;
+}
+
+// A corrupt length prefix (0xFFFFFFFF, far above kMaxFrameBytes) is peer
+// loss for that one connection, never a process abort: the coordinator
+// drops a raw pre-Hello client and a bound session that send it, keeps
+// serving the real monitor, and settles that monitor's polls.
+TEST(NetFaults, OversizedLengthPrefixDropsOnlyThatPeer) {
+  constexpr Tick kTicks = 300;
+  net::CoordinatorNodeOptions copt;
+  copt.monitors = 2;
+  copt.global_threshold = 10.0;
+  copt.error_allowance = 0.02;
+  copt.staleness_bound_ms = 300;  // the dropped session goes dead quickly
+  net::CoordinatorNode coordinator(copt);
+  std::thread ct([&coordinator] { coordinator.run(); });
+
+  const std::array<std::byte, 4> evil{std::byte{0xFF}, std::byte{0xFF},
+                                      std::byte{0xFF}, std::byte{0xFF}};
+  // Pre-Hello: a raw client's first four bytes are the bad prefix.
+  auto raw = TcpConnection::try_connect("127.0.0.1", coordinator.port(), 1000);
+  ASSERT_TRUE(raw.has_value());
+  ASSERT_TRUE(raw->send_all(evil));
+  EXPECT_TRUE(await_peer_close(*raw, 2000));
+  // Bound session: monitor 1 says Hello, then sends the bad prefix.
+  auto bound = TcpConnection::try_connect("127.0.0.1", coordinator.port(), 1000);
+  ASSERT_TRUE(bound.has_value());
+  ASSERT_TRUE(bound->send_all(frame_payload(net::encode(Message{Hello{1}}))));
+  ASSERT_TRUE(bound->send_all(evil));
+  EXPECT_TRUE(await_peer_close(*bound, 2000));
+
+  CallableSource spiky(
+      [](Tick t) { return (t >= 100 && t < 160) ? 20.0 : 0.5; }, kTicks);
+  net::MonitorNodeOptions mopt;
+  mopt.id = 0;
+  mopt.coordinator_port = coordinator.port();
+  mopt.local_threshold = 10.0;
+  mopt.ticks = kTicks;
+  mopt.updating_period = 100;
+  mopt.tick_micros = 300;
+  net::MonitorNode monitor(mopt, spiky);
+  std::thread mt([&monitor] { monitor.run(); });
+  mt.join();
+  ct.join();
+
+  EXPECT_GT(coordinator.global_polls(), 0);
+  EXPECT_EQ(coordinator.poll_settle_ms().size(),
+            static_cast<std::size_t>(coordinator.global_polls()));
+  EXPECT_FALSE(coordinator.alerts().empty());
+  EXPECT_EQ(coordinator.reported_ops().count(0), 1u);
+  EXPECT_EQ(coordinator.fault_stats().declared_dead, 1);
+}
+
 TEST(NetFaults, PollTimeoutSettlesWithPartialResponses) {
   net::CoordinatorNodeOptions copt;
   copt.monitors = 2;
@@ -1305,7 +1334,6 @@ TEST(NetFaults, MultiLoopReconnectKeepsSessionOnItsLoop) {
   copt.error_allowance = 0.02;
   copt.heartbeat_timeout_ms = 1500;
   copt.staleness_bound_ms = 6000;
-  copt.poll_loop = 0;  // sharding is reactor-only: pin past VOLLEY_POLL_LOOP
   copt.net_threads = 3;
   net::CoordinatorNode coordinator(copt);
 
@@ -1417,14 +1445,13 @@ TEST(NetFaults, ChaosProxyLossyLinkStillDetects) {
   EXPECT_GT(stats.delayed_frames + stats.partial_writes, 0);
 }
 
-// Idle-CPU regression for the reactor path: a proxy with a live but silent
-// link must perform ZERO event-loop turns across a quiet window (the legacy
-// loop turned every 5 ms — ~60 turns in the same window).
+// Idle-CPU regression: a proxy with a live but silent link must perform
+// ZERO event-loop turns across a quiet window (a 5 ms poll loop would turn
+// ~60 times in the same window).
 TEST(NetFaults, IdleChaosProxyPerformsNoWakeups) {
   TcpListener upstream(0);
   net::ChaosProxyOptions popt;
   popt.upstream_port = upstream.port();
-  popt.poll_loop = 0;  // force the reactor, whatever the environment says
   net::ChaosProxy proxy(popt);
   std::thread proxy_thread([&proxy] { proxy.run(); });
 

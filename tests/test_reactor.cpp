@@ -1,8 +1,7 @@
 // Unit tests for the reactor (both readiness backends) and its
 // calendar-ring timer wheel (net/reactor.h): fd registration and dispatch,
 // EPOLLOUT re-arm, timer ordering / cancellation / beyond-one-lap
-// deadlines, cross-thread wakeup, the VOLLEY_POLL_LOOP / VOLLEY_URING
-// resolution helpers, the forced-io_uring backend, and the ReactorPool's
+// deadlines, cross-thread wakeup, the VOLLEY_URING resolution helper, the forced-io_uring backend, and the ReactorPool's
 // MPSC task queues (no lost wakeups, FIFO per producer — the TSan job
 // hammers these).
 #include "net/reactor.h"
@@ -274,14 +273,6 @@ TEST(ReactorTest, StatsCountWakeupsEventsAndTimers) {
   EXPECT_GE(r.stats().wakeups, 1);
   EXPECT_GE(r.stats().io_events, 1);
   EXPECT_GE(r.stats().timers_fired, 1);
-}
-
-TEST(PollLoopEnvTest, ResolvePollLoopHonorsOverride) {
-  EXPECT_FALSE(resolve_poll_loop(0));  // forced reactor
-  EXPECT_TRUE(resolve_poll_loop(1));   // forced legacy
-  // -1 follows the environment; both outcomes are legal here, it must just
-  // agree with poll_loop_from_env().
-  EXPECT_EQ(resolve_poll_loop(-1), poll_loop_from_env());
 }
 
 // --- io_uring backend (DESIGN.md §14) --------------------------------------
