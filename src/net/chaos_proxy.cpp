@@ -149,11 +149,10 @@ void ChaosProxy::flush(Link& link, std::int64_t now) {
 // armed — zero wakeups until a byte arrives — and a held (delayed or split)
 // frame arms one timer at exactly its due time.
 //
-// The proxy stays single-loop on purpose even when VOLLEY_NET_THREADS > 1:
-// every link shares one fault-injection RNG, and sharding links across
-// threads would make drop/delay/split decisions order-dependent — the
-// determinism the fault suites replay against. The readiness backend
-// (epoll / io_uring via VOLLEY_URING) still applies.
+// One loop for every link: they share one fault-injection RNG, so the
+// drop/delay/split decisions follow one order — the determinism the fault
+// suites replay against. The readiness backend (epoll / io_uring via
+// VOLLEY_URING) still applies.
 void ChaosProxy::run() {
   VLOG_INFO("chaos_proxy", "reactor backend: ",
             backend_name(reactor_.backend()));

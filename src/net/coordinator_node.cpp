@@ -83,7 +83,7 @@ double liveness_code(MonitorLiveness s) {
 CoordinatorNode::CoordinatorNode(const CoordinatorNodeOptions& options)
     : options_(options),
       listener_(options.port),
-      pool_(resolve_net_threads(options.net_threads), options.uring) {
+      reactor_(resolve_backend(options.uring)) {
   if (options.monitors == 0)
     throw std::invalid_argument("CoordinatorNode: monitors > 0");
   if (options.heartbeat_timeout_ms <= 0)
@@ -179,18 +179,10 @@ void CoordinatorNode::push_attach_all(const TaskRuntime& rt) {
 void CoordinatorNode::send_to(MonitorId id, Session& session,
                               const Message& message) {
   if (!session.connected) return;
-  const auto payload = encode(message);
-  if (multi_loop_) {
-    // The session's FrameWriter lives on its owner loop; buffer the
-    // encoded frame home-side and batch-post it at the end of this turn
-    // (flush_dirty), so one turn's fan-out costs one task per loop.
-    session.pending_egress.push_back(frame_payload(payload));
-  } else {
-    // Queue; frames coalesce into one writev at the next flush_dirty()
-    // (or the EPOLLOUT drain if the kernel buffer is full). Peer loss
-    // surfaces there or on the read side — never a blocking write here.
-    session.out.enqueue(frame_payload(payload));
-  }
+  // Queue; frames coalesce into one writev at the next flush_dirty() (or
+  // the EPOLLOUT drain if the kernel buffer is full). Peer loss surfaces
+  // there or on the read side — never a blocking write here.
+  session.out.enqueue(frame_payload(encode(message)));
   if (!session.dirty) {
     session.dirty = true;
     dirty_sessions_.push_back(id);
@@ -606,13 +598,9 @@ void CoordinatorNode::serve_control(TcpConnection& conn,
 }
 
 void CoordinatorNode::disconnect_session(MonitorId id, Session& session) {
-  if (multi_loop_ && session.remote) {
-    detach_remote(session);
-  } else {
-    if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
-    session.conn.close();
-    session.out.clear();  // undeliverable now; a reconnect resyncs instead
-  }
+  if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
+  session.conn.close();
+  session.out.clear();  // undeliverable now; a reconnect resyncs instead
   session.write_blocked = false;
   session.connected = false;
   if (!session.done) mark_suspect(id, session);
@@ -666,11 +654,7 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     Session& session = it->second;
     const bool was_dead = session.state == MonitorLiveness::kDead;
     const bool was_down = session.state != MonitorLiveness::kActive;
-    if (multi_loop_ && session.remote) {
-      detach_remote(session);  // the old connection's loop closes it
-    } else if (session.conn.valid()) {
-      reactor_.remove_fd(session.conn.fd());
-    }
+    if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
     session.out.clear();  // frames addressed to the old connection
     session.write_blocked = false;
     session.conn.close();
@@ -801,11 +785,9 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
 // frame or the next due deadline (liveness sweep, poll timeout,
 // pending-Hello drop, idle guard).
 void CoordinatorNode::run() {
-  multi_loop_ = pool_.size() > 1;
   idle_abort_ = false;
   last_activity_ms_ = now_ms();
-  pool_.enable_loop_stats();
-  pool_.start();  // no-op when size() == 1
+  reactor_.enable_loop_stats(0);
   reactor_.add_fd(listener_.fd(),
                   [this](std::uint32_t) { on_accept(); });
   schedule_idle_timer();
@@ -815,12 +797,8 @@ void CoordinatorNode::run() {
     if (idle_abort_) break;
     reactor_.run_once(-1);
     loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    // Cross-loop inbox: decoded ingress batches and peer-gone notices
-    // posted by the worker loops run here, on the protocol state's thread.
-    if (multi_loop_) pool_.drain_tasks(0);
     // Deferred egress: every frame queued during this turn's dispatch
-    // (acks, attaches, poll fan-out) coalesces into one writev per session
-    // (single-loop) or one task per owner loop (multi-loop).
+    // (acks, attaches, poll fan-out) coalesces into one writev per session.
     flush_dirty();
   }
   reactor_.remove_fd(listener_.fd());
@@ -832,45 +810,21 @@ void CoordinatorNode::run() {
 
   if (!stop_.load()) {
     broadcast(Shutdown{});
-    flush_dirty();  // multi-loop: posts the farewell to the owner loops
+    flush_dirty();
     // The loop is exiting, so drain the farewell synchronously.
     for (auto& [id, session] : sessions_) {
       (void)id;
-      if (session.remote) {
-        // Posted after the egress batch (same producer, FIFO): the worker
-        // enqueues the Shutdown frame first, then this drain runs.
-        const auto io = session.remote;
-        const int timeout_ms = options_.heartbeat_timeout_ms;
-        pool_.post(io->loop, [io, timeout_ms] {
-          if (!io->gone && !io->out.empty()) {
-            io->out.flush_blocking(io->conn.fd(), timeout_ms);
-          }
-        });
-      } else if (session.connected && !session.out.empty()) {
+      if (session.connected && !session.out.empty()) {
         session.out.flush_blocking(session.conn.fd(),
                                    options_.heartbeat_timeout_ms);
       }
     }
   }
-  // Workers drain their queues once more after the stop flag, then join;
-  // past this point the worker loops' state is safe to touch from here.
-  pool_.stop();
   for (auto& [id, session] : sessions_) {
     (void)id;
-    if (session.remote) {
-      if (!session.remote->gone) {
-        pool_.loop(session.remote->loop).remove_fd(session.remote->conn.fd());
-        session.remote->conn.close();
-        session.remote->gone = true;
-      }
-      session.remote.reset();
-      session.connected = false;
-    }
     if (session.conn.valid()) reactor_.remove_fd(session.conn.fd());
-    session.pending_egress.clear();
   }
   dirty_sessions_.clear();
-  multi_loop_ = false;
 }
 
 void CoordinatorNode::on_accept() {
@@ -946,19 +900,9 @@ void CoordinatorNode::on_pending(int fd, std::uint32_t events) {
     if (sit != sessions_.end() && sit->second.connected &&
         sit->second.conn.fd() == fd) {
       const MonitorId id = hello.monitor;
-      if (multi_loop_) {
-        // Hand the session's I/O to its owner loop: the fd leaves the home
-        // reactor for good, and this turn's flush_dirty posts the frames
-        // bind_session queued (attaches, allowance resync) right behind
-        // the install task — same producer, FIFO, so the registration is
-        // in place first.
-        reactor_.remove_fd(fd);
-        install_remote(id, sit->second);
-      } else {
-        reactor_.update_handler(fd, [this, id](std::uint32_t ev) {
-          on_session(id, ev);
-        });
-      }
+      reactor_.update_handler(fd, [this, id](std::uint32_t ev) {
+        on_session(id, ev);
+      });
       schedule_liveness_timer();
     } else if (reactor_.watching(fd)) {
       // bind_session refused (extra monitor) or tore the session down while
@@ -1033,41 +977,6 @@ void CoordinatorNode::flush_session(MonitorId id, Session& session) {
 }
 
 void CoordinatorNode::flush_dirty() {
-  if (multi_loop_) {
-    // Group this turn's egress by owner loop: a poll fan-out to 4k
-    // sessions costs one posted task per loop, not one per session. Each
-    // loop then enqueues and flushes its own sessions' frames.
-    std::map<std::size_t,
-             std::vector<std::pair<std::shared_ptr<RemoteIo>,
-                                   std::vector<std::vector<std::byte>>>>>
-        per_loop;
-    for (std::size_t i = 0; i < dirty_sessions_.size(); ++i) {
-      const MonitorId id = dirty_sessions_[i];
-      const auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      Session& session = it->second;
-      session.dirty = false;
-      if (session.pending_egress.empty()) continue;
-      if (!session.connected || !session.remote) {
-        session.pending_egress.clear();  // torn down before the flush
-        continue;
-      }
-      per_loop[session.remote->loop].emplace_back(
-          session.remote, std::move(session.pending_egress));
-      session.pending_egress.clear();
-    }
-    dirty_sessions_.clear();
-    for (auto& [loop, batches] : per_loop) {
-      pool_.post(loop, [this, work = std::move(batches)]() mutable {
-        for (auto& [io, frames] : work) {
-          if (io->gone) continue;
-          for (auto& frame : frames) io->out.enqueue(std::move(frame));
-          remote_flush(io);
-        }
-      });
-    }
-    return;
-  }
   // send_to may mark more sessions dirty while flushing (disconnect ->
   // suspect -> reallocation pushes); index iteration covers appends.
   for (std::size_t i = 0; i < dirty_sessions_.size(); ++i) {
@@ -1080,151 +989,6 @@ void CoordinatorNode::flush_dirty() {
     flush_session(id, session);
   }
   dirty_sessions_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Multi-loop plumbing (DESIGN.md §14). The protocol state machine stays on
-// the home thread; a bound session's socket moves to a sticky owner loop
-// that does all its recv/decode/writev work. The two sides talk only
-// through ReactorPool::post — decoded Message batches inbound, encoded
-// frame batches outbound — with conn_epoch guarding reconnect races.
-
-void CoordinatorNode::install_remote(MonitorId id, Session& session) {
-  auto io = std::make_shared<RemoteIo>();
-  io->conn = std::move(session.conn);
-  io->reader = std::move(session.reader);
-  io->id = id;
-  // Sticky owner loop: assigned round-robin at first bind, reused on every
-  // reconnect — a session never migrates loops mid-life.
-  io->loop = session_loop_.try_emplace(id, pool_.next_loop()).first->second;
-  io->epoch = ++session.conn_epoch;
-  session.remote = io;
-  pool_.post(io->loop, [this, io] {
-    if (io->gone) return;
-    pool_.loop(io->loop).add_fd(io->conn.fd(), [this, io](std::uint32_t ev) {
-      remote_on_event(io, ev);
-    });
-  });
-}
-
-void CoordinatorNode::detach_remote(Session& session) {
-  const auto io = session.remote;
-  pool_.post(io->loop, [this, io] { remote_close(io); });
-  session.remote.reset();
-  ++session.conn_epoch;  // in-flight ingress from the old conn is now stale
-  session.pending_egress.clear();
-}
-
-void CoordinatorNode::home_ingress(MonitorId id, std::uint64_t epoch,
-                                   std::vector<Message>& batch) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  Session& session = it->second;
-  if (!session.connected || session.conn_epoch != epoch) return;
-  const std::int64_t now = now_ms();
-  last_activity_ms_ = now;
-  session.last_seen_ms = now;
-  for (Message& message : batch) {
-    if (!session.connected) break;  // a handler tore the session down
-    handle_message(id, session, message);
-  }
-}
-
-void CoordinatorNode::home_peer_gone(MonitorId id, std::uint64_t epoch) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  Session& session = it->second;
-  if (session.conn_epoch != epoch) return;  // already superseded
-  // The owner loop closed the fd before posting; only the bookkeeping half
-  // of disconnect_session remains.
-  session.remote.reset();
-  ++session.conn_epoch;
-  session.pending_egress.clear();
-  session.write_blocked = false;
-  session.connected = false;
-  if (!session.done) mark_suspect(id, session);
-}
-
-void CoordinatorNode::remote_on_event(const std::shared_ptr<RemoteIo>& io,
-                                      std::uint32_t events) {
-  if (io->gone) return;
-  if (Reactor::writable(events) && !io->out.empty()) {
-    remote_flush(io);
-    if (io->gone) return;
-  }
-  if (!Reactor::readable(events)) return;
-  // Batched ingress, decoded here: the home thread pays one task per
-  // socket drain, not one syscall + parse per frame.
-  std::array<std::byte, 8192> buf;
-  std::vector<Message> batch;
-  bool peer_gone = false;
-  while (true) {
-    const auto n = io->conn.recv_some(buf);
-    if (!n) break;  // drained to EAGAIN
-    if (*n == 0) {
-      peer_gone = true;
-      break;
-    }
-    io->reader.feed(std::span<const std::byte>(buf.data(), *n));
-    while (auto payload = io->reader.next()) {
-      auto message = decode(*payload);
-      if (!message) {
-        VLOG_WARN("coordinator", "dropping malformed frame");
-        continue;
-      }
-      batch.push_back(std::move(*message));
-    }
-    if (io->reader.corrupt()) {
-      peer_gone = true;  // the frames before the bad prefix still go home
-      break;
-    }
-  }
-  if (!batch.empty()) {
-    pool_.post(0, [this, id = io->id, epoch = io->epoch,
-                   work = std::move(batch)]() mutable {
-      home_ingress(id, epoch, work);
-    });
-  }
-  if (peer_gone) {
-    remote_close(io);
-    pool_.post(0, [this, id = io->id, epoch = io->epoch] {
-      home_peer_gone(id, epoch);
-    });
-  }
-}
-
-void CoordinatorNode::remote_flush(const std::shared_ptr<RemoteIo>& io) {
-  Reactor& r = pool_.loop(io->loop);
-  const int fd = io->conn.fd();
-  switch (io->out.flush(fd)) {
-    case FrameWriter::FlushResult::kDrained:
-      if (io->write_blocked) {
-        r.set_want_write(fd, false);
-        io->write_blocked = false;
-      }
-      break;
-    case FrameWriter::FlushResult::kBlocked:
-      if (!io->write_blocked) {
-        r.set_want_write(fd, true);  // EAGAIN backpressure, owner-loop local
-        io->write_blocked = true;
-      }
-      break;
-    case FrameWriter::FlushResult::kPeerGone: {
-      const MonitorId id = io->id;
-      const std::uint64_t epoch = io->epoch;
-      remote_close(io);
-      pool_.post(0, [this, id, epoch] { home_peer_gone(id, epoch); });
-      break;
-    }
-  }
-}
-
-void CoordinatorNode::remote_close(const std::shared_ptr<RemoteIo>& io) {
-  if (io->gone) return;
-  pool_.loop(io->loop).remove_fd(io->conn.fd());
-  io->conn.close();
-  io->out.clear();
-  io->gone = true;
 }
 
 void CoordinatorNode::liveness_sweep() {

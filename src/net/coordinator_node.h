@@ -66,7 +66,6 @@
 #include "net/framing.h"
 #include "net/messages.h"
 #include "net/reactor.h"
-#include "net/reactor_pool.h"
 #include "net/socket.h"
 
 namespace volley::net {
@@ -84,13 +83,6 @@ struct CoordinatorNodeOptions {
   /// When non-empty, the task registry persists to `<path>.snapshot` /
   /// `<path>.journal` and is restored from them on construction.
   std::string registry_path{};
-  /// Reactor loop count (DESIGN.md §14): -1 follows VOLLEY_NET_THREADS,
-  /// otherwise the count itself (>= 1). 1 = the single-loop runtime,
-  /// behavior-identical to before the pool existed. With N > 1 the run()
-  /// thread keeps loop 0 (listener, protocol state, timers) and session
-  /// I/O shards round-robin across loops 1..N-1, one loop per session for
-  /// its whole life.
-  int net_threads{-1};
   /// Readiness backend: -1 follows VOLLEY_URING, 0 forces epoll, 1 forces
   /// io_uring (falls back to epoll when unsupported; benches force both
   /// in one process).
@@ -146,7 +138,7 @@ class CoordinatorNode {
   /// coordinator crash. Monitors are expected to reconnect to a successor.
   void request_stop() {
     stop_.store(true);
-    pool_.wakeup_all();  // every sleeping loop re-checks stop_ now
+    reactor_.wakeup();  // a sleeping loop re-checks stop_ now
   }
 
   // Live counters, readable from other threads while run() is in flight
@@ -181,17 +173,6 @@ class CoordinatorNode {
     return registry_load_stats_;
   }
 
-  /// Loop count actually running (1 = single-loop) and the readiness
-  /// backend behind every loop.
-  std::size_t net_threads() const { return pool_.size(); }
-  ReactorBackend reactor_backend() const { return pool_.backend(); }
-  /// Which loop each session's I/O lived on (sticky for the session's whole
-  /// life, reconnects included — the no-migration invariant tests assert).
-  /// Read after run() returns.
-  const std::map<MonitorId, std::size_t>& session_loops() const {
-    return session_loop_;
-  }
-
   // --- shard export (thread-safe; read by an embedding AggregatorNode) ----
   /// The latest settled poll aggregate for a task (0.0 before the first
   /// poll). An aggregator answers upstream PollRequests with this cached
@@ -204,36 +185,10 @@ class CoordinatorNode {
   std::vector<ShardSummary> drain_shard_summaries(std::uint32_t shard_id);
 
  private:
-  /// A session's I/O half when it lives on a worker loop (multi-loop mode,
-  /// DESIGN.md §14). Exclusively owned by that loop's thread from the
-  /// install task onward: the fd, reader, writer, and backpressure flag are
-  /// touched there and nowhere else. The home thread only constructs it,
-  /// captures the shared_ptr into posted tasks, and reads the immutable
-  /// id/loop/epoch fields. Ingress flows home as decoded Message batches;
-  /// egress arrives as encoded frame batches. `epoch` is the session's
-  /// connection generation — home drops ingress posted by a connection it
-  /// has since torn down (reconnect races).
-  struct RemoteIo {
-    TcpConnection conn;
-    FrameReader reader;
-    FrameWriter out;
-    bool write_blocked{false};
-    bool gone{false};  // closed and deregistered (worker-thread flag)
-    MonitorId id{0};
-    std::uint64_t epoch{0};
-    std::size_t loop{0};
-  };
-
   struct Session {
     TcpConnection conn;
     FrameReader reader;
     FrameWriter out;  // batched egress queue
-    /// Multi-loop mode: the session's I/O, owned by loop `remote->loop`.
-    /// While set, conn/reader/out above are moved-out husks.
-    std::shared_ptr<RemoteIo> remote;
-    std::uint64_t conn_epoch{0};  // bumps per (re)connect and teardown
-    /// Encoded frames awaiting the end-of-turn batch post to the owner loop.
-    std::vector<std::vector<std::byte>> pending_egress;
     MonitorLiveness state{MonitorLiveness::kActive};
     bool done{false};
     bool connected{true};
@@ -313,25 +268,6 @@ class CoordinatorNode {
   void on_session(MonitorId id, std::uint32_t events);
   void flush_session(MonitorId id, Session& session);
   void flush_dirty();
-
-  // Multi-loop plumbing (DESIGN.md §14). Home-thread side:
-  /// Moves a freshly bound session's conn/reader onto its (sticky) owner
-  /// loop and posts the fd registration there.
-  void install_remote(MonitorId id, Session& session);
-  /// Posts teardown of the session's RemoteIo to its owner loop and bumps
-  /// conn_epoch so in-flight ingress from the old connection is dropped.
-  void detach_remote(Session& session);
-  /// Applies a worker's decoded ingress batch (liveness refresh + protocol
-  /// handlers); drops the batch when `epoch` is stale.
-  void home_ingress(MonitorId id, std::uint64_t epoch,
-                    std::vector<Message>& batch);
-  /// A worker saw the peer vanish (fd already closed worker-side).
-  void home_peer_gone(MonitorId id, std::uint64_t epoch);
-  // Worker-thread side (owner loop only):
-  void remote_on_event(const std::shared_ptr<RemoteIo>& io,
-                       std::uint32_t events);
-  void remote_flush(const std::shared_ptr<RemoteIo>& io);
-  void remote_close(const std::shared_ptr<RemoteIo>& io);
   void liveness_sweep();
   /// (Re)arms the single coalesced liveness timer at the earliest
   /// suspect/dead deadline across all sessions.
@@ -367,12 +303,7 @@ class CoordinatorNode {
   TcpListener listener_;
   std::map<MonitorId, Session> sessions_;
 
-  ReactorPool pool_;
-  Reactor& reactor_{pool_.loop(0)};  // the home loop, run()'s thread
-  bool multi_loop_{false};  // set for run()'s lifetime when pool_.size() > 1
-  /// Sticky session -> owner-loop map; entries are never overwritten (the
-  /// no-migration invariant) and survive reconnects.
-  std::map<MonitorId, std::size_t> session_loop_;
+  Reactor reactor_;  // run()'s thread; every fd and timer lives here
   std::map<int, PendingConn> pending_;  // pre-Hello conns keyed by fd
   std::vector<MonitorId> dirty_sessions_;
   std::int64_t last_activity_ms_{0};

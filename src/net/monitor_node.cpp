@@ -322,8 +322,7 @@ MonitorNode::ServiceResult MonitorNode::wait_tick(Tick t,
 }
 
 void MonitorNode::run() {
-  // One loop per monitor by design — a monitor owns a single upstream
-  // connection, so VOLLEY_NET_THREADS has nothing to shard here. The
+  // One loop per monitor: it owns a single upstream connection. The
   // readiness backend (epoll / io_uring via VOLLEY_URING) applies to the
   // tick waits and socket dispatch alike.
   VLOG_DEBUG("monitor", "reactor backend: ", backend_name(reactor_.backend()));

@@ -731,8 +731,7 @@ void Reactor::wakeup() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-loop stats exposition (ReactorPool loops show up individually in
-// volley_stats; DESIGN.md §14).
+// Per-loop stats exposition (volley_stats reads the gauges).
 
 struct Reactor::LoopStatsGauges {
   obs::Gauge* wakeups{nullptr};

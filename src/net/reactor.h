@@ -26,8 +26,7 @@
 // Threading: everything except wakeup() is confined to the loop thread
 // (the thread calling run_once). wakeup() is safe from any thread: it
 // writes an eventfd registered with the readiness engine, so another
-// thread can nudge a sleeping loop (request_stop and ReactorPool::post do
-// this).
+// thread can nudge a sleeping loop (request_stop does this).
 #pragma once
 
 #include <chrono>
@@ -150,9 +149,9 @@ class Reactor {
 
   /// Registers this loop's Stats as labeled gauges in the current obs
   /// metrics registry (volley_reactor_loop<i>_{wakeups,io_events,
-  /// timers_fired,syscalls}) and refreshes them once per turn, so
-  /// volley_stats shows each loop of a ReactorPool separately. Call from
-  /// the thread whose registry should own the gauges, before the loop runs.
+  /// timers_fired,syscalls}) and refreshes them once per turn. A node's
+  /// one loop registers as loop 0. Call from the thread whose registry
+  /// should own the gauges, before the loop runs.
   void enable_loop_stats(std::size_t loop_index);
 
  private:

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <csignal>
-#include <set>
 
 #include <chrono>
 #include <cstring>
@@ -791,64 +790,6 @@ TEST(NetIntegration, CoordinatorAndMonitorsDetectViolation) {
   }
 }
 
-// Multi-loop coordinator: with VOLLEY_NET_THREADS-style sharding forced to
-// three loops, a full three-monitor session must complete exactly as on one
-// loop, every session must be pinned to a worker loop (never the home loop,
-// which keeps protocol state), and the round-robin must spread sessions
-// across both workers.
-TEST(NetIntegration, MultiLoopFleetPinsSessionsToWorkerLoops) {
-  constexpr Tick kTicks = 400;
-  net::CoordinatorNodeOptions copt;
-  copt.monitors = 3;
-  copt.global_threshold = 10.0;
-  copt.error_allowance = 0.03;
-  copt.net_threads = 3;  // home loop + two worker loops
-  net::CoordinatorNode coordinator(copt);
-  ASSERT_EQ(coordinator.net_threads(), 3u);
-
-  std::vector<std::unique_ptr<CallableSource>> sources;
-  sources.push_back(std::make_unique<CallableSource>(
-      [](Tick t) { return (t >= 200 && t < 260) ? 20.0 : 0.5; }, kTicks));
-  sources.push_back(std::make_unique<CallableSource>(
-      [](Tick) { return 0.5; }, kTicks));
-  sources.push_back(std::make_unique<CallableSource>(
-      [](Tick) { return 0.5; }, kTicks));
-
-  std::vector<std::unique_ptr<net::MonitorNode>> nodes;
-  for (MonitorId id = 0; id < 3; ++id) {
-    net::MonitorNodeOptions mopt;
-    mopt.id = id;
-    mopt.coordinator_port = coordinator.port();
-    mopt.local_threshold = 10.0 / 3.0;
-    mopt.ticks = kTicks;
-    mopt.updating_period = 100;
-    mopt.tick_micros = 300;
-    nodes.push_back(std::make_unique<net::MonitorNode>(mopt, *sources[id]));
-  }
-
-  std::thread coord_thread([&coordinator] { coordinator.run(); });
-  std::vector<std::thread> monitor_threads;
-  for (auto& node : nodes) {
-    monitor_threads.emplace_back([&node] { node->run(); });
-  }
-  for (auto& t : monitor_threads) t.join();
-  coord_thread.join();
-
-  EXPECT_GT(coordinator.global_polls(), 0);
-  EXPECT_FALSE(coordinator.alerts().empty());
-  EXPECT_EQ(coordinator.reported_ops().size(), 3u);
-
-  const auto& loops = coordinator.session_loops();
-  ASSERT_EQ(loops.size(), 3u);
-  std::set<std::size_t> used;
-  for (const auto& [id, loop] : loops) {
-    EXPECT_GE(loop, 1u) << "monitor " << id << " landed on the home loop";
-    EXPECT_LT(loop, 3u);
-    used.insert(loop);
-  }
-  EXPECT_EQ(used.size(), 2u) << "round-robin left a worker loop empty";
-}
-
 // The allowance reallocation path: monitors with different volatility run a
 // session with StatsReports; the coordinator must issue AllowanceUpdates
 // (observable as reallocations > 0) without breaking the session.
@@ -1321,58 +1262,6 @@ TEST(NetFaults, ChaosProxyCutForcesReconnect) {
   EXPECT_FALSE(monitor.coordinator_lost());
   EXPECT_GE(coordinator.fault_stats().reconnects, 1);
   EXPECT_EQ(coordinator.reported_ops().size(), 1u);
-}
-
-// No-migration invariant: with three loops and a single monitor, the first
-// connection round-robins onto worker loop 1. A chaos-proxy cut then forces
-// a reconnect — if session placement were re-drawn per connection the second
-// accept would land on loop 2, so the final map pins the sticky assignment.
-TEST(NetFaults, MultiLoopReconnectKeepsSessionOnItsLoop) {
-  net::CoordinatorNodeOptions copt;
-  copt.monitors = 1;
-  copt.global_threshold = 100.0;
-  copt.error_allowance = 0.02;
-  copt.heartbeat_timeout_ms = 1500;
-  copt.staleness_bound_ms = 6000;
-  copt.net_threads = 3;
-  net::CoordinatorNode coordinator(copt);
-
-  net::ChaosProxyOptions popt;
-  popt.upstream_port = coordinator.port();
-  popt.plan.disconnect_after_frames = 40;
-  popt.plan.max_disconnects = 1;
-  net::ChaosProxy proxy(popt);
-
-  constexpr Tick kTicks = 2000;
-  CallableSource quiet([](Tick) { return 0.5; }, kTicks);
-  net::MonitorNodeOptions mopt;
-  mopt.id = 0;
-  mopt.coordinator_port = proxy.port();
-  mopt.local_threshold = 50.0;
-  mopt.ticks = kTicks;
-  mopt.updating_period = 500;
-  mopt.tick_micros = 400;
-  mopt.heartbeat_interval_ms = 10;
-  mopt.coordinator_timeout_ms = 500;
-  mopt.connect_timeout_ms = 300;
-  mopt.reconnect_backoff_ms = 20;
-  mopt.reconnect_backoff_max_ms = 100;
-  net::MonitorNode monitor(mopt, quiet);
-
-  std::thread coord_thread([&coordinator] { coordinator.run(); });
-  std::thread proxy_thread([&proxy] { proxy.run(); });
-  std::thread monitor_thread([&monitor] { monitor.run(); });
-  monitor_thread.join();
-  coord_thread.join();
-  proxy.request_stop();
-  proxy_thread.join();
-
-  EXPECT_GE(monitor.reconnects(), 1);
-  EXPECT_GE(coordinator.fault_stats().reconnects, 1);
-  EXPECT_EQ(coordinator.reported_ops().size(), 1u);
-  const auto& loops = coordinator.session_loops();
-  ASSERT_EQ(loops.size(), 1u);
-  EXPECT_EQ(loops.at(0), 1u);  // still on its first-draw loop post-reconnect
 }
 
 // Chaos proxy, message faults: seeded frame drops, delays, and partial
