@@ -145,8 +145,8 @@ void BM_AdaptiveAllocation(benchmark::State& state) {
 BENCHMARK(BM_AdaptiveAllocation)->Arg(2)->Arg(10)->Arg(100);
 
 void BM_CounterInc(benchmark::State& state) {
-  // The cached-handle pattern every instrumentation point uses: registration
-  // once, then one relaxed atomic add per event.
+  // A counter bumped through its shared base: one relaxed atomic add per
+  // event (the form for handles not confined to one thread).
   obs::MetricsRegistry registry;
   auto& counter = registry.counter("bench_events_total");
   for (auto _ : state) {
@@ -155,6 +155,18 @@ void BM_CounterInc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CounterInc);
+
+void BM_CounterCellInc(benchmark::State& state) {
+  // The hot-path form: the calling thread's cell, resolved once, then a
+  // relaxed load and store per event (no read-modify-write).
+  obs::MetricsRegistry registry;
+  auto& cell = registry.counter("bench_events_total").cell();
+  for (auto _ : state) {
+    cell.inc();
+    benchmark::DoNotOptimize(cell);
+  }
+}
+BENCHMARK(BM_CounterCellInc);
 
 void BM_HistogramObserve(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -169,6 +181,21 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
+void BM_HistogramCellObserve(benchmark::State& state) {
+  // Same stream as BM_HistogramObserve, through the thread's cell.
+  obs::MetricsRegistry registry;
+  auto& cell =
+      registry.histogram("bench_interval_ticks", 0.0, 64.0, 64).cell();
+  double x = 0.0;
+  for (auto _ : state) {
+    cell.observe(x);
+    x += 0.37;
+    if (x >= 64.0) x = 0.0;
+    benchmark::DoNotOptimize(cell);
+  }
+}
+BENCHMARK(BM_HistogramCellObserve);
+
 void BM_TraceRecord(benchmark::State& state) {
   obs::TraceSink sink;  // default 4096-event ring, steady-state overwrite
   Tick t = 0;
@@ -178,6 +205,27 @@ void BM_TraceRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceRecord);
+
+void BM_TraceRecordPair(benchmark::State& state) {
+  // What Monitor records per sampling operation: kSampleTaken and
+  // kIntervalChosen under one lock. Compare with 2 x BM_TraceRecord.
+  obs::TraceSink sink;
+  Tick t = 0;
+  for (auto _ : state) {
+    sink.record_pair({.kind = obs::TraceKind::kSampleTaken,
+                      .tick = t,
+                      .monitor = 1,
+                      .value = 0.5},
+                     {.kind = obs::TraceKind::kIntervalChosen,
+                      .tick = t,
+                      .monitor = 1,
+                      .value = 4.0,
+                      .detail = 0.001});
+    ++t;
+    benchmark::DoNotOptimize(sink);
+  }
+}
+BENCHMARK(BM_TraceRecordPair);
 
 void BM_ThreadPoolSubmit(benchmark::State& state) {
   // Round-trip cost of one submitted task: the floor on how fine-grained a

@@ -2,7 +2,10 @@
 //
 // Used by the correlation detector (recent aligned state histories) and by
 // the distributed coordination layer (recent r_i / e_i observations within
-// an updating period). Overwrites the oldest element when full.
+// an updating period), and by the trace sink (obs/trace_events.h), which
+// pushes on every sampling operation. Overwrites the oldest element when
+// full. Indices wrap by compare-and-subtract, not `%`: every index is below
+// twice the capacity, so one subtraction replaces a 64-bit divide.
 #pragma once
 
 #include <cstddef>
@@ -21,16 +24,16 @@ class RingBuffer {
   }
 
   void push(T value) {
-    buf_[(head_ + size_) % capacity_] = std::move(value);
+    buf_[wrap(head_ + size_)] = std::move(value);
     if (size_ == capacity_) {
-      head_ = (head_ + 1) % capacity_;
+      head_ = wrap(head_ + 1);
     } else {
       ++size_;
     }
   }
 
-  /// Element i, 0 = oldest, size()-1 = newest.
-  const T& operator[](std::size_t i) const { return buf_[(head_ + i) % capacity_]; }
+  /// Element i, 0 = oldest, size()-1 = newest (i < size()).
+  const T& operator[](std::size_t i) const { return buf_[wrap(head_ + i)]; }
 
   const T& front() const { return (*this)[0]; }
   const T& back() const { return (*this)[size_ - 1]; }
@@ -54,6 +57,12 @@ class RingBuffer {
   }
 
  private:
+  /// `i` mod capacity for i < 2 * capacity (head_ < capacity and every
+  /// offset added to it is at most capacity).
+  std::size_t wrap(std::size_t i) const {
+    return i >= capacity_ ? i - capacity_ : i;
+  }
+
   std::vector<T> buf_;
   std::size_t capacity_;
   std::size_t head_{0};

@@ -18,18 +18,21 @@ constexpr char kJournalMagic[4] = {'V', 'R', 'G', 'J'};
 constexpr std::uint32_t kFormatVersion = 1;
 
 struct StoreMetrics {
-  obs::Counter* journal_appends;
-  obs::Counter* compactions;
-  obs::Counter* torn_records;
+  obs::CounterCell* journal_appends;
+  obs::CounterCell* compactions;
+  obs::CounterCell* torn_records;
 
   static StoreMetrics make(obs::MetricsRegistry& m) {
     return StoreMetrics{
         &m.counter("volley_control_journal_appends_total",
-                   "Registry ops appended to the control journal"),
+                   "Registry ops appended to the control journal")
+             .cell(),
         &m.counter("volley_control_compactions_total",
-                   "Registry snapshot compactions"),
+                   "Registry snapshot compactions")
+             .cell(),
         &m.counter("volley_control_torn_records_total",
-                   "Corrupt/truncated journal records skipped at load"),
+                   "Corrupt/truncated journal records skipped at load")
+             .cell(),
     };
   }
 

@@ -11,28 +11,33 @@ namespace volley {
 
 namespace {
 
-/// Handles into the current registry, re-resolved per thread whenever a
-/// scoped registry is installed (registration locks; the per-observe
-/// increments below never do).
+/// The calling thread's cells in the current registry, re-resolved
+/// whenever a scoped registry is installed (registration locks; the
+/// per-observe bumps below are relaxed loads and stores on cells only this
+/// thread writes).
 struct SamplerMetrics {
-  obs::Counter* observations;
-  obs::Counter* resets;
-  obs::Counter* growths;
-  obs::HistogramMetric* beta;
+  obs::CounterCell* observations;
+  obs::CounterCell* resets;
+  obs::CounterCell* growths;
+  obs::HistogramCell* beta;
 
   static SamplerMetrics make(obs::MetricsRegistry& m) {
     return SamplerMetrics{
         &m.counter("volley_sampler_observations_total",
-                   "Adaptation-rule evaluations (one per sampling operation)"),
+                   "Adaptation-rule evaluations (one per sampling operation)")
+             .cell(),
         &m.counter("volley_sampler_interval_resets_total",
                    "Multiplicative decreases: beta_bound exceeded err, "
-                   "interval reset to Id"),
+                   "interval reset to Id")
+             .cell(),
         &m.counter("volley_sampler_interval_growths_total",
                    "Additive increases: p consecutive safe checks grew the "
-                   "interval by one Id"),
+                   "interval by one Id")
+             .cell(),
         &m.histogram("volley_sampler_beta_bound", 0.0, 1.0, 20,
                      "Violation-likelihood bound beta_bound(I) at each "
-                     "adaptation decision"),
+                     "adaptation decision")
+             .cell(),
     };
   }
 
@@ -50,10 +55,11 @@ struct SamplerMetrics {
 /// shapes). Per MetricsRegistry semantics the shape is fixed by the first
 /// registration in each registry; later samplers with a larger Im in the
 /// same registry spill into overflow (visible in the snapshot's overflow
-/// count). Documented in DESIGN.md's metric catalog.
-obs::HistogramMetric& interval_histogram(Tick max_interval) {
+/// count). Documented in DESIGN.md's metric catalog. Returns the calling
+/// thread's cell, like SamplerMetrics.
+obs::HistogramCell& interval_histogram(Tick max_interval) {
   thread_local std::uint64_t owner_uid = 0;  // no registry has uid 0
-  thread_local obs::HistogramMetric* handle = nullptr;
+  thread_local obs::HistogramCell* handle = nullptr;
   obs::MetricsRegistry& m = obs::metrics();
   if (m.uid() != owner_uid) {
     const Tick hi = (max_interval / 64 + 1) * 64;
@@ -63,7 +69,8 @@ obs::HistogramMetric& interval_histogram(Tick max_interval) {
                           static_cast<double>(hi), bins,
                           "Sampling interval chosen after each observation, "
                           "in default intervals Id (upper bound derived "
-                          "from max_interval at first registration)");
+                          "from max_interval at first registration)")
+                  .cell();
     owner_uid = m.uid();
   }
   return *handle;

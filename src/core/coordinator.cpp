@@ -11,24 +11,28 @@ namespace volley {
 namespace {
 
 struct CoordinatorMetrics {
-  obs::Counter* polls;
-  obs::Counter* alerts;
-  obs::Counter* reallocations;
-  obs::HistogramMetric* allowance_share;
+  obs::CounterCell* polls;
+  obs::CounterCell* alerts;
+  obs::CounterCell* reallocations;
+  obs::HistogramCell* allowance_share;
 
   static CoordinatorMetrics make(obs::MetricsRegistry& m) {
     return CoordinatorMetrics{
         &m.counter("volley_coordinator_global_polls_total",
-                   "Global polls triggered by local violation reports"),
+                   "Global polls triggered by local violation reports")
+             .cell(),
         &m.counter("volley_coordinator_global_violations_total",
                    "Global polls whose aggregate exceeded the task threshold "
-                   "T (state alerts)"),
+                   "T (state alerts)")
+             .cell(),
         &m.counter("volley_coordinator_reallocations_total",
                    "Error-allowance reallocation rounds (once per updating "
-                   "period)"),
+                   "period)")
+             .cell(),
         &m.histogram("volley_coordinator_allowance_share", 0.0, 1.0, 20,
                      "Per-monitor share err_i/err assigned at each "
-                     "reallocation"),
+                     "reallocation")
+             .cell(),
     };
   }
 

@@ -14,19 +14,22 @@ namespace volley {
 namespace {
 
 struct AllocationMetrics {
-  obs::Counter* uniform_skips;
-  obs::Counter* floor_clamps;
-  obs::Counter* reclaims;
+  obs::CounterCell* uniform_skips;
+  obs::CounterCell* floor_clamps;
+  obs::CounterCell* reclaims;
 
   static AllocationMetrics make(obs::MetricsRegistry& m) {
     return AllocationMetrics{
         &m.counter("volley_allocation_uniform_skips_total",
                    "Reallocation rounds skipped because yields were within "
-                   "the uniformity band"),
+                   "the uniformity band")
+             .cell(),
         &m.counter("volley_allocation_floor_clamps_total",
-                   "Per-monitor assignments raised to the err/100 minimum"),
+                   "Per-monitor assignments raised to the err/100 minimum")
+             .cell(),
         &m.counter("volley_allowance_reclaims_total",
-                   "Dead monitors' allowance redistributed to survivors"),
+                   "Dead monitors' allowance redistributed to survivors")
+             .cell(),
     };
   }
 

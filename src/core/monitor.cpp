@@ -9,19 +9,24 @@ namespace volley {
 
 namespace {
 
+/// The calling thread's cells (see obs/metrics.h): a bump is a relaxed
+/// load and store, no lock and no read-modify-write.
 struct MonitorMetrics {
-  obs::Counter* scheduled;
-  obs::Counter* forced;
-  obs::Counter* violations;
+  obs::CounterCell* scheduled;
+  obs::CounterCell* forced;
+  obs::CounterCell* violations;
 
   static MonitorMetrics make(obs::MetricsRegistry& m) {
     return MonitorMetrics{
         &m.counter("volley_monitor_scheduled_ops_total",
-                   "Sampling operations on the monitor's own schedule"),
+                   "Sampling operations on the monitor's own schedule")
+             .cell(),
         &m.counter("volley_monitor_forced_ops_total",
-                   "Sampling operations forced by coordinator global polls"),
+                   "Sampling operations forced by coordinator global polls")
+             .cell(),
         &m.counter("volley_monitor_local_violations_total",
-                   "Samples that exceeded the monitor's local threshold T_i"),
+                   "Samples that exceeded the monitor's local threshold T_i")
+             .cell(),
     };
   }
 
@@ -95,10 +100,17 @@ Monitor::Outcome Monitor::apply_sample(Tick t, double value, Tick interval,
     om.forced->inc();
   }
   if (obs::trace_enabled()) {
-    obs::trace().record(obs::TraceKind::kSampleTaken, t, id_, value,
-                        reason == SampleReason::kScheduled ? 0.0 : 1.0);
-    obs::trace().record(obs::TraceKind::kIntervalChosen, t, id_,
-                        static_cast<double>(interval), sampler_.last_beta());
+    obs::trace().record_pair(
+        {.kind = obs::TraceKind::kSampleTaken,
+         .tick = t,
+         .monitor = id_,
+         .value = value,
+         .detail = reason == SampleReason::kScheduled ? 0.0 : 1.0},
+        {.kind = obs::TraceKind::kIntervalChosen,
+         .tick = t,
+         .monitor = id_,
+         .value = static_cast<double>(interval),
+         .detail = sampler_.last_beta()});
   }
   return out;
 }

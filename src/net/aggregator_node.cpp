@@ -23,15 +23,17 @@ std::int64_t now_ms() {
 }
 
 struct AggregatorMetrics {
-  obs::Counter* escalations;
-  obs::Counter* summaries;
+  obs::CounterCell* escalations;
+  obs::CounterCell* summaries;
 
   static AggregatorMetrics make(obs::MetricsRegistry& m) {
     return AggregatorMetrics{
         &m.counter("volley_net_shard_escalations_total",
-                   "Downstream subset alerts escalated upstream"),
+                   "Downstream subset alerts escalated upstream")
+             .cell(),
         &m.counter("volley_net_shard_summaries_total",
-                   "ShardSummary frames pushed to the root"),
+                   "ShardSummary frames pushed to the root")
+             .cell(),
     };
   }
 

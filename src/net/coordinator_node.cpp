@@ -20,36 +20,45 @@ std::int64_t now_ms() {
 }
 
 struct NetCoordinatorMetrics {
-  obs::Counter* heartbeats;
-  obs::Counter* suspects;
-  obs::Counter* deaths;
-  obs::Counter* recoveries;
-  obs::Counter* stale_polls;
-  obs::Counter* alerts;
-  obs::Counter* stats_requests;
-  obs::Counter* control_requests;
-  obs::Counter* registry_mutations;
+  obs::CounterCell* heartbeats;
+  obs::CounterCell* suspects;
+  obs::CounterCell* deaths;
+  obs::CounterCell* recoveries;
+  obs::CounterCell* stale_polls;
+  obs::CounterCell* alerts;
+  obs::CounterCell* stats_requests;
+  obs::CounterCell* control_requests;
+  obs::CounterCell* registry_mutations;
 
   static NetCoordinatorMetrics make(obs::MetricsRegistry& m) {
     return NetCoordinatorMetrics{
         &m.counter("volley_net_heartbeats_total",
-                   "Monitor heartbeats received and acked"),
+                   "Monitor heartbeats received and acked")
+             .cell(),
         &m.counter("volley_net_suspects_total",
-                   "Active -> Suspect liveness transitions"),
+                   "Active -> Suspect liveness transitions")
+             .cell(),
         &m.counter("volley_net_deaths_total",
-                   "Suspect -> Dead liveness transitions"),
+                   "Suspect -> Dead liveness transitions")
+             .cell(),
         &m.counter("volley_net_recoveries_total",
-                   "Suspect/Dead -> Active liveness transitions"),
+                   "Suspect/Dead -> Active liveness transitions")
+             .cell(),
         &m.counter("volley_net_stale_polls_total",
-                   "Global polls settled with at least one stale value"),
+                   "Global polls settled with at least one stale value")
+             .cell(),
         &m.counter("volley_net_alerts_total",
-                   "State alerts raised by the wire coordinator"),
+                   "State alerts raised by the wire coordinator")
+             .cell(),
         &m.counter("volley_net_stats_requests_total",
-                   "StatsRequest introspection queries served"),
+                   "StatsRequest introspection queries served")
+             .cell(),
         &m.counter("volley_net_control_requests_total",
-                   "Control-plane requests served (add/remove/update/list)"),
+                   "Control-plane requests served (add/remove/update/list)")
+             .cell(),
         &m.counter("volley_net_registry_mutations_total",
-                   "Task registry mutations applied (add/update/remove)"),
+                   "Task registry mutations applied (add/update/remove)")
+             .cell(),
     };
   }
 

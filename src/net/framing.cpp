@@ -68,21 +68,21 @@ std::optional<std::vector<std::byte>> FrameReader::next() {
 namespace {
 
 struct WriterMetrics {
-  obs::Counter* writev_calls{nullptr};
-  obs::Counter* frames_written{nullptr};
-  obs::HistogramMetric* frames_per_write{nullptr};
+  obs::CounterCell* writev_calls{nullptr};
+  obs::CounterCell* frames_written{nullptr};
+  obs::HistogramCell* frames_per_write{nullptr};
 };
 
 const WriterMetrics& writer_metrics() {
   static auto make = [](obs::MetricsRegistry& m) {
     WriterMetrics h;
     h.writev_calls = &m.counter("volley_net_writev_calls_total",
-                                "Vectored frame writes issued");
+                                "Vectored frame writes issued").cell();
     h.frames_written = &m.counter("volley_net_frames_written_total",
-                                  "Frames fully drained to the kernel");
+                                  "Frames fully drained to the kernel").cell();
     h.frames_per_write = &m.histogram(
         "volley_net_frames_per_writev", 0.0, 64.0, 32,
-        "Frames gathered into one vectored write (batching factor)");
+        "Frames gathered into one vectored write (batching factor)").cell();
     return h;
   };
   return obs::scoped_handles<WriterMetrics>(make);

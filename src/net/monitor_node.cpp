@@ -18,24 +18,29 @@ std::int64_t now_ms() {
 }
 
 struct MonitorNodeMetrics {
-  obs::Counter* reconnect_attempts;
-  obs::Counter* reconnects;
-  obs::Counter* degraded_ticks;
-  obs::Counter* task_attaches;
-  obs::Counter* task_detaches;
+  obs::CounterCell* reconnect_attempts;
+  obs::CounterCell* reconnects;
+  obs::CounterCell* degraded_ticks;
+  obs::CounterCell* task_attaches;
+  obs::CounterCell* task_detaches;
 
   static MonitorNodeMetrics make(obs::MetricsRegistry& m) {
     return MonitorNodeMetrics{
         &m.counter("volley_net_reconnect_attempts_total",
-                   "Coordinator reconnect attempts (successes and failures)"),
+                   "Coordinator reconnect attempts (successes and failures)")
+             .cell(),
         &m.counter("volley_net_reconnects_total",
-                   "Successful session resumes (Hello{resume} accepted)"),
+                   "Successful session resumes (Hello{resume} accepted)")
+             .cell(),
         &m.counter("volley_net_degraded_ticks_total",
-                   "Ticks spent sampling in degraded (coordinator-less) mode"),
+                   "Ticks spent sampling in degraded (coordinator-less) mode")
+             .cell(),
         &m.counter("volley_net_task_attaches_total",
-                   "TaskAttach frames applied (new or newer-epoch revisions)"),
+                   "TaskAttach frames applied (new or newer-epoch revisions)")
+             .cell(),
         &m.counter("volley_net_task_detaches_total",
-                   "TaskDetach frames applied (samplers retired)"),
+                   "TaskDetach frames applied (samplers retired)")
+             .cell(),
     };
   }
 

@@ -39,24 +39,24 @@ namespace {
 }
 
 struct ReactorMetrics {
-  obs::Counter* wakeups{nullptr};
-  obs::Counter* io_events{nullptr};
-  obs::Counter* timers_fired{nullptr};
-  obs::HistogramMetric* dispatch_ms{nullptr};
+  obs::CounterCell* wakeups{nullptr};
+  obs::CounterCell* io_events{nullptr};
+  obs::CounterCell* timers_fired{nullptr};
+  obs::HistogramCell* dispatch_ms{nullptr};
 };
 
 const ReactorMetrics& reactor_metrics() {
   static auto make = [](obs::MetricsRegistry& m) {
     ReactorMetrics h;
     h.wakeups = &m.counter("volley_reactor_wakeups_total",
-                           "Reactor loop turns (wait returns)");
+                           "Reactor loop turns (wait returns)").cell();
     h.io_events = &m.counter("volley_reactor_io_events_total",
-                             "File-descriptor events dispatched");
+                             "File-descriptor events dispatched").cell();
     h.timers_fired = &m.counter("volley_reactor_timers_fired_total",
-                                "Timer-wheel callbacks fired");
+                                "Timer-wheel callbacks fired").cell();
     h.dispatch_ms = &m.histogram(
         "volley_reactor_dispatch_ms", 0.0, 50.0, 50,
-        "Per-turn dispatch latency (I/O handlers + due timers), ms");
+        "Per-turn dispatch latency (I/O handlers + due timers), ms").cell();
     return h;
   };
   return obs::scoped_handles<ReactorMetrics>(make);

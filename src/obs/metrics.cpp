@@ -45,6 +45,70 @@ std::atomic<std::uint64_t> next_registry_uid{1};
 
 }  // namespace
 
+CounterCell& Counter::cell() {
+  const std::thread::id self = std::this_thread::get_id();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& c : cells_) {
+    if (c->owner_ == self) return *c;
+  }
+  cells_.push_back(std::unique_ptr<CounterCell>(new CounterCell(self)));
+  return *cells_.back();
+}
+
+std::int64_t Counter::value() const {
+  std::int64_t total = base_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& c : cells_) total += c->value();
+  return total;
+}
+
+void Counter::reset() {
+  base_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& c : cells_) c->v_.store(0, std::memory_order_relaxed);
+}
+
+void HistogramCell::fold_into(Histogram& h) const {
+  std::vector<std::int64_t> bins(shape_.bins());
+  for (std::size_t b = 0; b < bins.size(); ++b)
+    bins[b] = bins_[b].load(std::memory_order_relaxed);
+  h.merge_tallies(bins, underflow_.load(std::memory_order_relaxed),
+                  overflow_.load(std::memory_order_relaxed),
+                  sum_.load(std::memory_order_relaxed));
+}
+
+void HistogramCell::reset() {
+  for (std::size_t b = 0; b < shape_.bins(); ++b)
+    bins_[b].store(0, std::memory_order_relaxed);
+  underflow_.store(0, std::memory_order_relaxed);
+  overflow_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+}
+
+HistogramCell& HistogramMetric::cell() {
+  const std::thread::id self = std::this_thread::get_id();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& c : cells_) {
+    if (c->owner_ == self) return *c;
+  }
+  cells_.push_back(
+      std::unique_ptr<HistogramCell>(new HistogramCell(self, shape_)));
+  return *cells_.back();
+}
+
+Histogram HistogramMetric::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Histogram h = hist_;
+  for (const auto& c : cells_) c->fold_into(h);
+  return h;
+}
+
+void HistogramMetric::reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  hist_ = shape_;
+  for (const auto& c : cells_) c->reset();
+}
+
 MetricsRegistry::MetricsRegistry()
     : uid_(next_registry_uid.fetch_add(1, std::memory_order_relaxed)) {}
 
@@ -231,23 +295,13 @@ MetricsRegistry& global_metrics() {
   return registry;
 }
 
-namespace {
-/// The calling thread's current-registry binding (null = global).
-thread_local MetricsRegistry* tls_current_registry = nullptr;
-}  // namespace
-
-MetricsRegistry& metrics() {
-  MetricsRegistry* current = tls_current_registry;
-  return current ? *current : global_metrics();
-}
-
 ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry& registry)
-    : previous_(tls_current_registry) {
-  tls_current_registry = &registry;
+    : previous_(detail::tls_metrics_registry) {
+  detail::tls_metrics_registry = &registry;
 }
 
 ScopedMetricsRegistry::~ScopedMetricsRegistry() {
-  tls_current_registry = previous_;
+  detail::tls_metrics_registry = previous_;
 }
 
 }  // namespace volley::obs

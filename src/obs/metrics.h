@@ -2,21 +2,38 @@
 // gauges / fixed-bucket histograms).
 //
 // Design goals, in order:
-//  1. Hot-path cheapness. A `Counter` increment is one relaxed atomic add;
-//     instrumented code caches the `Counter&` once (registration takes a
-//     mutex, increments never do). A `HistogramMetric` observation takes an
-//     uncontended mutex — still tens of nanoseconds, far below the
-//     20–100 ms sampling operations this system schedules
-//     (`bench_micro_core` keeps both numbers honest).
+//  1. Hot-path cheapness. Every counter and histogram has a shared base
+//     plus one write-only *cell* per thread that asked for one. Hot paths
+//     resolve their cells once per thread through `scoped_handles` (the
+//     registration mutex and the instrument's own mutex, which guards its
+//     list of cells, are taken only then); after that a counter bump is
+//     a relaxed load and a relaxed store on the thread's own cell, and a
+//     histogram observation is two or three of those pairs — no lock, no
+//     atomic read-modify-write. The rule that makes this sound: **a cell
+//     never has two live writers.** `Counter::cell()` hands the calling
+//     thread the cell registered to its thread id, and only that thread
+//     writes through it. Readers (`value()`, `snapshot()`, the exporters,
+//     `merge_from`) walk the cell list under the instrument's mutex and
+//     add the base and every cell with relaxed loads, so the
+//     exported numbers are the same as if every bump had gone to one
+//     shared instrument. Callers not confined to one thread (a reference
+//     shared across threads, `merge_from`, tests) bump the base with
+//     `Counter::inc()` (one relaxed atomic add) or
+//     `HistogramMetric::observe()` (an uncontended mutex). Cells are
+//     bounded by threads, not by lookups or scope switches: a thread that
+//     asks again gets its existing cell. `bench_micro_core` pins the cost
+//     of each form (`BM_CounterInc` / `BM_CounterCellInc`,
+//     `BM_HistogramObserve` / `BM_HistogramCellObserve`).
 //  2. Prometheus semantics. Counters are cumulative over the process
 //     lifetime and never reset in production; a scraper differentiates.
 //     Exposition formats: `to_prometheus()` (text format a human or a
 //     Prometheus scrape can read) and `to_json()` (one machine-readable
 //     snapshot object, embedded in RunResult and in the wire runtime's
 //     StatsReply).
-//  3. Stable handles. Registered metrics are never destroyed or moved;
-//     references returned by the registry stay valid for the registry's
-//     lifetime, so cached handles in samplers/monitors cannot dangle.
+//  3. Stable handles. Registered metrics and their cells are never
+//     destroyed or moved before the registry; references returned by the
+//     registry stay valid for the registry's lifetime, so cached handles in
+//     samplers/monitors cannot dangle.
 //
 // `metrics()` returns the *current* registry: by default the process-global
 // one, but a `ScopedMetricsRegistry` can rebind the calling thread to a
@@ -34,22 +51,74 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stats/histogram.h"
 
 namespace volley::obs {
 
-/// Monotonically increasing event count. Increments are relaxed atomic adds
-/// — safe from any thread, never a lock.
-class Counter {
+namespace detail {
+
+/// Single-writer add: a relaxed load and store, no read-modify-write.
+/// Sound only on a cell (one live writer); concurrent readers see either
+/// the old or the new value, never a torn one.
+template <typename T>
+void cell_add(std::atomic<T>& slot, T n) {
+  slot.store(slot.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
+/// One thread's write-only share of a Counter (see the file header). Cache
+/// line aligned so two threads' cells never share a line.
+class alignas(64) CounterCell {
  public:
-  void inc(std::int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void inc(std::int64_t n = 1) { detail::cell_add(v_, n); }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
+  friend class Counter;
+  explicit CounterCell(std::thread::id owner) : owner_(owner) {}
+
+  std::thread::id owner_;  // set once, before the cell is handed out
   std::atomic<std::int64_t> v_{0};
+};
+
+/// Monotonically increasing event count: a base bumped by `inc()` (a
+/// relaxed atomic add — safe from any thread, never a lock) plus the
+/// per-thread cells handed out by `cell()`.
+class Counter {
+ public:
+  void inc(std::int64_t n = 1) {
+    base_.fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// The calling thread's cell, created on its first call. Only the
+  /// calling thread may bump it. A thread that ends leaves its cell,
+  /// counts included; a later thread handed the same id takes it over,
+  /// which keeps one live writer per cell and the cells bounded by
+  /// concurrent threads.
+  CounterCell& cell();
+
+  /// Cells handed out so far (one per thread that asked).
+  std::size_t cell_count() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cells_.size();
+  }
+
+  /// Base plus every cell.
+  std::int64_t value() const;
+
+  /// Zeroes the base and every cell in place; cells stay registered. A
+  /// bump racing the reset on another thread may survive it.
+  void reset();
+
+ private:
+  std::atomic<std::int64_t> base_{0};
+  mutable std::mutex mu_;  // guards the cells_ list, not the counts
+  std::vector<std::unique_ptr<CounterCell>> cells_;
 };
 
 /// Last-written instantaneous value (e.g. a current error allowance).
@@ -63,41 +132,81 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram (stats/Histogram under a mutex). Out-of-range
-/// observations land in the edge bins and are counted as under/overflow,
-/// exactly like the underlying stats::Histogram.
+/// One thread's write-only share of a HistogramMetric: per-bin counts,
+/// under/overflow and the value sum, kept exactly as Histogram::add keeps
+/// them (see the file header).
+class alignas(64) HistogramCell {
+ public:
+  void observe(double x) {
+    if (x < shape_.lo()) {
+      detail::cell_add<std::int64_t>(underflow_, 1);
+    } else if (x >= shape_.hi()) {
+      detail::cell_add<std::int64_t>(overflow_, 1);
+    }
+    detail::cell_add<std::int64_t>(bins_[shape_.bin_of(x)], 1);
+    detail::cell_add(sum_, x);
+  }
+
+ private:
+  friend class HistogramMetric;
+  HistogramCell(std::thread::id owner, const Histogram& shape)
+      : owner_(owner),
+        shape_(shape),
+        bins_(std::make_unique<std::atomic<std::int64_t>[]>(shape.bins())) {}
+
+  void fold_into(Histogram& h) const;
+  void reset();
+
+  std::thread::id owner_;  // set once, before the cell is handed out
+  const Histogram& shape_;  // the metric's empty, never-written shape
+  std::unique_ptr<std::atomic<std::int64_t>[]> bins_;
+  std::atomic<std::int64_t> underflow_{0};
+  std::atomic<std::int64_t> overflow_{0};
+  std::atomic<double> sum_{0.0};
+};
+
+/// Fixed-bucket histogram: a base stats::Histogram under a mutex, fed by
+/// `observe()` and `merge()`, plus the per-thread cells handed out by
+/// `cell()`. Out-of-range observations land in the edge bins and are
+/// counted as under/overflow, exactly like the underlying stats::Histogram.
 class HistogramMetric {
  public:
   HistogramMetric(double lo, double hi, std::size_t bins)
-      : hist_(lo, hi, bins) {}
+      : shape_(lo, hi, bins), hist_(shape_) {}
 
   void observe(double x) {
     std::lock_guard<std::mutex> lock(mu_);
     hist_.add(x);
   }
 
-  /// Consistent copy of the underlying histogram.
-  Histogram snapshot() const {
+  /// The calling thread's cell, created on its first call (see
+  /// Counter::cell). Only the calling thread may observe through it.
+  HistogramCell& cell();
+
+  /// Cells handed out so far (one per thread that asked).
+  std::size_t cell_count() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return hist_;
+    return cells_.size();
   }
 
-  /// Folds a snapshot of another histogram in (see Histogram::merge;
-  /// shapes must match).
+  /// Copy of the base with every cell folded in.
+  Histogram snapshot() const;
+
+  /// Folds a snapshot of another histogram into the base (see
+  /// Histogram::merge; shapes must match).
   void merge(const Histogram& other) {
     std::lock_guard<std::mutex> lock(mu_);
     hist_.merge(other);
   }
 
-  void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    hist_ = Histogram(hist_.bin_lo(0), hist_.bin_hi(hist_.bins() - 1),
-                      hist_.bins());
-  }
+  /// Empties the base and every cell in place (see Counter::reset).
+  void reset();
 
  private:
-  mutable std::mutex mu_;
+  Histogram shape_;  // bin geometry for cells; never written after ctor
+  mutable std::mutex mu_;  // guards hist_ and the cells_ list
   Histogram hist_;
+  std::vector<std::unique_ptr<HistogramCell>> cells_;
 };
 
 /// Named metric store. Registration (the `counter`/`gauge`/`histogram`
@@ -167,10 +276,19 @@ class MetricsRegistry {
 /// The process-global registry (the default binding of `metrics()`).
 MetricsRegistry& global_metrics();
 
+namespace detail {
+/// The calling thread's current-registry binding (null = global).
+/// Header-inline so `metrics()` compiles to a TLS load and a branch.
+inline thread_local MetricsRegistry* tls_metrics_registry = nullptr;
+}  // namespace detail
+
 /// The calling thread's current registry: the innermost active
 /// ScopedMetricsRegistry on this thread, or the process-global registry
 /// when none is active. All built-in instrumentation records through this.
-MetricsRegistry& metrics();
+inline MetricsRegistry& metrics() {
+  MetricsRegistry* current = detail::tls_metrics_registry;
+  return current ? *current : global_metrics();
+}
 
 /// RAII rebinding of `metrics()` for the calling thread. Scopes nest; the
 /// previous binding is restored on destruction. The registry must outlive
@@ -188,14 +306,17 @@ class ScopedMetricsRegistry {
 };
 
 /// Per-thread cache of resolved instrument handles for one instrumentation
-/// site. `Handles` is a default-constructible struct of Counter*/Gauge*/
-/// HistogramMetric* members and `make` resolves them against a registry
-/// (taking the registration mutex once). The cache re-resolves whenever the
-/// calling thread's current registry changes — one integer compare on the
-/// hot path, so scoped registries keep the cached-handle pattern's
-/// lock-free increments. Keyed on the registry uid, not its address: run
-/// scopes allocate registries on the stack, and a successor at a recycled
-/// address must not inherit handles into its destroyed predecessor.
+/// site. `Handles` is a default-constructible struct of handle pointers and
+/// `make` resolves them against a registry (taking the registration mutex
+/// once). Hot-path sites resolve the calling thread's cells
+/// (`&m.counter(...).cell()`, `&m.histogram(...).cell()`): the cache is
+/// thread-local, so the thread that bumps a cell is the thread it belongs
+/// to. The cache re-resolves whenever the calling thread's current registry
+/// changes — one integer compare on the hot path — and re-resolving against
+/// a registry this thread has used before returns the same cells. Keyed on
+/// the registry uid, not its address: run scopes allocate registries on
+/// the stack, and a successor at a recycled address must not inherit
+/// handles into its destroyed predecessor.
 template <typename Handles>
 const Handles& scoped_handles(Handles (*make)(MetricsRegistry&)) {
   thread_local std::uint64_t owner_uid = 0;  // no registry has uid 0

@@ -136,15 +136,26 @@ TraceSink::TraceSink(std::size_t capacity)
 
 void TraceSink::record(TraceKind kind, Tick tick, std::uint32_t monitor,
                        double value, double detail) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() == capacity_) ++dropped_;
   TraceEvent event;
   event.kind = kind;
-  event.seq = seq_++;
   event.tick = tick;
   event.monitor = monitor;
   event.value = value;
   event.detail = detail;
+  std::lock_guard<std::mutex> lock(mu_);
+  push_locked(event);
+}
+
+void TraceSink::record_pair(const TraceEvent& first,
+                            const TraceEvent& second) {
+  std::lock_guard<std::mutex> lock(mu_);
+  push_locked(first);
+  push_locked(second);
+}
+
+void TraceSink::push_locked(TraceEvent event) {
+  if (ring_.size() == capacity_) ++dropped_;
+  event.seq = seq_++;
   ring_.push(event);
 }
 

@@ -87,15 +87,21 @@ std::string to_json(const TraceEvent& event);
 /// emitted). nullopt on malformed input or unknown kind.
 std::optional<TraceEvent> trace_event_from_json(std::string_view line);
 
-/// Bounded, thread-safe trace sink. Recording takes one uncontended mutex;
-/// when the ring is full the oldest event is overwritten (`dropped()`
-/// counts the overwrites).
+/// Bounded, thread-safe trace sink. Recording takes one uncontended mutex
+/// (one for both events of a `record_pair`); when the ring is full the
+/// oldest event is overwritten (`dropped()` counts the overwrites).
 class TraceSink {
  public:
   explicit TraceSink(std::size_t capacity = kDefaultCapacity);
 
   void record(TraceKind kind, Tick tick, std::uint32_t monitor, double value,
               double detail = 0.0);
+
+  /// Records `first` then `second` under one lock, so they take
+  /// consecutive seqs: for sites that always emit two events together
+  /// (Monitor's kSampleTaken and kIntervalChosen). The events' own `seq`
+  /// fields are ignored.
+  void record_pair(const TraceEvent& first, const TraceEvent& second);
 
   /// Retained events, oldest first.
   std::vector<TraceEvent> snapshot() const;
@@ -113,6 +119,8 @@ class TraceSink {
   static constexpr std::size_t kDefaultCapacity = 4096;
 
  private:
+  void push_locked(TraceEvent event);
+
   mutable std::mutex mu_;
   RingBuffer<TraceEvent> ring_;
   std::size_t capacity_;

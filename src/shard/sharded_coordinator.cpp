@@ -15,20 +15,23 @@ namespace {
 // metrics_json, and the shards == 1 configuration must stay byte-identical
 // to the flat coordinator.
 struct ShardMetrics {
-  obs::Counter* escalations;
-  obs::Counter* alerts;
-  obs::Counter* root_reallocations;
+  obs::CounterCell* escalations;
+  obs::CounterCell* alerts;
+  obs::CounterCell* root_reallocations;
 
   static ShardMetrics make(obs::MetricsRegistry& m) {
     return ShardMetrics{
         &m.counter("volley_shard_escalations_total",
                    "Root polls triggered by a shard aggregate exceeding its "
-                   "threshold slice T_s"),
+                   "threshold slice T_s")
+             .cell(),
         &m.counter("volley_shard_root_violations_total",
                    "Root escalations whose task aggregate exceeded T (state "
-                   "alerts)"),
+                   "alerts)")
+             .cell(),
         &m.counter("volley_shard_root_reallocations_total",
-                   "Root budget reallocation rounds over shard summaries"),
+                   "Root budget reallocation rounds over shard summaries")
+             .cell(),
     };
   }
 

@@ -18,32 +18,41 @@ void Histogram::add(double x) { add_n(x, 1); }
 
 void Histogram::add_n(double x, std::int64_t n) {
   if (n <= 0) throw std::invalid_argument("Histogram: n must be > 0");
-  std::size_t bin;
   if (x < lo_) {
     underflow_ += n;
-    bin = 0;
   } else if (x >= hi_) {
     overflow_ += n;
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / bin_width_);
-    bin = std::min(bin, counts_.size() - 1);  // guard x just below hi_
   }
-  counts_[bin] += n;
+  counts_[bin_of(x)] += n;
   total_ += n;
   sum_ += x * static_cast<double>(n);
 }
 
+std::size_t Histogram::bin_of(double x) const {
+  if (x < lo_) return 0;
+  if (x >= hi_) return counts_.size() - 1;
+  const auto bin = static_cast<std::size_t>((x - lo_) / bin_width_);
+  return std::min(bin, counts_.size() - 1);  // guard x just below hi_
+}
+
 void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ ||
-      counts_.size() != other.counts_.size())
+  if (lo_ != other.lo_ || hi_ != other.hi_)
     throw std::invalid_argument("Histogram::merge: shape mismatch");
-  for (std::size_t b = 0; b < counts_.size(); ++b)
-    counts_[b] += other.counts_[b];
-  total_ += other.total_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  sum_ += other.sum_;
+  merge_tallies(other.counts_, other.underflow_, other.overflow_, other.sum_);
+}
+
+void Histogram::merge_tallies(std::span<const std::int64_t> bins,
+                              std::int64_t underflow, std::int64_t overflow,
+                              double sum) {
+  if (bins.size() != counts_.size())
+    throw std::invalid_argument("Histogram::merge: shape mismatch");
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    counts_[b] += bins[b];
+    total_ += bins[b];
+  }
+  underflow_ += underflow;
+  overflow_ += overflow;
+  sum_ += sum;
 }
 
 double Histogram::bin_lo(std::size_t bin) const {

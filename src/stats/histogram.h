@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,11 +28,25 @@ class Histogram {
   /// shard histograms equals observing the concatenated stream.
   void merge(const Histogram& other);
 
+  /// Adds tallies kept outside a Histogram: one count per bin (`bins` must
+  /// have bins() entries), plus the under/overflow counts and the value sum
+  /// that add() would have kept for the same observations. How
+  /// obs::HistogramMetric folds its per-thread cells into a snapshot.
+  void merge_tallies(std::span<const std::int64_t> bins,
+                     std::int64_t underflow, std::int64_t overflow,
+                     double sum);
+
+  /// The bin add(x) counts x in (out-of-range values clamp to the edge
+  /// bins; add() also tallies them as under/overflow).
+  std::size_t bin_of(double x) const;
+
   std::int64_t count() const { return total_; }
   std::int64_t bin_count(std::size_t bin) const { return counts_.at(bin); }
   std::size_t bins() const { return counts_.size(); }
   double bin_lo(std::size_t bin) const;
   double bin_hi(std::size_t bin) const;
+  double lo() const { return lo_; }
+  double hi() const { return hi_; }
   std::int64_t underflow() const { return underflow_; }
   std::int64_t overflow() const { return overflow_; }
 

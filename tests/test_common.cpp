@@ -176,6 +176,44 @@ TEST(RingBuffer, ToVectorPreservesOrder) {
   EXPECT_EQ(buf.to_vector(), expected);
 }
 
+TEST(RingBuffer, WrapMatchesModuloIndexingAcrossWraps) {
+  // Reference: the same ring indexed with `%`, as RingBuffer once was.
+  struct ModuloRing {
+    std::vector<std::size_t> buf;
+    std::size_t head{0}, size{0};
+    void push(std::size_t v) {
+      buf[(head + size) % buf.size()] = v;
+      if (size == buf.size()) {
+        head = (head + 1) % buf.size();
+      } else {
+        ++size;
+      }
+    }
+    std::size_t at(std::size_t i) const { return buf[(head + i) % buf.size()]; }
+  };
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3},
+                                     std::size_t{4096}}) {
+    RingBuffer<std::size_t> buf(capacity);
+    ModuloRing ref{std::vector<std::size_t>(capacity)};
+    const std::size_t pushes = 5 * capacity + 2;  // several full wraps
+    for (std::size_t n = 0; n < pushes; ++n) {
+      buf.push(n * 7 + 1);
+      ref.push(n * 7 + 1);
+      ASSERT_EQ(buf.size(), ref.size);
+      // Every slot near the wrap points; a sparse sample elsewhere keeps
+      // the 4096 case quick.
+      const std::size_t phase = n % capacity;
+      const bool every = capacity < 64 || phase < 2 || phase + 2 >= capacity;
+      for (std::size_t i = 0; i < ref.size; i += every ? 1 : 97) {
+        ASSERT_EQ(buf[i], ref.at(i))
+            << "capacity " << capacity << " push " << n << " index " << i;
+      }
+      ASSERT_EQ(buf.back(), ref.at(ref.size - 1));
+    }
+    EXPECT_EQ(buf.front(), (pushes - capacity) * 7 + 1);
+  }
+}
+
 TEST(RingBuffer, ClearEmpties) {
   RingBuffer<int> buf(3);
   buf.push(1);

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -373,6 +377,162 @@ TEST(ScopedMetrics, HandleCacheFollowsScopeAcrossReusedAddresses) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Per-thread cells (the hot-path instrument form handed out through
+// scoped_handles).
+
+/// A hot-path site's handles: the calling thread's cells.
+struct CellHandles {
+  CounterCell* events{nullptr};
+  HistogramCell* values{nullptr};
+  static CellHandles make(MetricsRegistry& m) {
+    return CellHandles{&m.counter("cell_events_total").cell(),
+                       &m.histogram("cell_values", 0.0, 10.0, 10).cell()};
+  }
+};
+
+TEST(MetricCells, ConcurrentCellBumpsAreExactUnderAConcurrentReader) {
+  constexpr int kWriters = 4;
+  constexpr int kBumps = 100000;
+  MetricsRegistry reg;
+  std::atomic<int> writers_left{kWriters};
+  std::thread reader([&] {
+    std::int64_t last = 0;
+    while (writers_left.load() > 0) {
+      const std::string json = reg.to_json();
+      ASSERT_FALSE(json.empty());
+      const std::int64_t now = reg.counter("cell_events_total").value();
+      ASSERT_GE(now, last);  // a cell only grows under its writer
+      last = now;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      ScopedMetricsRegistry scope(reg);
+      for (int i = 0; i < kBumps; ++i) {
+        const auto& h = scoped_handles<CellHandles>(&CellHandles::make);
+        h.events->inc();
+        h.values->observe(static_cast<double>(i % 12) - 0.5);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (auto& t : writers) t.join();
+  reader.join();
+
+  EXPECT_EQ(reg.counter("cell_events_total").value(), kWriters * kBumps);
+  EXPECT_EQ(reg.counter("cell_events_total").cell_count(),
+            static_cast<std::size_t>(kWriters));
+  const Histogram h = reg.histogram("cell_values", 0.0, 10.0, 10).snapshot();
+  EXPECT_EQ(h.count(), kWriters * kBumps);
+  // i % 12 - 0.5 runs -0.5, 0.5, ..., 10.5: one underflow, ten in-range
+  // values and one overflow per 12 bumps.
+  const std::int64_t per_value = kWriters * (kBumps / 12);
+  const std::int64_t tail = kWriters * (kBumps % 12 > 0 ? 1 : 0);
+  EXPECT_EQ(h.underflow(), per_value + tail);
+  EXPECT_EQ(h.overflow(), per_value);
+  EXPECT_NE(reg.to_json().find("\"cell_events_total\":400000"),
+            std::string::npos);
+}
+
+TEST(MetricCells, ResetZeroesCellsInPlaceAndKeepsHandles) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  const auto& before = scoped_handles<CellHandles>(&CellHandles::make);
+  CounterCell* const events = before.events;
+  for (int i = 0; i < 5; ++i) {
+    before.events->inc();
+    before.values->observe(2.5);
+  }
+  reg.counter("cell_events_total").inc(3);  // the shared base, too
+  ASSERT_EQ(reg.counter("cell_events_total").value(), 8);
+  reg.reset();
+  EXPECT_EQ(reg.counter("cell_events_total").value(), 0);
+  EXPECT_EQ(events->value(), 0);
+  EXPECT_EQ(reg.histogram("cell_values", 0.0, 10.0, 10).snapshot().count(), 0);
+
+  const auto& after = scoped_handles<CellHandles>(&CellHandles::make);
+  EXPECT_EQ(after.events, events);  // cached handle still the live cell
+  after.events->inc();
+  after.values->observe(2.5);
+  EXPECT_EQ(reg.counter("cell_events_total").value(), 1);
+  const Histogram h = reg.histogram("cell_values", 0.0, 10.0, 10).snapshot();
+  EXPECT_EQ(h.count(), 1);
+  EXPECT_EQ(h.bin_count(2), 1);
+  EXPECT_DOUBLE_EQ(h.mean(), 2.5);
+}
+
+TEST(MetricCells, MergeFromCarriesCellCounts) {
+  MetricsRegistry run, parent;
+  {
+    ScopedMetricsRegistry scope(run);
+    for (int i = 0; i < 7; ++i) {
+      const auto& h = scoped_handles<CellHandles>(&CellHandles::make);
+      h.events->inc(2);
+      h.values->observe(static_cast<double>(i));
+    }
+  }
+  parent.counter("cell_events_total").inc(1);
+  parent.merge_from(run);
+  EXPECT_EQ(parent.counter("cell_events_total").value(), 15);
+  const Histogram merged =
+      parent.histogram("cell_values", 0.0, 10.0, 10).snapshot();
+  EXPECT_EQ(merged.count(), 7);
+  for (std::size_t b = 0; b < 7; ++b) EXPECT_EQ(merged.bin_count(b), 1);
+  EXPECT_DOUBLE_EQ(merged.mean(), 3.0);
+  // Merging reads the cells; it does not drain them.
+  EXPECT_EQ(run.counter("cell_events_total").value(), 14);
+}
+
+TEST(MetricCells, CellsAreBoundedByThreadsNotScopeSwitches) {
+  struct GlobalHandles {
+    CounterCell* events{nullptr};
+    HistogramCell* values{nullptr};
+    static GlobalHandles make(MetricsRegistry& m) {
+      return GlobalHandles{
+          &m.counter("bounded_cell_events_total").cell(),
+          &m.histogram("bounded_cell_values", 0.0, 1.0, 4).cell()};
+    }
+  };
+  constexpr int kCycles = 1000;
+  for (int i = 0; i < kCycles; ++i) {
+    {
+      MetricsRegistry run_registry;
+      ScopedMetricsRegistry scope(run_registry);
+      scoped_handles<GlobalHandles>(&GlobalHandles::make).events->inc();
+    }
+    // Back on the global registry: the cache re-resolves, and must find
+    // this thread's existing cells rather than add new ones.
+    const auto& h = scoped_handles<GlobalHandles>(&GlobalHandles::make);
+    h.events->inc();
+    h.values->observe(0.5);
+  }
+  EXPECT_EQ(global_metrics().counter("bounded_cell_events_total").cell_count(),
+            1u);
+  EXPECT_EQ(global_metrics()
+                .histogram("bounded_cell_values", 0.0, 1.0, 4)
+                .cell_count(),
+            1u);
+  EXPECT_EQ(global_metrics().counter("bounded_cell_events_total").value(),
+            kCycles);
+}
+
+TEST(MetricCells, CellsAppearInPrometheusExposition) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  const auto& h = scoped_handles<CellHandles>(&CellHandles::make);
+  h.events->inc(4);
+  h.values->observe(1.5);
+  h.values->observe(12.0);  // overflow: only in +Inf
+  const std::string prom = reg.to_prometheus();
+  EXPECT_NE(prom.find("cell_events_total 4\n"), std::string::npos);
+  EXPECT_NE(prom.find("cell_values_bucket{le=\"10\"} 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("cell_values_bucket{le=\"+Inf\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("cell_values_count 2\n"), std::string::npos);
+}
+
 TEST(MetricsMerge, CountersAdd) {
   MetricsRegistry a, b;
   a.counter("events_total").inc(5);
@@ -517,6 +677,59 @@ TEST(ObsIntegration, SimRunEmbedsNonZeroMetricsSnapshot) {
     }
   }
   EXPECT_TRUE(saw_interval_event);
+}
+
+// ---------------------------------------------------------------------------
+// Export identity: the golden files under tests/golden/ were captured from
+// the shared-instrument implementation (one atomic add per counter bump, a
+// mutex per histogram observation and per trace event). The per-thread
+// cells and the paired trace record must export the same bytes.
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(VOLLEY_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(ObsIdentity, FixedSeedRunExportsCapturedMetricsAndTrace) {
+  // Three monitors over 800 ticks: one local-only violation per monitor
+  // (polls that stay under T) and one joint episode that crosses T, with
+  // adaptive reallocation every 160 ticks — every sampler, monitor,
+  // coordinator and allocation instrument fires.
+  Rng rng(2013);
+  std::vector<TimeSeries> series;
+  for (std::size_t m = 0; m < 3; ++m) {
+    TimeSeries s(800);
+    const double period = 80.0 + 30.0 * static_cast<double>(m);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      s[i] = 0.3 * std::sin(static_cast<double>(i) / period) +
+             rng.normal(0.0, 0.05);
+    }
+    for (std::size_t i = 200 + 120 * m; i < 206 + 120 * m; ++i) s[i] += 2.5;
+    for (std::size_t i = 640; i < 648; ++i) s[i] += 2.5;
+    series.push_back(std::move(s));
+  }
+  TaskSpec spec;
+  spec.global_threshold = 6.0;
+  spec.error_allowance = 0.1;
+  spec.max_interval = 16;
+  spec.patience = 4;
+  spec.updating_period = 160;
+  const std::vector<double> local_thresholds{2.0, 2.0, 2.0};
+
+  MetricsRegistry registry;
+  TraceSink sink(1 << 15);
+  ScopedMetricsRegistry metrics_scope(registry);
+  ScopedTraceSink trace_scope(sink);
+  const RunResult result = run_volley(spec, series, local_thresholds);
+
+  EXPECT_EQ(result.metrics_json + "\n",
+            read_golden("identity_run_metrics.json"));
+  EXPECT_EQ(sink.dropped(), 0);
+  EXPECT_EQ(sink.to_jsonl(), read_golden("identity_run_trace.jsonl"));
 }
 
 }  // namespace
