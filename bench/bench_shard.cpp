@@ -45,8 +45,8 @@
 #include "net/monitor_node.h"
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
-#include "shard/runner.h"
 #include "shard/sharded_coordinator.h"
+#include "sim/driver.h"
 
 namespace volley {
 namespace {
@@ -165,7 +165,7 @@ FleetOutcome run_flat(const FleetShape& shape) {
     // exceeds the run), so the S == 1 identity compares equals.
     Coordinator coordinator(
         spec, std::move(monitors),
-        shard::make_allocator_factory(AllocatorKind::kAdaptive)(
+        make_allocator_factory(AllocatorKind::kAdaptive)(
             shape.monitors));
 
     for (Tick t = 0; t < shape.warmup; ++t) {
@@ -213,7 +213,7 @@ FleetOutcome run_sharded(const FleetShape& shape) {
     auto monitors = build_fleet(shape, spec, sources);
     shard::ShardedCoordinator coordinator(
         spec, std::move(monitors), shape.shards,
-        shard::make_allocator_factory(AllocatorKind::kAdaptive));
+        make_allocator_factory(AllocatorKind::kAdaptive));
 
     for (Tick t = 0; t < shape.warmup; ++t) {
       coordinator.run_tick(t);

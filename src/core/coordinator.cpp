@@ -51,9 +51,10 @@ constexpr std::size_t kBatchMin = 8;
 
 Coordinator::Coordinator(const TaskSpec& spec,
                          std::vector<std::unique_ptr<Monitor>> monitors,
-                         std::unique_ptr<AllowanceAllocator> allocator)
+                         std::unique_ptr<AllowanceAllocator> allocator,
+                         FaultModel* faults, Tick start)
     : spec_(spec), monitors_(std::move(monitors)),
-      allocator_(std::move(allocator)) {
+      allocator_(std::move(allocator)), faults_(faults) {
   spec_.validate();
   if (monitors_.empty())
     throw std::invalid_argument("Coordinator: needs at least one monitor");
@@ -62,7 +63,7 @@ Coordinator::Coordinator(const TaskSpec& spec,
       spec_.error_allowance / static_cast<double>(monitors_.size());
   allocation_.assign(monitors_.size(), share);
   for (auto& m : monitors_) m->set_error_allowance(share);
-  next_update_ = spec_.updating_period;
+  next_update_ = start + spec_.updating_period;
 
   Tick max_interval = 1;
   for (const auto& m : monitors_)
@@ -124,6 +125,28 @@ void Coordinator::collect_due(Tick t) {
 Coordinator::TickResult Coordinator::run_tick(Tick t) {
   TickResult result;
   collect_due(t);
+  if (faults_) {
+    // A down monitor neither samples nor reports; it stays due and is
+    // retried next tick.
+    std::size_t kept = 0;
+    for (const MonitorId id : due_scratch_) {
+      if (faults_->down(id, t)) {
+        due_index_insert(id, t + 1);
+      } else {
+        due_scratch_[kept++] = id;
+      }
+    }
+    due_scratch_.resize(kept);
+  }
+  int reports = 0;  // local-violation reports that reach the coordinator
+  const auto sampled = [&](MonitorId id, const Monitor::Outcome& outcome) {
+    result.any_due = true;
+    if (outcome.local_violation) {
+      ++result.local_violations;
+      if (!faults_ || !faults_->lose_report(t)) ++reports;
+    }
+    due_index_insert(id, monitors_[id]->next_sample_tick());
+  };
   if (due_scratch_.size() >= kBatchMin) {
     // Batched drain: every due monitor's β̄ is evaluated in one
     // likelihood-kernel invocation (DESIGN.md §11). Side effects run in
@@ -134,34 +157,33 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
       monitors_[id]->begin_step(t, beta_batch_);
     beta_bound_batch(beta_batch_);
     std::size_t lane = 0;
-    for (const MonitorId id : due_scratch_) {
-      Monitor& m = *monitors_[id];
-      const auto outcome = m.finish_step(t, beta_batch_.beta[lane++]);
-      result.any_due = true;
-      if (outcome.local_violation) ++result.local_violations;
-      due_index_insert(id, m.next_sample_tick());
-    }
+    for (const MonitorId id : due_scratch_)
+      sampled(id, monitors_[id]->finish_step(t, beta_batch_.beta[lane++]));
   } else {
-    for (const MonitorId id : due_scratch_) {
-      Monitor& m = *monitors_[id];
-      const auto outcome = m.step(t);
-      result.any_due = true;
-      if (outcome.local_violation) ++result.local_violations;
-      due_index_insert(id, m.next_sample_tick());
-    }
+    for (const MonitorId id : due_scratch_)
+      sampled(id, monitors_[id]->step(t));
   }
 
-  if (result.local_violations > 0) {
+  if (reports > 0) {
     // Global poll: collect the value of every monitor at this tick. The
     // monitors that just sampled serve their datum from cache; the rest
-    // pay one forced sampling operation each.
+    // pay one forced sampling operation each. Under faults a down monitor
+    // or a lost response contributes the monitor's last known value.
     result.global_poll = true;
     ++global_polls_;
     CoordinatorMetrics::get().polls->inc();
     double sum = 0.0;
-    for (auto& m : monitors_) {
-      sum += m->force_sample(t).sample.value;
+    bool stale = false;
+    for (MonitorId i = 0; i < monitors_.size(); ++i) {
+      Monitor& m = *monitors_[i];
+      if (faults_ && (faults_->down(i, t) || faults_->lose_response(t))) {
+        stale = true;
+        sum += m.last_value();
+        continue;
+      }
+      sum += m.force_sample(t).sample.value;
     }
+    if (stale) faults_->count_stale_poll();
     result.global_value = sum;
     result.global_violation = sum > spec_.global_threshold;
     if (result.global_violation) {

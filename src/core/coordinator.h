@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/error_allocation.h"
+#include "core/fault_model.h"
 #include "core/likelihood_kernel.h"
 #include "core/monitor.h"
 #include "core/task.h"
@@ -44,10 +45,15 @@ class Coordinator {
   };
 
   /// Takes ownership of the monitors; allocator may be null for a task that
-  /// never reallocates (fixed even split).
+  /// never reallocates (fixed even split). `faults`, when set, must outlive
+  /// the coordinator: run_tick then drops reports and poll responses and
+  /// skips down monitors under its semantics (fault_model.h); null is the
+  /// reliable protocol. The first reallocation happens at
+  /// `start + updating_period`.
   Coordinator(const TaskSpec& spec,
               std::vector<std::unique_ptr<Monitor>> monitors,
-              std::unique_ptr<AllowanceAllocator> allocator);
+              std::unique_ptr<AllowanceAllocator> allocator,
+              FaultModel* faults = nullptr, Tick start = 0);
 
   /// Advances the task by one tick. Touches only the monitors due at `t`
   /// (see the due-index notes below); the result and every observable side
@@ -55,6 +61,9 @@ class Coordinator {
   /// enough monitors are due at once, their β̄ evaluations are drained
   /// into one likelihood-kernel batch invocation (begin_step /
   /// beta_bound_batch / finish_step, DESIGN.md §11) — also bit-identical.
+  /// Under a fault model, local_violations counts every violation while
+  /// only surviving reports trigger the poll, and a down monitor that is
+  /// due is retried at t + 1.
   TickResult run_tick(Tick t);
 
   const TaskSpec& spec() const { return spec_; }
@@ -136,6 +145,7 @@ class Coordinator {
   TaskSpec spec_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
   std::unique_ptr<AllowanceAllocator> allocator_;
+  FaultModel* faults_{nullptr};
   std::vector<double> allocation_;
   Tick next_update_{0};
   CoordStats last_period_stats_{};

@@ -69,6 +69,9 @@ class Monitor {
   void set_error_allowance(double err) { sampler_.set_error_allowance(err); }
 
   Tick interval() const { return sampler_.interval(); }
+  /// Value of the most recent sample (0 before the first): what a
+  /// coordinator falls back to when the monitor cannot answer a poll.
+  double last_value() const { return last_value_; }
   Tick next_sample_tick() const { return next_sample_; }
   const AdaptiveSampler& sampler() const { return sampler_; }
 

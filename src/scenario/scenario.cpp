@@ -672,49 +672,29 @@ std::vector<TaskChurnEvent> build_churn_events(const Scenario& scenario,
   return canonical_churn_order(std::move(events));
 }
 
-SimFaultModel::SimFaultModel(const Scenario& scenario) {
+FaultModel build_sim_fault_model(const Scenario& scenario) {
+  std::vector<FaultModel::LossWindow> loss;
+  std::vector<MonitorOutage> outages;
   for (const auto& window : scenario.faults) {
     const FaultProfile* profile = find_fault_profile(window.profile);
-    if (!profile) fail("SimFaultModel: unknown profile " + window.profile);
+    if (!profile) fail("build_sim_fault_model: unknown " + window.profile);
     if (profile->outage) {
       if (window.monitors.empty()) {
         for (std::size_t m = 0; m < scenario.monitors; ++m)
-          outages_.push_back({m, window.start, window.end});
+          outages.push_back({m, window.start, window.end});
       } else {
         for (std::size_t m : window.monitors)
-          outages_.push_back({m, window.start, window.end});
+          outages.push_back({m, window.start, window.end});
       }
     }
     if (profile->report_loss > 0.0 || profile->response_loss > 0.0) {
-      loss_windows_.push_back({window.start, window.end,
-                               profile->report_loss,
-                               profile->response_loss});
+      loss.push_back({window.start, window.end, profile->report_loss,
+                      profile->response_loss});
     }
   }
-}
-
-double SimFaultModel::report_loss_at(Tick t) const {
-  double survive = 1.0;
-  for (const auto& w : loss_windows_) {
-    if (t >= w.start && t < w.end) survive *= 1.0 - w.report_loss;
-  }
-  return 1.0 - survive;
-}
-
-double SimFaultModel::response_loss_at(Tick t) const {
-  double survive = 1.0;
-  for (const auto& w : loss_windows_) {
-    if (t >= w.start && t < w.end) survive *= 1.0 - w.response_loss;
-  }
-  return 1.0 - survive;
-}
-
-bool SimFaultModel::in_outage(std::size_t monitor, Tick t) const {
-  for (const auto& outage : outages_) {
-    if (outage.monitor == monitor && t >= outage.start && t < outage.end)
-      return true;
-  }
-  return false;
+  // Domain-separated from the workload composition's stream.
+  return FaultModel(std::move(loss), outages,
+                    scenario.seed ^ 0x9E3779B97F4A7C15ULL);
 }
 
 NetFaultPlan build_net_fault_plan(const Scenario& scenario) {

@@ -245,26 +245,11 @@ TaskSpec resolve_boot_task(const Scenario& scenario,
 std::vector<TaskChurnEvent> build_churn_events(const Scenario& scenario,
                                                const TaskSpec& boot);
 
-/// Sim-mode fault view: per-tick effective loss probabilities (windows
-/// compose as independent drops) and outage membership.
-class SimFaultModel {
- public:
-  SimFaultModel(const Scenario& scenario);
-
-  double report_loss_at(Tick t) const;
-  double response_loss_at(Tick t) const;
-  bool in_outage(std::size_t monitor, Tick t) const;
-  /// Outage rows (for FaultPlan-style accounting and validation reuse).
-  const std::vector<MonitorOutage>& outages() const { return outages_; }
-
- private:
-  struct LossWindow {
-    Tick start{0}, end{0};
-    double report_loss{0.0}, response_loss{0.0};
-  };
-  std::vector<LossWindow> loss_windows_;
-  std::vector<MonitorOutage> outages_;
-};
+/// Sim-mode fault model: each window's profile contributes a loss window
+/// (overlapping windows compose as independent drops) and, for
+/// outage-class profiles, outage rows for the targeted monitors. Its Rng
+/// stream derives from the scenario seed.
+FaultModel build_sim_fault_model(const Scenario& scenario);
 
 /// Net-mode fault plan for the chaos proxy: the union of the scenario's
 /// windows (the proxy applies one static plan for its lifetime, so loss

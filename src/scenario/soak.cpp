@@ -13,16 +13,13 @@
 #include <thread>
 #include <utility>
 
-#include "common/rng.h"
-#include "control/task_registry.h"
-#include "core/error_allocation.h"
-#include "core/monitor.h"
 #include "net/chaos_proxy.h"
 #include "net/coordinator_node.h"
 #include "net/framing.h"
 #include "net/messages.h"
 #include "net/monitor_node.h"
 #include "net/socket.h"
+#include "sim/driver.h"
 #include "sim/experiment.h"
 
 namespace volley::scenario {
@@ -76,37 +73,13 @@ double phase_tolerance(const Scenario& scenario, const ScenarioPhase& phase,
                                 : scenario.invariants.tolerance;
 }
 
-/// Episode miss rate over the window [begin, end): the fraction of ground
-/// truth alert episodes overlapping the window in which no overlap tick was
-/// detected (the same windowed rule as run_dynamic_tasks scoring).
-struct WindowScore {
-  std::int64_t episodes{0};
-  std::int64_t detected{0};
-  double miss_rate() const {
-    return episodes == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(detected) /
-                           static_cast<double>(episodes);
-  }
-};
-
-WindowScore score_episodes(const GroundTruth& truth,
-                           std::span<const char> detected, Tick begin,
-                           Tick end) {
-  WindowScore score;
-  for (const auto& [start, stop] : truth.episodes) {
-    const Tick lo = std::max(start, begin);
-    const Tick hi = std::min(stop, end);
-    if (lo >= hi) continue;
-    ++score.episodes;
-    for (Tick t = lo; t < hi; ++t) {
-      if (detected[static_cast<std::size_t>(t)]) {
-        ++score.detected;
-        break;
-      }
-    }
-  }
-  return score;
+/// The error_budget detail for one window: "miss=… (d/e episodes)
+/// budget=…", with `score` from the windowed scorer.
+std::string budget_detail(const RunResult& score, double budget) {
+  return "miss=" + fmt_double(score.episode_miss_rate()) + " (" +
+         std::to_string(score.detected_episodes) + "/" +
+         std::to_string(score.true_episodes) + " episodes) budget=" +
+         fmt_double(budget);
 }
 
 /// Writes the report and snapshot artifacts; throws std::runtime_error on
@@ -226,43 +199,6 @@ std::string SoakReport::to_json() const {
 
 // --- sim mode ---------------------------------------------------------------
 
-namespace {
-
-/// One live task instance of the sim soak loop.
-struct SoakTask {
-  TaskSpec spec;
-  std::uint64_t epoch{0};
-  Tick arrived{0};
-  std::vector<std::unique_ptr<Monitor>> monitors;
-  std::vector<double> allocation;
-  std::vector<double> last_known;
-  std::vector<char> detected;  // full run length
-  std::unique_ptr<AllowanceAllocator> allocator;
-  Tick next_update{0};
-  const GroundTruth* truth{nullptr};
-};
-
-struct SimCounters {
-  std::int64_t ops{0};  // retired tasks' ops folded in
-  std::int64_t local_violations{0};
-  std::int64_t global_polls{0};
-  std::int64_t reallocations{0};
-  std::int64_t lost_reports{0};
-  std::int64_t lost_responses{0};
-  std::int64_t outage_monitor_ticks{0};
-  std::int64_t stale_polls{0};
-  std::int64_t alerts{0};
-};
-
-std::int64_t live_ops(const std::map<TaskId, SoakTask>& live) {
-  std::int64_t ops = 0;
-  for (const auto& [id, task] : live)
-    for (const auto& m : task.monitors) ops += m->total_ops();
-  return ops;
-}
-
-}  // namespace
-
 SoakReport run_scenario_sim(const Scenario& input,
                             const SoakOptions& options) {
   const Scenario scenario =
@@ -272,19 +208,15 @@ SoakReport run_scenario_sim(const Scenario& input,
   const std::vector<TimeSeries> series = build_monitor_series(scenario);
   const TimeSeries aggregate = TimeSeries::sum(series);
   const TaskSpec boot = resolve_boot_task(scenario, aggregate);
-  const SimFaultModel faults(scenario);
+  TruthCache truths(aggregate);
+  FaultModel faults = build_sim_fault_model(scenario);
   const std::vector<ScenarioPhase> phases = effective_phases(scenario);
   const std::size_t n = scenario.monitors;
 
   // Churn schedule: the boot task arrives at tick 0 ahead of everything
   // else, then the scenario's explicit + seed-derived events.
-  std::vector<TaskChurnEvent> events;
+  std::vector<TaskChurnEvent> events = build_churn_events(scenario, boot);
   events.push_back({TaskChurnEvent::Kind::kArrive, 0, 0, boot});
-  {
-    auto churn = build_churn_events(scenario, boot);
-    events.insert(events.end(), churn.begin(), churn.end());
-  }
-  events = canonical_churn_order(std::move(events));
 
   ArtifactWriter artifacts(options.artifact_dir, scenario.name, "sim");
 
@@ -296,108 +228,57 @@ SoakReport run_scenario_sim(const Scenario& input,
   report.monitors = n;
   report.boot_threshold = boot.global_threshold;
 
-  control::TaskRegistry registry;
-  std::vector<std::unique_ptr<SeriesSource>> sources;
-  sources.reserve(n);
-  for (const auto& s : series)
-    sources.push_back(std::make_unique<SeriesSource>(s));
+  // Every task's updating period runs from its arrival.
+  SimDriver driver(series, RunOptions{}, {}, &faults,
+                   /*periods_from_arrival=*/true);
 
-  // Ground truth per distinct threshold (churned tasks share thresholds).
-  std::map<double, GroundTruth> truths;
-  const auto truth_for = [&](double threshold) -> const GroundTruth& {
-    auto it = truths.find(threshold);
-    if (it == truths.end()) {
-      it = truths
-               .emplace(threshold,
-                        GroundTruth::from_series(aggregate, threshold))
-               .first;
-    }
-    return it->second;
-  };
-
-  std::map<TaskId, SoakTask> live;
-  SimCounters counters;  // cumulative over the whole run
-  // All fault draws come from one stream consumed in (tick, task id,
-  // monitor id) order — fixed by the canonical churn order and the sorted
-  // task map, independent of anything external.
-  Rng rng(scenario.seed ^ 0x9E3779B97F4A7C15ULL);
-
-  const auto make_task = [&](const TaskSpec& spec, std::uint64_t epoch,
-                             Tick arrived) {
-    SoakTask task;
-    task.spec = spec;
-    task.epoch = epoch;
-    task.arrived = arrived;
-    const double share = spec.error_allowance / static_cast<double>(n);
-    const auto thresholds = split_threshold(spec.global_threshold, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      task.monitors.push_back(std::make_unique<Monitor>(
-          static_cast<MonitorId>(i), *sources[i],
-          spec.sampler_options(share), thresholds[i]));
-    }
-    task.allocation.assign(n, share);
-    task.last_known.assign(n, 0.0);
-    task.detected.assign(static_cast<std::size_t>(scenario.ticks), 0);
-    task.allocator = std::make_unique<AdaptiveAllocation>();
-    task.next_update = arrived + spec.updating_period;
-    task.truth = &truth_for(spec.global_threshold);
-    return task;
-  };
-
-  // Per-phase state: counters + per-task ops/detected baselines at entry.
+  // Per-phase state: totals and per-instance monitor ops at phase entry,
+  // keyed by epoch. An instance arriving mid-phase started from zero ops.
   std::size_t phase_index = 0;
-  SimCounters phase_start_counters;
-  std::int64_t phase_start_ops = 0;
-  // (task id, monitor) ops at phase entry; tasks arriving mid-phase are
-  // added on arrival.
-  std::map<TaskId, std::vector<std::int64_t>> phase_ops_baseline;
-  const auto baseline_task = [&](TaskId id, const SoakTask& task) {
-    auto& ops = phase_ops_baseline[id];
-    ops.clear();
-    for (const auto& m : task.monitors) ops.push_back(m->total_ops());
-  };
-
+  SimTotals phase_start;
+  std::map<std::uint64_t, std::vector<std::int64_t>> phase_ops_baseline;
   const auto begin_phase = [&]() {
-    phase_start_counters = counters;
-    phase_start_ops = counters.ops + live_ops(live);
+    phase_start = driver.totals();
     phase_ops_baseline.clear();
-    for (const auto& [id, task] : live) baseline_task(id, task);
+    for (const auto& [id, task] : driver.live()) {
+      auto& ops = phase_ops_baseline[task.epoch()];
+      for (std::size_t i = 0; i < n; ++i)
+        ops.push_back(task.monitor(i).total_ops());
+    }
   };
 
   const auto emit_snapshot = [&](Tick t) {
     if (!artifacts.enabled()) return;
+    const SimTotals totals = driver.totals();
     std::string line = "{\"tick\":" + std::to_string(t);
-    line += ",\"tasks\":" + std::to_string(live.size());
-    line += ",\"ops\":" + std::to_string(counters.ops + live_ops(live));
-    line += ",\"global_polls\":" + std::to_string(counters.global_polls);
-    line += ",\"alerts\":" + std::to_string(counters.alerts);
-    line += ",\"lost_reports\":" + std::to_string(counters.lost_reports);
-    line += ",\"registry_version\":" + std::to_string(registry.version());
+    line += ",\"tasks\":" + std::to_string(driver.live().size());
+    line += ",\"ops\":" + std::to_string(totals.ops);
+    line += ",\"global_polls\":" + std::to_string(totals.global_polls);
+    line += ",\"alerts\":" + std::to_string(totals.alerts);
+    line += ",\"lost_reports\":" + std::to_string(totals.lost_reports);
+    line += ",\"registry_version\":" +
+            std::to_string(driver.registry().version());
     line += "}";
     artifacts.snapshot(line);
   };
 
   const auto end_phase = [&](const ScenarioPhase& phase) {
+    const SimTotals totals = driver.totals();
     PhaseReport out;
     out.phase = phase.name;
     out.start = phase.start;
     out.end = phase.end;
-    out.ops = counters.ops + live_ops(live) - phase_start_ops;
+    out.ops = totals.ops - phase_start.ops;
     out.local_violations =
-        counters.local_violations - phase_start_counters.local_violations;
-    out.global_polls =
-        counters.global_polls - phase_start_counters.global_polls;
-    out.reallocations =
-        counters.reallocations - phase_start_counters.reallocations;
-    out.lost_reports =
-        counters.lost_reports - phase_start_counters.lost_reports;
-    out.lost_responses =
-        counters.lost_responses - phase_start_counters.lost_responses;
-    out.outage_monitor_ticks = counters.outage_monitor_ticks -
-                               phase_start_counters.outage_monitor_ticks;
-    out.stale_polls = counters.stale_polls - phase_start_counters.stale_polls;
-    out.alerts = counters.alerts - phase_start_counters.alerts;
-
+        totals.local_violations - phase_start.local_violations;
+    out.global_polls = totals.global_polls - phase_start.global_polls;
+    out.reallocations = totals.reallocations - phase_start.reallocations;
+    out.lost_reports = totals.lost_reports - phase_start.lost_reports;
+    out.lost_responses = totals.lost_responses - phase_start.lost_responses;
+    out.outage_monitor_ticks =
+        totals.outage_monitor_ticks - phase_start.outage_monitor_ticks;
+    out.stale_polls = totals.stale_polls - phase_start.stale_polls;
+    out.alerts = totals.alerts - phase_start.alerts;
     const double tolerance = phase_tolerance(scenario, phase, false);
 
     // error_budget: every live task instance, over phase∩lifetime.
@@ -405,49 +286,49 @@ SoakReport run_scenario_sim(const Scenario& input,
       InvariantCheck check;
       check.name = "error_budget";
       std::string detail;
-      for (const auto& [id, task] : live) {
-        const Tick lo = std::max(phase.start, task.arrived);
+      for (const auto& [id, task] : driver.live()) {
+        const Tick lo = std::max(phase.start, task.arrived());
         const Tick hi = phase.end;
         const Tick min_window = static_cast<Tick>(
-            scenario.invariants.stuck_factor) * task.spec.max_interval;
+            scenario.invariants.stuck_factor) * task.spec().max_interval;
         if (hi - lo < min_window) {
           detail += "task " + std::to_string(id) + ": skipped (window " +
                     std::to_string(hi - lo) + " < " +
                     std::to_string(min_window) + "); ";
           continue;
         }
-        const auto score = score_episodes(*task.truth, task.detected, lo, hi);
-        const double budget = task.spec.error_allowance + tolerance;
-        const bool ok = score.miss_rate() <= budget;
-        detail += "task " + std::to_string(id) + ": miss=" +
-                  fmt_double(score.miss_rate()) + " (" +
-                  std::to_string(score.detected) + "/" +
-                  std::to_string(score.episodes) + " episodes) budget=" +
-                  fmt_double(budget) + "; ";
-        if (!ok) check.pass = false;
+        RunResult score;
+        score_detection(score, truths.at(task.spec().global_threshold),
+                        task.detected(), lo, hi);
+        const double budget = task.spec().error_allowance + tolerance;
+        detail += "task " + std::to_string(id) + ": " +
+                  budget_detail(score, budget) + "; ";
+        if (score.episode_miss_rate() > budget) check.pass = false;
       }
       check.detail = detail.empty() ? "no live tasks" : detail;
       out.checks.push_back(std::move(check));
     }
 
-    // allowance_conservation: per live task, sum(allocation) == err.
+    // allowance_conservation: per live task, the monitors' allowances sum
+    // to the task's err.
     {
       InvariantCheck check;
       check.name = "allowance_conservation";
       std::string detail;
-      for (const auto& [id, task] : live) {
+      for (const auto& [id, task] : driver.live()) {
         double sum = 0.0;
-        for (double a : task.allocation) sum += a;
-        const double drift = std::abs(sum - task.spec.error_allowance);
+        for (std::size_t i = 0; i < n; ++i)
+          sum += task.monitor(i).error_allowance();
+        const double drift = std::abs(sum - task.spec().error_allowance);
         if (drift > scenario.invariants.allowance_epsilon) {
           check.pass = false;
           detail += "task " + std::to_string(id) + ": drift=" +
                     fmt_double(drift) + "; ";
         }
       }
-      check.detail = detail.empty()
-                         ? std::to_string(live.size()) + " task(s) conserve"
-                         : detail;
+      check.detail = detail.empty() ? std::to_string(driver.live().size()) +
+                                          " task(s) conserve"
+                                    : detail;
       out.checks.push_back(std::move(check));
     }
 
@@ -457,19 +338,19 @@ SoakReport run_scenario_sim(const Scenario& input,
       InvariantCheck check;
       check.name = "no_stuck_monitors";
       std::string detail;
-      for (const auto& [id, task] : live) {
-        const auto baseline = phase_ops_baseline.find(id);
-        if (baseline == phase_ops_baseline.end()) continue;
-        const Tick lo = std::max(phase.start, task.arrived);
+      for (const auto& [id, task] : driver.live()) {
+        const Tick lo = std::max(phase.start, task.arrived());
         const Tick min_window = static_cast<Tick>(
-            scenario.invariants.stuck_factor) * task.spec.max_interval;
+            scenario.invariants.stuck_factor) * task.spec().max_interval;
         if (phase.end - lo < min_window) continue;
+        const auto baseline = phase_ops_baseline.find(task.epoch());
         for (std::size_t i = 0; i < n; ++i) {
-          Tick available = 0;
-          for (Tick t = lo; t < phase.end; ++t)
-            if (!faults.in_outage(i, t)) ++available;
-          if (available <= task.spec.max_interval) continue;  // mostly down
-          if (task.monitors[i]->total_ops() <= baseline->second[i]) {
+          const Tick available =
+              phase.end - lo - faults.outage_ticks(i, lo, phase.end);
+          if (available <= task.spec().max_interval) continue;  // mostly down
+          const std::int64_t entry_ops =
+              baseline == phase_ops_baseline.end() ? 0 : baseline->second[i];
+          if (task.monitor(i).total_ops() <= entry_ops) {
             check.pass = false;
             detail += "task " + std::to_string(id) + " monitor " +
                       std::to_string(i) + " made no progress; ";
@@ -484,118 +365,31 @@ SoakReport run_scenario_sim(const Scenario& input,
     emit_snapshot(phase.end);
   };
 
-  std::size_t next_event = 0;
-  begin_phase();
-  for (Tick t = 0; t < scenario.ticks; ++t) {
-    // Control-plane churn scheduled for this tick.
-    while (next_event < events.size() && events[next_event].tick <= t) {
-      const TaskChurnEvent& event = events[next_event++];
-      if (event.kind == TaskChurnEvent::Kind::kArrive) {
-        const auto result = registry.add(event.task, event.spec);
-        if (!result.ok())
-          throw std::invalid_argument("soak: churn add failed: " +
-                                      result.error);
-        report.epochs.push_back(result.epoch);
-        auto task = make_task(event.spec, result.epoch, t);
-        baseline_task(event.task, task);
-        live.emplace(event.task, std::move(task));
-      } else {
-        const auto it = live.find(event.task);
-        if (it == live.end())
-          throw std::invalid_argument("soak: churn depart of unknown task " +
-                                      std::to_string(event.task));
-        const auto removed = registry.remove(event.task);
-        if (!removed.ok())
-          throw std::invalid_argument("soak: churn remove failed: " +
-                                      removed.error);
-        report.epochs.push_back(removed.epoch);
-        for (const auto& m : it->second.monitors)
-          counters.ops += m->total_ops();
-        phase_ops_baseline.erase(event.task);
-        live.erase(it);
-      }
-    }
-
-    // Per-task tick: sampling, lossy reports, lossy polls, reallocation.
-    for (auto& [id, task] : live) {
-      int surviving_reports = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (faults.in_outage(i, t)) {
-          ++counters.outage_monitor_ticks;
-          continue;
-        }
-        Monitor& m = *task.monitors[i];
-        if (!m.due(t)) continue;
-        const auto outcome = m.step(t);
-        task.last_known[i] = outcome.sample.value;
-        if (outcome.local_violation) {
-          ++counters.local_violations;
-          if (rng.bernoulli(faults.report_loss_at(t))) {
-            ++counters.lost_reports;
-          } else {
-            ++surviving_reports;
-          }
-        }
-      }
-
-      if (surviving_reports > 0) {
-        ++counters.global_polls;
-        bool stale = false;
-        double sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool down = faults.in_outage(i, t);
-          const bool dropped =
-              !down && rng.bernoulli(faults.response_loss_at(t));
-          if (down || dropped) {
-            if (dropped) ++counters.lost_responses;
-            stale = true;
-            sum += task.last_known[i];
-            continue;
-          }
-          const auto outcome = task.monitors[i]->force_sample(t);
-          task.last_known[i] = outcome.sample.value;
-          sum += outcome.sample.value;
-        }
-        if (stale) ++counters.stale_polls;
-        if (sum > task.spec.global_threshold) {
-          task.detected[static_cast<std::size_t>(t)] = 1;
-          ++counters.alerts;
-        }
-      }
-
-      if (t >= task.next_update) {
-        task.next_update = t + task.spec.updating_period;
-        std::vector<CoordStats> stats;
-        stats.reserve(n);
-        for (auto& m : task.monitors) stats.push_back(m->drain_coord_stats());
-        task.allocation = task.allocator->allocate(
-            task.spec.error_allowance, task.allocation, stats);
-        for (std::size_t i = 0; i < n; ++i)
-          task.monitors[i]->set_error_allowance(task.allocation[i]);
-        ++counters.reallocations;
-      }
-    }
-
+  SimDriver::Hooks hooks;
+  hooks.after_tick = [&](Tick t) {
     if (scenario.snapshot_every > 0 && t > 0 &&
         t % scenario.snapshot_every == 0)
       emit_snapshot(t);
-
     // Phase boundary: the phase [start, end) is scored once tick end-1 ran.
     if (t + 1 == phases[phase_index].end) {
       end_phase(phases[phase_index]);
       ++phase_index;
       if (phase_index < phases.size()) begin_phase();
     }
-  }
+  };
+  begin_phase();
+  driver.run(events, hooks);
 
+  report.epochs = driver.epochs();
   check_epochs_monotone(report);
   {
     InvariantCheck check;
     check.name = "registry_version_matches";
+    const std::uint64_t version = driver.registry().version();
     const std::uint64_t expected =
         report.epochs.empty() ? 0 : report.epochs.back();
-    check.pass = registry.version() == expected;
-    check.detail = "version=" + std::to_string(registry.version()) +
+    check.pass = version == expected;
+    check.detail = "version=" + std::to_string(version) +
                    " last_epoch=" + std::to_string(expected);
     report.global_checks.push_back(std::move(check));
   }
@@ -825,14 +619,11 @@ SoakReport run_scenario_net(const Scenario& input,
       budget.detail = "skipped (phase shorter than " +
                       std::to_string(min_window) + " ticks)";
     } else {
-      const auto score =
-          score_episodes(truth, detected, phase.start, phase.end);
+      RunResult score;
+      score_detection(score, truth, detected, phase.start, phase.end);
       const double cap = boot.error_allowance + tolerance;
-      budget.pass = score.miss_rate() <= cap;
-      budget.detail = "miss=" + fmt_double(score.miss_rate()) + " (" +
-                      std::to_string(score.detected) + "/" +
-                      std::to_string(score.episodes) + " episodes) budget=" +
-                      fmt_double(cap);
+      budget.pass = score.episode_miss_rate() <= cap;
+      budget.detail = budget_detail(score, cap);
     }
     out.checks.push_back(std::move(budget));
     report.phases.push_back(std::move(out));

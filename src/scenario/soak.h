@@ -4,12 +4,14 @@
 //
 // Two execution modes share one report shape:
 //
-//  * sim — a fault-aware tick loop over the composed series (the
-//    run_volley_faulty semantics of sim/faults.cpp generalized to a churning
-//    task set): monitors sample through outage windows, violation reports
-//    and poll responses drop with the scenario's windowed probabilities,
-//    per-task allowance reallocation runs on each task's updating period,
-//    and control-plane churn mutates a control::TaskRegistry mid-run. The
+//  * sim — the sim tick driver (sim/driver.h) over the composed series,
+//    with the scenario's churn schedule and its fault model
+//    (build_sim_fault_model): monitors go dark through outage windows,
+//    violation reports and poll responses drop with the windowed
+//    probabilities, each task reallocates allowance once per updating
+//    period counted from its arrival, and control-plane churn mutates a
+//    control::TaskRegistry mid-run. Invariants and snapshots read the
+//    driver's live tasks at tick and phase boundaries. The
 //    whole run is a pure function of {scenario, seed}: re-running produces a
 //    byte-identical report (SoakReport::to_json), which is what the replay
 //    discipline and the CI regression assertions stand on.

@@ -3,8 +3,8 @@
 // The sharded tiers slice a task's monitor set into contiguous,
 // near-equal-size subsets: shard s owns the global monitor indices
 // [begin, end). Contiguity keeps the global id order recoverable from
-// (shard, local index) — the sharded runner reports per-monitor results in
-// the same order as the flat runner — and near-equal sizes keep every
+// (shard, local index) — a sharded sim run reports per-monitor results in
+// the same order as a flat one — and near-equal sizes keep every
 // shard's poll cost within one monitor of n/S.
 //
 // The placement is a pure function of (monitors, shards): the same inputs

@@ -96,6 +96,9 @@ class ShardedCoordinator {
   /// Root escalations: ticks where some shard aggregate exceeded its T_s
   /// and the root polled every shard. Always 0 with shards == 1.
   std::int64_t escalations() const { return escalations_; }
+  /// Shard polls plus root escalations: with one shard escalations are 0
+  /// and this is exactly the flat coordinator's count.
+  std::int64_t global_polls() const { return shard_polls() + escalations_; }
   /// Root-level state alerts (aggregate > T).
   std::int64_t global_violations() const;
   /// Shard-local reallocation rounds plus root rounds.

@@ -1,39 +1,20 @@
-// Fault injection for distributed monitoring runs.
+// Fault plans for distributed monitoring runs.
 //
-// The Volley paper assumes reliable messaging; its companion work
-// ("Reliable state monitoring in cloud datacenters", IEEE CLOUD 2012,
-// cited as [22]) studies what message loss and node outages do to state
-// monitoring accuracy. This driver reproduces that concern for Volley:
-// it runs the standard monitor/coordinator protocol while dropping
-// violation reports, dropping poll responses, and taking monitors offline
-// for windows of time — and accounts for the resulting detection loss.
-//
-// Semantics:
-//  * violation_report_loss — each local-violation report independently
-//    fails to reach the coordinator; if no report of a tick survives, no
-//    global poll happens that tick.
-//  * poll_response_loss    — each polled monitor's response independently
-//    fails; the coordinator then uses that monitor's last known value
-//    (stale data, exactly what a timeout fallback does).
-//  * outages               — a down monitor neither samples nor answers
-//    polls; the coordinator keeps using its last known value.
+// FaultPlan is the constant-rate plan of the sim fault experiments
+// (bench_faults): report loss, response loss and monitor outages with the
+// semantics of core/fault_model.h, which it builds. NetFaultPlan carries the
+// same message semantics onto the wire runtime's chaos proxy.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/fault_model.h"
 #include "core/task.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 
 namespace volley {
-
-struct MonitorOutage {
-  std::size_t monitor{0};
-  Tick start{0};
-  Tick end{0};  // exclusive
-};
 
 struct FaultPlan {
   double violation_report_loss{0.0};  // in [0, 1)
@@ -45,6 +26,9 @@ struct FaultPlan {
   /// inverted/empty (`end <= start`) or overlapping same-monitor outage
   /// windows.
   void validate() const;
+
+  /// The sim fault model: the rates as one window over the whole run.
+  FaultModel model() const;
 };
 
 /// Fault plan for the *wire* runtime (net/chaos_proxy.h): the same message
@@ -82,7 +66,8 @@ struct FaultyRunResult {
 };
 
 /// Like run_volley, but under the fault plan. Uses the adaptive allowance
-/// allocator (the paper's default scheme).
+/// allocator (the paper's default scheme). The run is scoped like run_volley:
+/// metrics_json covers this run only.
 FaultyRunResult run_volley_faulty(const TaskSpec& spec,
                                   std::span<const TimeSeries> monitor_series,
                                   std::span<const double> local_thresholds,

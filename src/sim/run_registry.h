@@ -1,5 +1,5 @@
-// Per-run metrics-registry scoping shared by the experiment drivers
-// (sim/runner.cpp) and the sharded drivers (shard/runner.cpp).
+// Per-run metrics-registry scoping for the sim drivers (sim/driver.cpp and
+// the loops of sim/runner.cpp).
 #pragma once
 
 #include <utility>

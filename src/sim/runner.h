@@ -1,11 +1,15 @@
-// Experiment drivers: run a monitoring task (Volley or periodic baseline)
-// over trace series and produce the RunResult metrics the figures report.
+// Experiment entry points: run a monitoring task (Volley or periodic
+// baseline) over trace series and produce the RunResult metrics the figures
+// report.
 //
-// These are synchronous tick loops over the task's default-interval grid —
-// the exact semantics of the testbed: at every tick each due monitor
-// samples, local violations trigger a coordinator global poll, and the
-// coordinator reallocates error allowance once per updating period.
-// (The event-queue simulator in sim/simulation.h runs the same Coordinator
+// run_volley, run_volley_single and run_dynamic_tasks are adapters over the
+// one tick driver (sim/driver.h) — the exact semantics of the testbed: at
+// every tick each due monitor samples, local violations trigger a
+// coordinator global poll, and the coordinator reallocates error allowance
+// once per updating period. run_periodic and run_correlated_group keep
+// their own loops: the first is a closed form over the aggregate, the
+// second gates samplers by correlation with no coordinator or poll. (The
+// event-queue simulator in sim/simulation.h runs the same Coordinator
 // objects at datacenter scale with heterogeneous default intervals.)
 #pragma once
 
@@ -16,26 +20,16 @@
 #include "core/coordinator.h"
 #include "core/correlation.h"
 #include "core/task.h"
+#include "sim/driver.h"
 #include "sim/experiment.h"
 #include "trace/trace.h"
 
 namespace volley {
 
-enum class AllocatorKind {
-  kNone,      // keep the initial even split forever
-  kEven,      // re-divide evenly every period (Figure 8 "even")
-  kAdaptive,  // yield-proportional iterative tuning (Figure 8 "adapt")
-};
-
-struct RunOptions {
-  AllocatorKind allocator{AllocatorKind::kAdaptive};
-  bool record_ops{false};        // fill RunResult::op_ticks
-  bool record_intervals{false};  // fill RunResult::interval_trajectory
-};
-
 /// Runs Volley over a distributed task: one monitor per series, with the
 /// given local thresholds (must sum to the spec's global threshold for the
-/// no-communication-when-quiet property to hold; this is asserted).
+/// no-communication-when-quiet property to hold; this is asserted), on the
+/// coordinator shape options.shards selects.
 ///
 /// Every run executes under a *private* metrics registry (obs/metrics.h):
 /// RunResult::metrics_json snapshots only the run's own counters, and the
@@ -99,26 +93,6 @@ CorrelatedGroupResult run_correlated_group(
 
 // --- dynamic task churn ---------------------------------------------------
 
-/// A mid-run change to the task set of run_dynamic_tasks: a task arriving
-/// (with its spec) or departing at a given tick. Arrivals take effect
-/// before the tick runs; departures stop the task from running that tick.
-struct TaskChurnEvent {
-  enum class Kind { kArrive, kDepart };
-  Kind kind{Kind::kArrive};
-  Tick tick{0};
-  TaskId task{0};
-  TaskSpec spec{};  // kArrive only
-};
-
-/// Canonical application order for churn events: ascending tick, departures
-/// before arrivals at the same tick (so a task id can be retired and
-/// re-added in one tick), ascending task id within each group. The ordering
-/// is a pure function of the events themselves — never of how they were
-/// produced — which is what makes scenario replays deterministic across
-/// producer thread counts and collection orders.
-std::vector<TaskChurnEvent> canonical_churn_order(
-    std::vector<TaskChurnEvent> events);
-
 /// Seed-derived random churn schedule: `arrivals` task instances with ids
 /// `first_task, first_task + 1, ...`, each arriving at a tick drawn
 /// uniformly from [0, ticks-1] and holding for a uniform
@@ -169,7 +143,9 @@ struct DynamicRunResult {
 /// order a generator emitted it in. An arrival for a live id or a departure
 /// for an unknown id throws. Use it to measure the adaptation cost of task
 /// churn — how a freshly arrived task's sampling cost converges while
-/// standing tasks keep their tuned intervals.
+/// standing tasks keep their tuned intervals. Each instance is scored over
+/// its own window; its metrics_json stays empty (the run shares one
+/// registry).
 DynamicRunResult run_dynamic_tasks(std::span<const TimeSeries> monitor_series,
                                    std::span<const TaskChurnEvent> events,
                                    AllocatorKind allocator =

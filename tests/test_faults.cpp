@@ -1,4 +1,5 @@
-// Tests for the fault-injection driver and the threshold-split strategies:
+// Tests for fault injection (the fault model and run_volley_faulty) and the
+// threshold-split strategies:
 // graceful degradation under message loss, stale-value fallbacks during
 // outages, and the conditioning properties of the split strategies.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "core/threshold_split.h"
 #include "sim/faults.h"
+#include "sim/runner.h"
 
 namespace volley {
 namespace {
@@ -88,6 +90,8 @@ TEST(NetFaultPlan, Validation) {
   EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
+// An empty plan is the reliable protocol: every RunResult field, the
+// run-scoped metrics snapshot included, equals run_volley's.
 TEST(FaultyRun, NoFaultsMatchesHealthyDetection) {
   std::vector<TimeSeries> series{
       noisy_series(4000, 1, 0.1, 2000, 5.0, 60),
@@ -95,10 +99,76 @@ TEST(FaultyRun, NoFaultsMatchesHealthyDetection) {
   const std::vector<double> locals{2.0, 2.0};
   const auto faulty =
       run_volley_faulty(spec_for(4.0), series, locals, FaultPlan{});
+  const auto healthy = run_volley(spec_for(4.0), series, locals);
   EXPECT_EQ(faulty.lost_reports, 0);
   EXPECT_EQ(faulty.lost_responses, 0);
+  EXPECT_EQ(faulty.stale_polls, 0);
+  EXPECT_EQ(faulty.outage_monitor_ticks, 0);
   EXPECT_GT(faulty.run.true_episodes, 0);
   EXPECT_EQ(faulty.run.detected_episodes, faulty.run.true_episodes);
+
+  const RunResult& a = faulty.run;
+  const RunResult& b = healthy;
+  EXPECT_EQ(a.ticks, b.ticks);
+  EXPECT_EQ(a.monitors, b.monitors);
+  EXPECT_EQ(a.scheduled_ops, b.scheduled_ops);
+  EXPECT_EQ(a.forced_ops, b.forced_ops);
+  EXPECT_EQ(a.total_cost, b.total_cost);
+  EXPECT_EQ(a.true_alert_ticks, b.true_alert_ticks);
+  EXPECT_EQ(a.detected_alert_ticks, b.detected_alert_ticks);
+  EXPECT_EQ(a.true_episodes, b.true_episodes);
+  EXPECT_EQ(a.detected_episodes, b.detected_episodes);
+  EXPECT_EQ(a.local_violations, b.local_violations);
+  EXPECT_EQ(a.global_polls, b.global_polls);
+  EXPECT_EQ(a.reallocations, b.reallocations);
+  EXPECT_EQ(a.op_ticks, b.op_ticks);
+  EXPECT_EQ(a.interval_trajectory, b.interval_trajectory);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+}
+
+// RunResult::metrics_json is run-scoped for fault runs too: a second
+// identical run in the same process reports the same counters, not a
+// cumulative total.
+TEST(FaultyRun, RepeatedRunsReportIdenticalMetrics) {
+  std::vector<TimeSeries> series{
+      noisy_series(3000, 17, 0.05, 1500, 5.0, 50),
+      noisy_series(3000, 18, 0.05)};
+  const std::vector<double> locals{2.0, 2.0};
+  FaultPlan plan;
+  plan.violation_report_loss = 0.2;
+  plan.poll_response_loss = 0.2;
+  plan.outages.push_back(MonitorOutage{1, 400, 600});
+  const auto first = run_volley_faulty(spec_for(4.0), series, locals, plan);
+  const auto second = run_volley_faulty(spec_for(4.0), series, locals, plan);
+  EXPECT_FALSE(first.run.metrics_json.empty());
+  EXPECT_EQ(first.run.metrics_json, second.run.metrics_json);
+  EXPECT_EQ(first.lost_reports, second.lost_reports);
+  EXPECT_EQ(first.lost_responses, second.lost_responses);
+}
+
+TEST(FaultModel, OutageWindowsOfOneMonitorCountOnce) {
+  // Two overlapping windows on monitor 0 (as two fault profiles hitting
+  // one monitor produce), one on monitor 2.
+  const FaultModel faults({}, {{0, 10, 30}, {0, 20, 40}, {2, 5, 8}}, 1);
+  EXPECT_FALSE(faults.down(0, 9));
+  EXPECT_TRUE(faults.down(0, 10));
+  EXPECT_TRUE(faults.down(0, 39));
+  EXPECT_FALSE(faults.down(0, 40));
+  EXPECT_FALSE(faults.down(1, 20));
+  EXPECT_TRUE(faults.down(2, 7));
+  EXPECT_FALSE(faults.down(7, 7));  // no windows at all
+  EXPECT_EQ(faults.outage_ticks(0, 0, 100), 30);
+  EXPECT_EQ(faults.outage_ticks(0, 25, 35), 10);
+  EXPECT_EQ(faults.outage_ticks(2, 0, 6), 1);
+  EXPECT_EQ(faults.outage_ticks(1, 0, 100), 0);
+}
+
+TEST(FaultModel, OverlappingLossWindowsComposeAsIndependentDrops) {
+  const FaultModel faults({{0, 100, 0.5, 0.0}, {50, 150, 0.5, 0.2}}, {}, 1);
+  EXPECT_DOUBLE_EQ(faults.report_loss_at(10), 0.5);
+  EXPECT_DOUBLE_EQ(faults.report_loss_at(60), 0.75);
+  EXPECT_DOUBLE_EQ(faults.response_loss_at(60), 0.2);
+  EXPECT_DOUBLE_EQ(faults.report_loss_at(200), 0.0);
 }
 
 TEST(FaultyRun, ReportLossDropsDetections) {
