@@ -16,10 +16,10 @@
 // (near threshold — the blocked/SIMD product loop has to run). Every
 // variant's outputs are asserted bitwise equal to the scalar loop's.
 //
-// Part 3 — a mixed fleet of 200 tasks on the discrete-event simulator with
-// the paper's default-interval mix (1 s application, 5 s system, 15 s
-// network tasks) and occasional bursts that force global polls, reporting
-// events/sec.
+// Part 3 — a mixed fleet of 200 four-monitor tasks with the paper's
+// default-interval mix (1 s application, 5 s system, 15 s network tasks)
+// and occasional bursts that force global polls, reporting task ticks
+// ("events") per second.
 //
 // VOLLEY_BENCH_QUICK=1 shrinks all parts to smoke size. Emits
 // BENCH_scale.json (schema checked by the CI bench-smoke job). The
@@ -44,7 +44,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
 #include "sim/experiment.h"
-#include "sim/simulation.h"
 
 namespace volley {
 namespace {
@@ -291,7 +290,10 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
   return out;
 }
 
-// --- Part 3: mixed-interval fleet on the event queue ------------------
+// --- Part 3: mixed-interval fleet ------------------------------------
+//
+// Tasks are independent coordinators, so each advances over its own tick
+// count; an event is one task tick.
 
 struct SimOutcome {
   std::uint64_t events{0};
@@ -307,9 +309,10 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon) {
     constexpr std::size_t kMonitorsPerTask = 4;
     constexpr double kIds[] = {1.0, 5.0, 15.0};  // app / system / network
 
-    std::vector<std::vector<std::unique_ptr<CallableSource>>> sources;
-    sources.reserve(tasks);
-    Simulation sim;
+    std::vector<std::unique_ptr<CallableSource>> sources;
+    sources.reserve(tasks * kMonitorsPerTask);
+    std::vector<std::unique_ptr<Coordinator>> coordinators;
+    std::vector<Tick> task_ticks;
     for (std::size_t task = 0; task < tasks; ++task) {
       const double id_seconds = kIds[task % 3];
       const Tick ticks = static_cast<Tick>(horizon / id_seconds);
@@ -325,14 +328,13 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon) {
 
       const auto thresholds =
           split_threshold(spec.global_threshold, kMonitorsPerTask);
-      std::vector<std::unique_ptr<CallableSource>> task_sources;
       std::vector<std::unique_ptr<Monitor>> monitors;
       for (std::size_t i = 0; i < kMonitorsPerTask; ++i) {
         const std::uint64_t key = task * kMonitorsPerTask + i;
         // Mildly noisy baseline with rare bursts past the local threshold:
         // the bursts trigger local violations and global polls, so the
         // poll + index-rebuild path is timed too.
-        task_sources.push_back(std::make_unique<CallableSource>(
+        sources.push_back(std::make_unique<CallableSource>(
             [key](Tick t) {
               const std::uint64_t h = mix(key, static_cast<std::uint64_t>(t));
               double v = 1.0 + 0.05 * static_cast<double>(h & 1023u) / 1024.0;
@@ -341,20 +343,20 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon) {
             },
             ticks + 1));
         monitors.push_back(std::make_unique<Monitor>(
-            static_cast<MonitorId>(i), *task_sources.back(),
+            static_cast<MonitorId>(i), *sources.back(),
             spec.sampler_options(spec.error_allowance), thresholds[i]));
       }
-      auto coordinator = std::make_unique<Coordinator>(
-          spec, std::move(monitors), std::make_unique<EvenAllocation>());
-      // Real fleets are not phase-aligned: stagger task starts.
-      const double offset =
-          id_seconds * static_cast<double>(task % 8) / 8.0;
-      sim.add_task(std::move(coordinator), id_seconds, ticks, offset);
-      sources.push_back(std::move(task_sources));
+      coordinators.push_back(std::make_unique<Coordinator>(
+          spec, std::move(monitors), std::make_unique<EvenAllocation>()));
+      task_ticks.push_back(ticks);
     }
 
     const double t0 = bench::now_seconds();
-    out.events = sim.run(horizon + 60.0);
+    for (std::size_t task = 0; task < tasks; ++task) {
+      for (Tick t = 0; t < task_ticks[task]; ++t)
+        coordinators[task]->run_tick(t);
+      out.events += static_cast<std::uint64_t>(task_ticks[task]);
+    }
     out.run_seconds = bench::now_seconds() - t0;
   }
   return out;

@@ -5,9 +5,8 @@
 // integer count of Id (Section III-A). We make that unit a strong type,
 // `Tick`, so interval arithmetic cannot be accidentally mixed with seconds.
 //
-// The discrete-event simulator (src/sim) and socket runtime (src/net) work
-// in seconds (`SimTime`); conversion happens only at the task layer, where
-// each task knows its Id in seconds.
+// The socket runtime (src/net) works in seconds (`SimTime`); conversion
+// happens only at the task layer, where each task knows its Id in seconds.
 #pragma once
 
 #include <cstdint>

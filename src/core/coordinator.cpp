@@ -78,7 +78,8 @@ void Coordinator::due_index_insert(MonitorId id, Tick next) {
   // The ring slot is derived from the cached cursor slot instead of
   // `next % window_`: window_ is not a compile-time constant, so a real
   // division here costs more than scanning a handful of monitors would —
-  // small tasks in the event-driven fleet pay it on every sample.
+  // small tasks (bench_scale Part 3's 4-monitor fleet) pay it on every
+  // sample.
   auto offset = static_cast<std::size_t>(next - cursor_);
   if (offset >= window_) offset %= window_;  // never taken by the invariant
   std::size_t slot = cursor_slot_ + offset;

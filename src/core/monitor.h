@@ -3,12 +3,12 @@
 // keeps the bookkeeping the coordinator needs (sampling-operation counts and
 // the averaged r_i / e_i coordination statistics of Section IV-B).
 //
-// Time is driven externally (by core::Coordinator for synchronous runs, by
-// sim::EventQueue for the datacenter simulation, or by the socket runtime):
-// the owner calls `due(t)` / `step(t)` each tick. A *global poll* forces an
-// out-of-schedule sample via `force_sample(t)`; forced samples feed the
-// estimator too (they are real observations) and reschedule the next
-// scheduled sample, so the poll's cost buys fresher statistics.
+// Time is driven externally (by core::Coordinator in every sim run, or by
+// the socket runtime): the owner calls `due(t)` / `step(t)` each tick. A
+// *global poll* forces an out-of-schedule sample via `force_sample(t)`;
+// forced samples feed the estimator too (they are real observations) and
+// reschedule the next scheduled sample, so the poll's cost buys fresher
+// statistics.
 #pragma once
 
 #include <cstdint>

@@ -8,9 +8,7 @@
 // coordinator global poll, and the coordinator reallocates error allowance
 // once per updating period. run_periodic and run_correlated_group keep
 // their own loops: the first is a closed form over the aggregate, the
-// second gates samplers by correlation with no coordinator or poll. (The
-// event-queue simulator in sim/simulation.h runs the same Coordinator
-// objects at datacenter scale with heterogeneous default intervals.)
+// second gates samplers by correlation with no coordinator or poll.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,6 @@
 #include "core/error_allocation.h"
 #include "core/likelihood.h"
 #include "sim/runner.h"
-#include "sim/simulation.h"
 
 namespace volley {
 namespace {
@@ -216,63 +215,6 @@ TEST_P(ThresholdSplit, LocalSafetyImpliesGlobalSafety) {
 
 INSTANTIATE_TEST_SUITE_P(MonitorCounts, ThresholdSplit,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 40));
-
-// ---------------------------------------------------------------------
-// Driver equivalence: the synchronous runner and the discrete-event
-// Simulation advance the same Coordinator logic, so the same task on the
-// same data must produce bit-identical accounting under both drivers.
-class DriverEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(DriverEquivalence, SyncAndEventQueueAgree) {
-  const int seed = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 31 + 5);
-  const Tick ticks = 3000;
-  std::vector<TimeSeries> series;
-  for (int m = 0; m < 3; ++m) {
-    TimeSeries s(static_cast<std::size_t>(ticks));
-    double x = 0.0;
-    for (Tick t = 0; t < ticks; ++t) {
-      x = 0.9 * x + rng.normal(0.0, 0.3);
-      s[static_cast<std::size_t>(t)] = x;
-    }
-    series.push_back(std::move(s));
-  }
-  const TimeSeries aggregate = TimeSeries::sum(series);
-  TaskSpec spec;
-  spec.global_threshold = aggregate.threshold_for_selectivity(1.0);
-  spec.error_allowance = 0.03;
-  spec.max_interval = 12;
-  spec.updating_period = 500;
-  const auto locals = split_threshold(spec.global_threshold, series.size());
-
-  // Synchronous driver.
-  const auto sync = run_volley(spec, series, locals);
-
-  // Event-queue driver over an identical coordinator.
-  std::vector<std::unique_ptr<SeriesSource>> sources;
-  std::vector<std::unique_ptr<Monitor>> monitors;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    sources.push_back(std::make_unique<SeriesSource>(series[i]));
-    monitors.push_back(std::make_unique<Monitor>(
-        static_cast<MonitorId>(i), *sources[i],
-        spec.sampler_options(spec.error_allowance), locals[i]));
-  }
-  Simulation sim;
-  const auto task = sim.add_task(
-      std::make_unique<Coordinator>(spec, std::move(monitors),
-                                    std::make_unique<AdaptiveAllocation>()),
-      15.0, ticks);
-  sim.run(1e12);
-
-  const Coordinator& coordinator = sim.coordinator(task);
-  EXPECT_EQ(coordinator.total_ops(), sync.total_ops());
-  EXPECT_EQ(coordinator.global_polls(), sync.global_polls);
-  EXPECT_EQ(coordinator.global_violations(), sync.detected_alert_ticks);
-  EXPECT_EQ(coordinator.reallocations(), sync.reallocations);
-  EXPECT_EQ(sim.stats(task).ticks_run, ticks);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DriverEquivalence, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace volley

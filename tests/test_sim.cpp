@@ -1,222 +1,16 @@
-// Unit tests for the simulation substrate: event queue, Dom0 cost model,
-// datacenter topology, ground truth and detection scoring.
+// Unit tests for the simulation substrate: Dom0 cost model, datacenter
+// topology, ground truth and detection scoring.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
-#include <memory>
-
-#include "core/metric_source.h"
 #include "sim/cost_model.h"
 #include "sim/datacenter.h"
-#include "sim/event_queue.h"
 #include "sim/experiment.h"
-#include "sim/simulation.h"
 
 namespace volley {
 namespace {
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.run_until(10.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 10.0);
-}
-
-TEST(EventQueue, TiesRunInSchedulingOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.run_until(1.0);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, HorizonStopsExecution) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&] { ++ran; });
-  q.schedule_at(5.0, [&] { ++ran; });
-  EXPECT_EQ(q.run_until(2.0), 1u);
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  q.run_until(10.0);
-  EXPECT_EQ(ran, 2);
-}
-
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  int ran = 0;
-  const auto id = q.schedule_at(1.0, [&] { ++ran; });
-  q.schedule_at(2.0, [&] { ++ran; });
-  q.cancel(id);
-  EXPECT_EQ(q.pending(), 1u);
-  q.run_until(10.0);
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop) {
-  EventQueue q;
-  q.schedule_at(1.0, [] {});
-  q.cancel(9999);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  std::vector<double> times;
-  std::function<void()> reschedule = [&] {
-    times.push_back(q.now());
-    if (times.size() < 5) q.schedule_after(2.0, reschedule);
-  };
-  q.schedule_at(0.0, reschedule);
-  q.run_until(100.0);
-  ASSERT_EQ(times.size(), 5u);
-  EXPECT_DOUBLE_EQ(times[4], 8.0);
-}
-
-TEST(EventQueue, PastSchedulingThrows) {
-  EventQueue q;
-  q.schedule_at(5.0, [] {});
-  q.run_until(5.0);
-  EXPECT_THROW(q.schedule_at(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_at(6.0, nullptr), std::invalid_argument);
-}
-
-TEST(EventQueue, StepRunsExactlyOne) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&] { ++ran; });
-  q.schedule_at(2.0, [&] { ++ran; });
-  EXPECT_TRUE(q.step());
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(q.step());
-  EXPECT_FALSE(q.step());
-}
-
-TEST(EventQueue, CancelHeavyHeapStaysBounded) {
-  // Regression: cancel used to leave dead events (and their captured
-  // closures) in the heap until their position was popped. Compaction must
-  // keep the record count within a small factor of the live count, and a
-  // cancelled callback's captures must be freed at cancel time.
-  EventQueue q;
-  auto witness = std::make_shared<int>(0);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(100000);
-  for (int i = 0; i < 100000; ++i) {
-    ids.push_back(
-        q.schedule_at(static_cast<double>(i % 997), [witness] { ++*witness; }));
-  }
-  EXPECT_EQ(q.pending(), 100000u);
-  EXPECT_EQ(witness.use_count(), 100001);
-  for (const auto id : ids) q.cancel(id);
-  EXPECT_EQ(q.pending(), 0u);
-  // All 100k closures destroyed eagerly, not deferred to pop time.
-  EXPECT_EQ(witness.use_count(), 1);
-  // Compaction bound: dead records never exceed half the heap, so an empty
-  // queue holds at most one straggler.
-  EXPECT_LE(q.heap_records(), 1u);
-  q.run_until(1000.0);
-  EXPECT_EQ(*witness, 0);
-}
-
-TEST(EventQueue, InterleavedCancelKeepsHeapBounded) {
-  // Steady-state schedule/cancel churn (a fault plan arming and disarming
-  // timeouts): the heap must stay within 2x the live population + 1.
-  EventQueue q;
-  std::vector<std::uint64_t> live;
-  int ran = 0;
-  for (int round = 0; round < 2000; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      live.push_back(
-          q.schedule_after(1.0 + (round * 50 + i) % 13, [&] { ++ran; }));
-    }
-    // Cancel all but one per round.
-    for (std::size_t i = live.size() - 50; i < live.size() - 1; ++i) {
-      q.cancel(live[i]);
-    }
-    live.erase(live.end() - 50, live.end() - 1);
-    ASSERT_LE(q.heap_records(), 2 * q.pending() + 1) << "round " << round;
-  }
-  EXPECT_EQ(q.pending(), 2000u);
-  q.run_until(1e9);
-  EXPECT_EQ(ran, 2000);
-}
-
-TEST(EventQueue, StaleIdNeverTouchesRecycledSlot) {
-  // Ids are generation-checked: once an event runs, its id is dead forever,
-  // even after the slot is reused by a newer event.
-  EventQueue q;
-  int first = 0, second = 0;
-  const auto stale = q.schedule_at(1.0, [&] { ++first; });
-  q.run_until(1.0);
-  EXPECT_EQ(first, 1);
-  // The freed slot is recycled by the next schedule.
-  q.schedule_at(2.0, [&] { ++second; });
-  q.cancel(stale);  // must NOT cancel the new occupant
-  EXPECT_EQ(q.pending(), 1u);
-  q.run_until(3.0);
-  EXPECT_EQ(second, 1);
-  // Double-cancel of a live id is also single-shot.
-  int third = 0;
-  const auto id = q.schedule_at(4.0, [&] { ++third; });
-  q.cancel(id);
-  q.cancel(id);
-  EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, SmallCapturesStayInline) {
-  // The capture shapes the simulator actually schedules (a this-pointer, a
-  // reference, a double) must take the no-allocation inline path; outsized
-  // captures spill to the heap and still run correctly.
-  struct Small {
-    void* a;
-    void* b;
-    double c;
-    void operator()() const {}
-  };
-  EventQueue::Callback small(Small{nullptr, nullptr, 1.0});
-  EXPECT_FALSE(small.on_heap());
-
-  struct Big {
-    double payload[16];
-    int* counter;
-    void operator()() const { ++*counter; }
-  };
-  static_assert(sizeof(Big) > EventQueue::Callback::kInlineCapacity);
-  int ran = 0;
-  EventQueue q;
-  Big big{};
-  big.counter = &ran;
-  EventQueue::Callback cb(big);
-  EXPECT_TRUE(cb.on_heap());
-  q.schedule_at(1.0, std::move(cb));
-  q.run_until(1.0);
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, TieBreakSurvivesCancelCompaction) {
-  // Cancelling enough events to trigger compaction must not disturb the
-  // (when, seq) order of the survivors.
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(q.schedule_at(5.0, [&order, i] { order.push_back(i); }));
-  }
-  for (int i = 0; i < 1000; ++i) {
-    if (i % 3 != 0) q.cancel(ids[static_cast<std::size_t>(i)]);
-  }
-  q.run_until(5.0);
-  std::vector<int> expected;
-  for (int i = 0; i < 1000; i += 3) expected.push_back(i);
-  EXPECT_EQ(order, expected);
-}
 
 TEST(CostModel, OpCostIsAffineInPackets) {
   CostModelOptions o;
@@ -347,78 +141,6 @@ TEST(ScoreDetection, NoAlertsMeansZeroMissRate) {
   score_detection(r, truth, detected);
   EXPECT_DOUBLE_EQ(r.tick_miss_rate(), 0.0);
   EXPECT_DOUBLE_EQ(r.episode_miss_rate(), 0.0);
-}
-
-namespace sim_test {
-
-std::unique_ptr<Coordinator> make_task(const MetricSource& source,
-                                       double threshold) {
-  TaskSpec spec;
-  spec.global_threshold = threshold;
-  spec.error_allowance = 0.05;
-  spec.max_interval = 8;
-  spec.patience = 2;
-  std::vector<std::unique_ptr<Monitor>> monitors;
-  monitors.push_back(std::make_unique<Monitor>(
-      0, source, spec.sampler_options(0.05), threshold));
-  return std::make_unique<Coordinator>(spec, std::move(monitors), nullptr);
-}
-
-}  // namespace sim_test
-
-TEST(Simulation, RunsTasksForTheirFullLength) {
-  CallableSource quiet([](Tick) { return 0.0; }, 100);
-  Simulation sim;
-  const auto a = sim.add_task(sim_test::make_task(quiet, 10.0), 15.0, 100);
-  const auto b = sim.add_task(sim_test::make_task(quiet, 10.0), 5.0, 50);
-  sim.run(1e9);
-  EXPECT_EQ(sim.stats(a).ticks_run, 100);
-  EXPECT_EQ(sim.stats(b).ticks_run, 50);
-  // Virtual time advanced to the horizon; the longest task spans 1500 s.
-  EXPECT_GE(sim.now(), 15.0 * 99);
-}
-
-TEST(Simulation, HorizonLimitsProgress) {
-  CallableSource quiet([](Tick) { return 0.0; }, 1000);
-  Simulation sim;
-  const auto a = sim.add_task(sim_test::make_task(quiet, 10.0), 1.0, 1000);
-  sim.run(100.0);
-  // Ticks at t = 0, 1, ..., 100 have fired (time is seconds = ticks here;
-  // the adaptive interval does not change virtual-time spacing of run_tick
-  // events, only which of them sample).
-  EXPECT_EQ(sim.stats(a).ticks_run, 101);
-  sim.run(1e9);
-  EXPECT_EQ(sim.stats(a).ticks_run, 1000);
-}
-
-TEST(Simulation, CountsAlerts) {
-  CallableSource spiky([](Tick t) { return t == 7 ? 50.0 : 0.0; }, 20);
-  Simulation sim;
-  const auto a = sim.add_task(sim_test::make_task(spiky, 10.0), 1.0, 20);
-  sim.run(1e9);
-  EXPECT_EQ(sim.stats(a).alerts, 1);
-  EXPECT_EQ(sim.coordinator(a).global_polls(), 1);
-}
-
-TEST(Simulation, StaggeredTasksInterleaveDeterministically) {
-  CallableSource quiet([](Tick) { return 0.0; }, 10);
-  Simulation sim;
-  sim.add_task(sim_test::make_task(quiet, 10.0), 1.0, 10, 0.5);
-  sim.add_task(sim_test::make_task(quiet, 10.0), 1.0, 10, 0.0);
-  const auto events = sim.run(1e9);
-  EXPECT_EQ(events, 20u);
-}
-
-TEST(Simulation, RejectsBadArguments) {
-  Simulation sim;
-  CallableSource quiet([](Tick) { return 0.0; }, 10);
-  EXPECT_THROW(sim.add_task(nullptr, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(sim.add_task(sim_test::make_task(quiet, 1.0), 0.0, 10),
-               std::invalid_argument);
-  EXPECT_THROW(sim.add_task(sim_test::make_task(quiet, 1.0), 1.0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(sim.add_task(sim_test::make_task(quiet, 1.0), 1.0, 10, -1.0),
-               std::invalid_argument);
 }
 
 TEST(RunResult, SamplingRatioAgainstPeriodicReference) {
