@@ -228,9 +228,7 @@ SoakReport run_scenario_sim(const Scenario& input,
   report.monitors = n;
   report.boot_threshold = boot.global_threshold;
 
-  // Every task's updating period runs from its arrival.
-  SimDriver driver(series, RunOptions{}, {}, &faults,
-                   /*periods_from_arrival=*/true);
+  SimDriver driver(series, RunOptions{}, {}, &faults);
 
   // Per-phase state: totals and per-instance monitor ops at phase entry,
   // keyed by epoch. An instance arriving mid-phase started from zero ops.

@@ -42,7 +42,8 @@ struct ShardMetrics {
 
 ShardedCoordinator::ShardedCoordinator(
     const TaskSpec& spec, std::vector<std::unique_ptr<Monitor>> monitors,
-    std::size_t shards, const AllocatorFactory& allocator_factory)
+    std::size_t shards, const AllocatorFactory& allocator_factory,
+    Tick start)
     : spec_(spec) {
   spec_.validate();
   if (monitors.empty())
@@ -76,11 +77,12 @@ ShardedCoordinator::ShardedCoordinator(
       subset.push_back(std::move(monitors[i]));
     shards_.push_back(std::make_unique<Coordinator>(
         shard_spec, std::move(subset),
-        allocator_factory ? allocator_factory(range.size()) : nullptr));
+        allocator_factory ? allocator_factory(range.size()) : nullptr,
+        nullptr, start));
   }
   if (shards > 1 && allocator_factory)
     root_allocator_ = allocator_factory(shards);
-  next_root_update_ = spec_.updating_period;
+  next_root_update_ = start + spec_.updating_period;
 }
 
 const Monitor& ShardedCoordinator::monitor(std::size_t i) const {

@@ -64,10 +64,13 @@ class ShardedCoordinator {
   /// contiguous_placement. With shards == 1 the spec is used verbatim for
   /// the single shard (the flat-identity case); otherwise shard s gets
   /// T_s = Σ of its monitors' local thresholds and err_s = err · n_s/n.
+  /// Every reallocation clock — each shard's and the root's — first fires
+  /// at `start + updating_period`, as Coordinator's does.
   ShardedCoordinator(const TaskSpec& spec,
                      std::vector<std::unique_ptr<Monitor>> monitors,
                      std::size_t shards,
-                     const AllocatorFactory& allocator_factory);
+                     const AllocatorFactory& allocator_factory,
+                     Tick start = 0);
 
   /// Advances every shard by one tick, then runs the root tier: escalation
   /// (poll all shards when any shard's aggregate exceeded its T_s) and the

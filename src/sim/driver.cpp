@@ -102,10 +102,10 @@ void SimTask::add_to(SimTotals& totals) const {
 SimDriver::SimDriver(std::span<const TimeSeries> series,
                      const RunOptions& options,
                      std::span<const double> local_thresholds,
-                     FaultModel* faults, bool periods_from_arrival)
+                     FaultModel* faults)
     : options_(options),
       local_thresholds_(local_thresholds.begin(), local_thresholds.end()),
-      faults_(faults), periods_from_arrival_(periods_from_arrival) {
+      faults_(faults) {
   if (series.empty()) throw std::invalid_argument("SimDriver: no monitors");
   ticks_ = series.front().ticks();
   for (const auto& s : series) {
@@ -151,12 +151,11 @@ SimTask SimDriver::make_task(const TaskChurnEvent& event,
   task.arrived_ = t;
   const auto allocators = make_allocator_factory(options_.allocator);
   if (options_.shards == 0) {
-    task.flat_ = std::make_unique<Coordinator>(
-        spec, std::move(monitors), allocators(n), faults_,
-        periods_from_arrival_ ? t : 0);
+    task.flat_ = std::make_unique<Coordinator>(spec, std::move(monitors),
+                                               allocators(n), faults_, t);
   } else {
     task.sharded_ = std::make_unique<shard::ShardedCoordinator>(
-        spec, std::move(monitors), options_.shards, allocators);
+        spec, std::move(monitors), options_.shards, allocators, t);
   }
   task.detected_.assign(static_cast<std::size_t>(ticks_), 0);
   if (options_.record_ops || options_.record_intervals)
@@ -220,15 +219,8 @@ SimTotals SimDriver::run(std::span<const TaskChurnEvent> raw_events,
   // the event set alone, independent of producer ordering.
   const std::vector<TaskChurnEvent> events = canonical_churn_order(
       std::vector<TaskChurnEvent>(raw_events.begin(), raw_events.end()));
-  if (options_.shards > 0) {
-    if (faults_)
-      throw std::invalid_argument(
-          "SimDriver: sharded × faults is not supported");
-    if (events.size() != 1 || events[0].tick != 0 ||
-        events[0].kind != TaskChurnEvent::Kind::kArrive)
-      throw std::invalid_argument(
-          "SimDriver: sharded × churn is not supported");
-  }
+  if (options_.shards > 0 && faults_)
+    throw std::invalid_argument("SimDriver: sharded × faults is not supported");
 
   return with_run_registry([&] {
     std::size_t next_event = 0;

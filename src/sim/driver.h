@@ -16,9 +16,10 @@
 // The parameters are the coordinator shape (RunOptions::shards), the
 // allocator, an optional fault model shared by every task, the churn
 // schedule, and the scorer: the on_retire hook scores each task as it
-// leaves, with the one windowed scorer of sim/experiment.h. Shape
-// combinations no caller uses throw std::invalid_argument naming the
-// combination: sharded × faults and sharded × churn.
+// leaves, with the one windowed scorer of sim/experiment.h. Every task's
+// updating-period clock starts at its arrival, as a net MonitorNode's does
+// on TaskAttach. Sharded × faults throws std::invalid_argument: the shard
+// tier has no fault semantics.
 //
 // A run executes under one run-scoped metrics registry (run_registry.h),
 // hooks included, and is a pure function of its inputs: fault draws come
@@ -156,12 +157,9 @@ class SimDriver {
   /// task's
   /// per-monitor thresholds (they must sum to the task's T); empty splits
   /// every task's T evenly. `faults` must outlive the driver.
-  /// `periods_from_arrival` starts a task's updating-period clock at its
-  /// arrival (the scenario soak) instead of at tick 0 (run_dynamic_tasks);
-  /// it only matters for tasks arriving after tick 0.
   SimDriver(std::span<const TimeSeries> series, const RunOptions& options,
             std::span<const double> local_thresholds = {},
-            FaultModel* faults = nullptr, bool periods_from_arrival = false);
+            FaultModel* faults = nullptr);
 
   /// Runs [0, ticks) under `events`, given in any order; call once per
   /// driver. An arrival for a live id or a departure of an unknown id
@@ -190,7 +188,6 @@ class SimDriver {
   RunOptions options_;
   std::vector<double> local_thresholds_;
   FaultModel* faults_{nullptr};
-  bool periods_from_arrival_{false};
   Tick ticks_{0};
   Tick ticks_run_{0};
 

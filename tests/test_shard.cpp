@@ -23,6 +23,7 @@
 #include "shard/sharded_coordinator.h"
 #include "sim/faults.h"
 #include "sim/runner.h"
+#include "sim_grid.h"
 
 namespace volley {
 namespace {
@@ -216,9 +217,9 @@ TEST(ShardedRunner, ShardsContainLocalViolationsAndStillDetect) {
   EXPECT_LT(sharded.forced_ops, flat.forced_ops);
 }
 
-// The sharded shape has no fault or churn caller yet; the driver names the
+// The shard tier has no fault semantics yet; the driver names the
 // combination instead of running it.
-TEST(ShardedRunner, RejectsShardedFaultsAndShardedChurn) {
+TEST(ShardedRunner, RejectsShardedFaults) {
   std::vector<TimeSeries> series;
   for (std::size_t i = 0; i < 4; ++i)
     series.push_back(quiet_series(200, 700 + i, 0.1, 0.02));
@@ -236,16 +237,51 @@ TEST(ShardedRunner, RejectsShardedFaultsAndShardedChurn) {
     EXPECT_NE(std::string(e.what()).find("sharded × faults"),
               std::string::npos);
   }
+}
 
-  const std::vector<TaskChurnEvent> churn{
-      boot, {TaskChurnEvent::Kind::kArrive, 50, 1, spec}};
-  SimDriver churned(series, options);
-  try {
-    churned.run(churn, {});
-    ADD_FAILURE() << "sharded × churn ran";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("sharded × churn"),
-              std::string::npos);
+// Under churn a single shard is still the flat coordinator: the golden
+// churn schedule gives every retired instance the same accounting and the
+// same detection flags, so the shard tier's reallocation clock starts at
+// the instance's arrival exactly as the flat one does.
+TEST(ShardedRunner, SingleShardChurnMatchesFlat) {
+  struct Retired {
+    TaskId id;
+    std::uint64_t epoch;
+    Tick arrived;
+    Tick end;
+    RunResult result;
+    std::vector<char> detected;
+  };
+  const auto series = grid::churn_series();
+  const auto events = grid::churn_events();
+  const auto run = [&](std::size_t shards) {
+    RunOptions options;
+    options.record_ops = true;
+    options.record_intervals = true;
+    options.shards = shards;
+    SimDriver driver(series, options);
+    std::vector<Retired> retired;
+    SimDriver::Hooks hooks;
+    hooks.on_retire = [&](const SimTask& task, Tick end) {
+      retired.push_back({task.id(), task.epoch(), task.arrived(), end,
+                         task.result(end),
+                         {task.detected().begin(), task.detected().end()}});
+    };
+    driver.run(events, hooks);
+    return retired;
+  };
+  const auto flat = run(0);
+  const auto sharded = run(1);
+  ASSERT_EQ(flat.size(), 8u);
+  ASSERT_EQ(sharded.size(), flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    SCOPED_TRACE(flat[i].id);
+    EXPECT_EQ(sharded[i].id, flat[i].id);
+    EXPECT_EQ(sharded[i].epoch, flat[i].epoch);
+    EXPECT_EQ(sharded[i].arrived, flat[i].arrived);
+    EXPECT_EQ(sharded[i].end, flat[i].end);
+    expect_identical_results(flat[i].result, sharded[i].result);
+    EXPECT_EQ(sharded[i].detected, flat[i].detected);
   }
 }
 
