@@ -17,11 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "scenario/scenario.h"
 #include "scenario/soak.h"
 #include "sim/faults.h"
 #include "sim/runner.h"
+#include "sim_grid.h"
 
 namespace volley {
 namespace {
@@ -70,66 +70,32 @@ std::string digest(const RunResult& r, bool with_metrics = true) {
   return out.str();
 }
 
-// n monitors of low noise, one fleet-wide violation window per 1000 ticks
-// and, on every fourth monitor, a local spike train that stays under T.
-std::vector<TimeSeries> grid_series(std::size_t n, Tick ticks,
-                                    std::uint64_t seed) {
-  std::vector<TimeSeries> series;
-  for (std::size_t m = 0; m < n; ++m) {
-    Rng rng(seed * 1000 + m);
-    TimeSeries s(static_cast<std::size_t>(ticks));
-    for (Tick t = 0; t < ticks; ++t) {
-      double v =
-          0.1 + rng.normal(0.0, 0.004 + 0.002 * static_cast<double>(m % 5));
-      if (t % 1000 >= 700 && t % 1000 < 730) v += 0.45;
-      if (m % 4 == 0 && (t + 97 * static_cast<Tick>(m)) % 900 < 4) v += 1.0;
-      s[static_cast<std::size_t>(t)] = v;
-    }
-    series.push_back(std::move(s));
-  }
-  return series;
-}
-
-TaskSpec grid_spec(std::size_t n) {
-  TaskSpec spec;
-  spec.global_threshold = 0.5 * static_cast<double>(n);
-  spec.error_allowance = 0.2;
-  spec.max_interval = 16;
-  spec.patience = 5;
-  spec.updating_period = 400;
-  return spec;
-}
-
-std::vector<double> grid_thresholds(std::size_t n) {
-  return std::vector<double>(n, 0.5);
-}
-
 std::map<std::string, std::string> compute_entries() {
   std::map<std::string, std::string> out;
   constexpr Tick kTicks = 3000;
 
   // Flat run_volley at 2, 20 and 64 monitors, with op/interval recording.
   for (const std::size_t n : {2u, 20u, 64u}) {
-    const auto series = grid_series(n, kTicks, 11);
+    const auto series = grid::series(n, kTicks, 11);
     RunOptions options;
     options.record_ops = true;
     options.record_intervals = true;
     out["volley/m" + std::to_string(n)] = digest(
-        run_volley(grid_spec(n), series, grid_thresholds(n), options));
+        run_volley(grid::spec(n), series, grid::thresholds(n), options));
   }
   {
-    const auto series = grid_series(20, kTicks, 12);
+    const auto series = grid::series(20, kTicks, 12);
     RunOptions options;
     options.allocator = AllocatorKind::kEven;
-    out["volley/m20_even"] =
-        digest(run_volley(grid_spec(20), series, grid_thresholds(20), options));
+    out["volley/m20_even"] = digest(
+        run_volley(grid::spec(20), series, grid::thresholds(20), options));
     options.allocator = AllocatorKind::kNone;
-    out["volley/m20_none"] =
-        digest(run_volley(grid_spec(20), series, grid_thresholds(20), options));
+    out["volley/m20_none"] = digest(
+        run_volley(grid::spec(20), series, grid::thresholds(20), options));
   }
   {
-    const auto series = grid_series(1, kTicks, 13);
-    TaskSpec spec = grid_spec(1);
+    const auto series = grid::series(1, kTicks, 13);
+    TaskSpec spec = grid::spec(1);
     RunOptions options;
     options.record_ops = true;
     options.record_intervals = true;
@@ -151,20 +117,20 @@ std::map<std::string, std::string> compute_entries() {
                  {"sharded/s4_m80", 80, 4},
                  {"sharded/s4_m256", 256, 4}};
   for (const auto& shape : sharded) {
-    const auto series = grid_series(shape.monitors, kTicks, 11);
+    const auto series = grid::series(shape.monitors, kTicks, 11);
     RunOptions options;
     options.shards = shape.shards;
     options.record_ops = true;
     options.record_intervals = true;
-    out[shape.name] = digest(run_volley(
-        grid_spec(shape.monitors), series, grid_thresholds(shape.monitors),
-        options));
+    out[shape.name] = digest(
+        run_volley(grid::spec(shape.monitors), series,
+                   grid::thresholds(shape.monitors), options));
   }
 
   // Faults: empty plan, each kind alone, all three. metrics_json is left
   // out (fault runs executed outside a run-scoped registry).
   {
-    const auto series = grid_series(8, kTicks, 15);
+    const auto series = grid::series(8, kTicks, 15);
     FaultPlan report;
     report.violation_report_loss = 0.3;
     FaultPlan response;
@@ -185,8 +151,8 @@ std::map<std::string, std::string> compute_entries() {
                  {"faulty/outage", &outage},
                  {"faulty/all", &all}};
     for (const auto& p : plans) {
-      const auto r = run_volley_faulty(grid_spec(8), series,
-                                       grid_thresholds(8),
+      const auto r = run_volley_faulty(grid::spec(8), series,
+                                       grid::thresholds(8),
                                        p.plan ? *p.plan : FaultPlan{});
       out[p.name] = digest(r.run, false) + " lost_reports=" +
                     std::to_string(r.lost_reports) + " lost_responses=" +
@@ -198,18 +164,8 @@ std::map<std::string, std::string> compute_entries() {
 
   // Dynamic task churn over a seed-derived schedule plus a standing task.
   {
-    const auto series = grid_series(6, 5000, 16);
-    ChurnScheduleOptions schedule;
-    schedule.seed = 21;
-    schedule.ticks = 5000;
-    schedule.arrivals = 7;
-    schedule.hold_min = 300;
-    schedule.hold_max = 1800;
-    schedule.spec = grid_spec(6);
-    schedule.spec.global_threshold *= 1.1;
-    auto events = make_churn_schedule(schedule);
-    events.push_back(
-        {TaskChurnEvent::Kind::kArrive, 0, 0, grid_spec(6)});
+    const auto series = grid::churn_series();
+    const auto events = grid::churn_events();
     const auto run = run_dynamic_tasks(series, events);
     std::string all = "version=" + std::to_string(run.registry_version) +
                       " arrivals=" + std::to_string(run.arrivals) +
@@ -244,10 +200,6 @@ std::map<std::string, std::string> compute_entries() {
 
 TEST(GoldenRuns, DigestsMatchCommittedGrid) {
   const auto actual = compute_entries();
-  {
-    std::ofstream dump("sim_runs.actual.txt", std::ios::trunc);
-    for (const auto& [name, line] : actual) dump << name << ' ' << line << '\n';
-  }
   std::ifstream in(std::string(VOLLEY_GOLDEN_DIR) + "/sim_runs.txt");
   ASSERT_TRUE(in.good()) << "missing tests/golden/sim_runs.txt";
   std::map<std::string, std::string> expected;
@@ -268,6 +220,10 @@ TEST(GoldenRuns, DigestsMatchCommittedGrid) {
   for (const auto& [name, line] : actual) {
     EXPECT_TRUE(expected.count(name))
         << "entry missing from golden file: " << name << ' ' << line;
+  }
+  if (actual != expected) {
+    std::ofstream dump("sim_runs.actual.txt", std::ios::trunc);
+    for (const auto& [name, line] : actual) dump << name << ' ' << line << '\n';
   }
 }
 
