@@ -55,7 +55,6 @@ AggregatorNode::AggregatorNode(const AggregatorNodeOptions& options)
   down.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
   down.staleness_bound_ms = options.staleness_bound_ms;
   down.registry_path = options.registry_path;
-  down.uring = options.uring;
   // A settled subset poll above T_s is the shard's local violation one
   // level up; queue it for the upstream leg (this fires on the embedded
   // coordinator's thread).

@@ -78,9 +78,6 @@ struct AggregatorNodeOptions {
   int heartbeat_timeout_ms{2000};
   int staleness_bound_ms{6000};
   std::string registry_path{};
-  /// Embedded coordinator's readiness backend (DESIGN.md §14): -1 follows
-  /// VOLLEY_URING.
-  int uring{-1};
   // Upstream client knobs (see MonitorNodeOptions).
   int heartbeat_interval_ms{500};
   int summary_interval_ms{500};

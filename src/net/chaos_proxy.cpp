@@ -151,11 +151,8 @@ void ChaosProxy::flush(Link& link, std::int64_t now) {
 //
 // One loop for every link: they share one fault-injection RNG, so the
 // drop/delay/split decisions follow one order — the determinism the fault
-// suites replay against. The readiness backend (epoll / io_uring via
-// VOLLEY_URING) still applies.
+// suites replay against.
 void ChaosProxy::run() {
-  VLOG_INFO("chaos_proxy", "reactor backend: ",
-            backend_name(reactor_.backend()));
   reactor_.add_fd(listener_.fd(), [this](std::uint32_t) { on_accept(); });
   while (!stop_.load()) {
     reactor_.run_once(-1);

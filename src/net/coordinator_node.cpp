@@ -91,8 +91,7 @@ double liveness_code(MonitorLiveness s) {
 
 CoordinatorNode::CoordinatorNode(const CoordinatorNodeOptions& options)
     : options_(options),
-      listener_(options.port),
-      reactor_(resolve_backend(options.uring)) {
+      listener_(options.port) {
   if (options.monitors == 0)
     throw std::invalid_argument("CoordinatorNode: monitors > 0");
   if (options.heartbeat_timeout_ms <= 0)

@@ -83,10 +83,6 @@ struct CoordinatorNodeOptions {
   /// When non-empty, the task registry persists to `<path>.snapshot` /
   /// `<path>.journal` and is restored from them on construction.
   std::string registry_path{};
-  /// Readiness backend: -1 follows VOLLEY_URING, 0 forces epoll, 1 forces
-  /// io_uring (falls back to epoll when unsupported; benches force both
-  /// in one process).
-  int uring{-1};
   // --- shard tier (DESIGN.md §13) -----------------------------------------
   /// Total downstream weight behind this coordinator's sessions. A *root*
   /// coordinator over S aggregators sets monitors = S and total_weight = the

@@ -327,10 +327,8 @@ MonitorNode::ServiceResult MonitorNode::wait_tick(Tick t,
 }
 
 void MonitorNode::run() {
-  // One loop per monitor: it owns a single upstream connection. The
-  // readiness backend (epoll / io_uring via VOLLEY_URING) applies to the
-  // tick waits and socket dispatch alike.
-  VLOG_DEBUG("monitor", "reactor backend: ", backend_name(reactor_.backend()));
+  // One loop per monitor: it owns a single upstream connection, and the
+  // same reactor drives the tick waits and socket dispatch alike.
   backoff_ms_ = options_.reconnect_backoff_ms;
   next_attempt_ms_ = now_ms();
   if (try_attach_session(/*resume=*/false)) {

@@ -9,24 +9,14 @@
 // timer or the next byte of I/O — zero wakeups in between — instead of
 // polling on a fixed tick.
 //
-// Backends (DESIGN.md §14): the readiness engine is pluggable behind this
-// interface.
-//  * kEpoll — level-triggered epoll, the identity baseline. One epoll_ctl
-//    syscall per interest change, one epoll_wait per turn.
-//  * kUring — io_uring (raw syscalls, no liburing): every interest change
-//    (add/remove/want-write flips) becomes a batched POLL_ADD / POLL_REMOVE
-//    submission and the whole batch rides the single io_uring_enter that
-//    also waits for completions — a loop turn costs one syscall no matter
-//    how many fds were (re)armed. Poll adds are one-shot and re-armed after
-//    dispatch; a fresh arm re-checks current readiness (vfs_poll), so the
-//    semantics stay exactly level-triggered epoll's. Selected by
-//    `VOLLEY_URING` (set and not "0") when the kernel supports it; the
-//    fallback to epoll is silent and visible via backend().
+// Readiness is level-triggered epoll: one epoll_ctl syscall per interest
+// change, one epoll_wait (epoll_pwait2 for sub-millisecond bounds) per
+// turn, and each turn dispatches straight from the kernel's event batch.
 //
 // Threading: everything except wakeup() is confined to the loop thread
 // (the thread calling run_once). wakeup() is safe from any thread: it
-// writes an eventfd registered with the readiness engine, so another
-// thread can nudge a sleeping loop (request_stop does this).
+// writes an eventfd registered with epoll, so another thread can nudge a
+// sleeping loop (request_stop does this).
 #pragma once
 
 #include <chrono>
@@ -39,28 +29,9 @@
 
 namespace volley::net {
 
-/// Readiness engine behind the Reactor interface.
-enum class ReactorBackend { kEpoll, kUring };
-
-/// True when VOLLEY_URING is set (and not "0"): prefer the io_uring
-/// backend where the build and the kernel support it.
-bool uring_from_env();
-
-/// Compile-time (<linux/io_uring.h> present) + runtime (io_uring_setup
-/// probe) support check; cached after the first call.
-bool uring_supported();
-
-/// Per-node tri-state: negative = follow VOLLEY_URING, 0 = epoll,
-/// positive = io_uring (benches force both backends in one process
-/// regardless of the environment).
-ReactorBackend resolve_backend(int override_flag);
-
-const char* backend_name(ReactorBackend backend);
-
 class Reactor {
  public:
-  /// Raw epoll-style event mask; use readable()/writable()/hangup() to
-  /// decode (identical bit values on both backends).
+  /// Raw epoll event mask; use readable()/writable()/hangup() to decode.
   using IoHandler = std::function<void(std::uint32_t events)>;
   using TimerCallback = std::function<void()>;
   using TimerId = std::uint64_t;
@@ -71,16 +42,10 @@ class Reactor {
   /// returns 0/err) so handlers observe EOF through their normal path.
   static bool hangup(std::uint32_t events);
 
-  /// Backend from the environment (VOLLEY_URING), epoll otherwise.
   Reactor();
-  /// Forced backend; silently falls back to epoll when io_uring is
-  /// unavailable (check backend() for what actually runs).
-  explicit Reactor(ReactorBackend requested);
   ~Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
-
-  ReactorBackend backend() const { return backend_; }
 
   // --- fd registration ----------------------------------------------------
 
@@ -127,10 +92,10 @@ class Reactor {
   /// (0 on a pure timeout or wakeup()).
   int run_once(int max_wait_ms = -1);
 
-  /// run_once with a sub-millisecond wait bound (epoll_pwait2 / io_uring
-  /// EXT_ARG timespec where the kernel offers it, nonblocking-poll +
-  /// nanosleep otherwise) — the monitor's compressed tick cadence is 100s
-  /// of microseconds.
+  /// run_once with a sub-millisecond wait bound (epoll_pwait2 where the
+  /// kernel offers it, epoll_wait rounded up to whole milliseconds
+  /// otherwise) — the monitor's compressed tick cadence is 100s of
+  /// microseconds.
   int run_once_for(std::chrono::nanoseconds max_wait);
 
   /// Nudges a sleeping loop from any thread (eventfd write).
@@ -160,18 +125,6 @@ class Reactor {
     std::int64_t due_ms{0};
   };
 
-  /// Per-fd registration: `mask` is the epoll-style interest set. `gen`
-  /// and `armed` are io_uring bookkeeping — gen stamps every POLL_ADD's
-  /// user_data so completions for a superseded registration (remove/re-add,
-  /// want-write flips) are recognizably stale, and `armed` tracks whether a
-  /// one-shot poll is currently in flight.
-  struct FdEntry {
-    std::shared_ptr<IoHandler> handler;
-    std::uint32_t mask{0};
-    std::uint32_t gen{0};
-    bool armed{false};
-  };
-
   static constexpr std::size_t kWheelSlots = 512;  // power of two
   static constexpr std::int64_t kWheelResMs = 1;
   static constexpr std::int64_t kWheelSpanMs =
@@ -183,29 +136,16 @@ class Reactor {
 
   /// Fires every timer due by `now` and advances the wheel cursor.
   int advance_wheel(std::int64_t now);
-  int dispatch_events(int n);
   int wait_and_dispatch(std::int64_t wait_ns);
-  int epoll_wait_collect(std::int64_t wait_ns);
+  /// epoll_ctl ADD/MOD with the read (+ write) interest set; counted.
+  void set_interest(int op, int fd, bool want_write);
   void refresh_loop_stats();
 
-  // io_uring backend (reactor.cpp; nullptr on the epoll backend).
-  struct Uring;
-  void uring_arm(int fd, FdEntry& entry);
-  void uring_cancel(int fd, std::uint32_t gen);
-  int uring_wait_collect(std::int64_t wait_ns);
-
-  ReactorBackend backend_{ReactorBackend::kEpoll};
   int epoll_fd_{-1};
   int wake_fd_{-1};
-  std::unordered_map<int, FdEntry> handlers_;
-  std::unique_ptr<Uring> uring_;
-
-  /// Readiness batch collected by the backend, dispatched backend-agnostically.
-  struct ReadyEvent {
-    int fd{0};
-    std::uint32_t events{0};
-  };
-  std::vector<ReadyEvent> ready_;
+  /// Registered handlers; each is a shared_ptr so a dispatch in progress
+  /// keeps the object it pinned across update_handler / remove_fd.
+  std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_;
 
   std::unordered_map<TimerId, TimerCallback> timers_;
   std::vector<std::vector<WheelEntry>> wheel_{kWheelSlots};
