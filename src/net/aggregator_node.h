@@ -2,18 +2,19 @@
 // AggregatorNode owns a shard of the monitor fleet and speaks both sides of
 // the wire protocol.
 //
-//   monitors  --Hello-->  [embedded CoordinatorNode]   (downstream leg)
-//   aggregator --ShardHello--> root coordinator        (upstream leg)
+//   monitors  --Hello-->  [embedded CoordinatorNode]   (downstream)
+//   aggregator --ShardHello--> root coordinator        (upstream link)
 //
-// Downstream, the node embeds a full CoordinatorNode on its own thread: the
-// shard's monitors connect to it and it runs the complete single-tier
-// protocol over the subset — adaptive sampling, local violations, subset
-// polls against the shard's threshold slice T_s, and AIMD allowance
-// reallocation within the shard's budget err_s. Nothing about a monitor
-// changes when it reports to an aggregator instead of a root coordinator
-// (the topology is invisible one level down).
+// Downstream, the node embeds a full CoordinatorNode: the shard's monitors
+// connect to it and it runs the complete single-tier protocol over the
+// subset — adaptive sampling, local violations, subset polls against the
+// shard's threshold slice T_s, and AIMD allowance reallocation within the
+// shard's budget err_s. Nothing about a monitor changes when it reports to
+// an aggregator instead of a root coordinator (the topology is invisible
+// one level down).
 //
-// Upstream, the node is a super-monitor of weight n_s:
+// Upstream, the node is a super-monitor of weight n_s, speaking through
+// the same UpstreamLink a MonitorNode uses (net/upstream_link.h):
 //  * ShardHello{shard, monitors} announces the shard and its weight; the
 //    root slices threshold and budget by weight (T·w/W, err·w/W).
 //  * A downstream alert (subset aggregate > T_s) escalates as
@@ -26,34 +27,30 @@
 //    stats compress into a ShardSummary{r, e, yield, allowance_used} frame —
 //    the root feeds (r, e) to the identical allocation algorithm it would
 //    run over raw monitors.
-//  * ShardAllowance (the root's budget push) loops back into the embedded
-//    coordinator over its own control port, rescaling the shard's live
+//  * ShardAllowance (the root's budget push) goes straight into the
+//    embedded coordinator's control path, rescaling the shard's live
 //    allowance split in place — no sampler restarts.
 //  * Task control fans through: TaskAttach/TaskDetach from the root replay
 //    as AddTask/UpdateTask/RemoveTask against the embedded registry, gated
 //    by the root's epochs so replays and stale pushes are no-ops.
 //
-// Resilience mirrors MonitorNode: heartbeats upstream, capped-backoff
-// reconnect with ShardHello{resume}, and a root loss leaves the shard
-// running standalone (monitors keep their subset guarantees) to completion.
+// One thread, one loop: the link lives on the embedded coordinator's
+// reactor and calls the coordinator in-process. Resilience is the link's:
+// heartbeats, capped-backoff reconnect with ShardHello{resume}, and a root
+// loss leaves the shard running standalone (monitors keep their subset
+// guarantees) to completion.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
-#include "common/clock.h"
-#include "common/rng.h"
 #include "net/coordinator_node.h"
-#include "net/framing.h"
 #include "net/messages.h"
-#include "net/socket.h"
+#include "net/upstream_link.h"
 
 namespace volley::net {
 
@@ -96,80 +93,47 @@ class AggregatorNode {
   /// The downstream listener port monitors connect to.
   std::uint16_t port() const { return downstream_->port(); }
 
-  /// Blocking: runs the embedded coordinator (own thread) and the upstream
-  /// leg until the shard's monitors finish and the root acknowledges (or the
-  /// shutdown grace expires / the root is lost).
+  /// Blocking: runs the shard until its monitors finish, then reports the
+  /// shard's Bye upstream and waits for the root's Shutdown (or the
+  /// shutdown grace / a lost root).
   void run();
 
   /// Asks a running node to stop: the embedded coordinator drops its
-  /// sessions (a crash, as CoordinatorNode::request_stop) and the upstream
-  /// leg exits without a Bye.
+  /// sessions (a crash, as CoordinatorNode::request_stop) and the node
+  /// exits without a Bye. Safe from any thread.
   void request_stop();
 
   // Results, valid after run() returns.
   const CoordinatorNode& downstream() const { return *downstream_; }
   std::int64_t escalations() const { return escalations_; }
   std::int64_t summaries_sent() const { return summaries_sent_; }
-  std::int64_t reconnects() const { return reconnects_; }
-  bool coordinator_lost() const { return coordinator_lost_; }
+  std::int64_t reconnects() const { return link_.reconnects(); }
+  bool coordinator_lost() const { return link_.lost(); }
 
  private:
-  struct PendingAlert {
-    TaskId task{0};
-    Tick tick{0};
-    double value{0.0};
-  };
-
-  bool send(const Message& message);
-  bool try_attach_session(bool resume);
-  void drop_connection();
-  void maybe_reconnect(std::int64_t now);
-  void heartbeat_if_due(std::int64_t now);
-  void summaries_if_due(std::int64_t now);
-  void drain_alerts();
-  /// Waits up to `timeout_ms` for upstream readability, then drains and
-  /// handles every buffered frame. False when the link dropped.
-  void service_upstream(int timeout_ms);
-  void handle_upstream(const Message& message);
+  /// A settled subset poll above T_s: the shard's local violation one
+  /// level up.
+  void escalate(TaskId task, Tick tick, double value);
+  /// Sends every live task's ShardSummary, then re-arms for the next
+  /// summary interval.
+  void send_summaries();
+  void on_frame(const Message& message);
   void apply_attach(const TaskAttach& attach);
   void apply_detach(const TaskDetach& detach);
-  /// One control round-trip against the embedded coordinator's own port
-  /// (the loopback path ShardAllowance and task fan-through ride).
-  std::optional<Message> control_roundtrip(const Message& request);
 
   AggregatorNodeOptions options_;
   std::unique_ptr<CoordinatorNode> downstream_;
-  std::atomic<bool> downstream_done_{false};
+  UpstreamLink link_;  // on downstream_'s reactor
   std::atomic<bool> stop_{false};
-
-  std::mutex alerts_mu_;
-  std::vector<PendingAlert> pending_alerts_;
+  bool shutdown_received_{false};
 
   /// The root's epoch per task id (tombstones included), gating the
   /// attach/detach fan-through exactly like MonitorNode::known_epochs_.
   std::map<TaskId, std::uint64_t> upstream_epochs_;
   std::set<TaskId> downstream_tasks_;  // live in the embedded registry
 
-  // Upstream connection state (only touched from run()'s thread).
-  TcpConnection conn_;
-  FrameReader reader_;
-  bool connected_{false};
-  bool ever_connected_{false};
-  bool coordinator_lost_{false};
-  bool bye_sent_{false};
-  bool shutdown_received_{false};
-  std::int64_t bye_sent_ms_{0};
-  std::int64_t last_rx_ms_{0};
-  std::int64_t last_heartbeat_ms_{0};
-  std::int64_t last_summary_ms_{0};
-  std::uint64_t heartbeat_seq_{0};
-  int backoff_ms_{0};
-  std::int64_t next_attempt_ms_{0};
-  int failed_attempts_{0};
   std::int64_t escalations_{0};
   std::int64_t summaries_sent_{0};
-  std::int64_t reconnects_{0};
-  Rng jitter_rng_;
 };
 
 }  // namespace volley::net

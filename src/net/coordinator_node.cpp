@@ -69,7 +69,7 @@ struct NetCoordinatorMetrics {
 
 /// The allowance push for one session: monitors get AllowanceUpdate (their
 /// sampler applies it directly); shard sessions get ShardAllowance (the
-/// aggregator loops it back to its embedded coordinator's budget).
+/// aggregator applies it to its embedded coordinator's budget).
 Message allowance_frame(bool shard, TaskId task, double value) {
   if (shard) return ShardAllowance{task, value};
   return AllowanceUpdate{value, task};
@@ -147,10 +147,6 @@ CoordinatorNode::TaskRuntime& CoordinatorNode::install_task_runtime(
   for (const auto& [id, session] : sessions_) {
     (void)session;
     rt.allowance.emplace(id, weighted_share(rt, id));
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard_export_mu_);
-    shard_export_[record.id].budget = record.spec.error_allowance;
   }
   return rt;
 }
@@ -270,6 +266,9 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
     ++fault_stats_.stale_polls;
     NetCoordinatorMetrics::get().stale_polls->inc();
   }
+  // Exported before the alert fires, so an embedding aggregator answers
+  // the root's escalation poll with this aggregate.
+  rt.last_aggregate = sum;
   const double threshold = rt.record.spec.global_threshold;
   if (sum > threshold) {
     alerts_.push_back(GlobalAlert{rt.active_poll_tick, sum, task});
@@ -277,12 +276,6 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
     obs::trace().record(obs::TraceKind::kAlertRaised, rt.active_poll_tick,
                         task, sum, threshold);
     if (options_.on_alert) options_.on_alert(task, rt.active_poll_tick, sum);
-  }
-  {
-    // Export the settled aggregate for an embedding aggregator's upstream
-    // PollResponses (the root polls shards for their subset sums).
-    std::lock_guard<std::mutex> lock(shard_export_mu_);
-    shard_export_[task].last_aggregate = sum;
   }
   {
     std::lock_guard<std::mutex> lock(poll_settle_mu_);
@@ -328,17 +321,12 @@ void CoordinatorNode::maybe_reallocate(TaskId task, TaskRuntime& rt) {
               allowance_frame(session.shard, task, next[i]));
     }
   }
-  {
-    // Accumulate this round's (r, e) sums for the upstream ShardSummary:
-    // the root runs the identical allocator over these per-shard sums.
-    std::lock_guard<std::mutex> lock(shard_export_mu_);
-    ShardExport& ex = shard_export_[task];
-    for (const CoordStats& s : stats) {
-      ex.r_sum += s.avg_gain;
-      ex.e_sum += s.avg_allowance;
-      ex.observations += s.observations;
-    }
-    ex.budget = budget;
+  // Accumulate this round's (r, e) sums for the upstream ShardSummary:
+  // the root runs the identical allocator over these per-shard sums.
+  for (const CoordStats& s : stats) {
+    rt.export_r += s.avg_gain;
+    rt.export_e += s.avg_allowance;
+    rt.export_observations += s.observations;
   }
   rt.pending_stats.clear();
   ++reallocations_;
@@ -490,10 +478,6 @@ ControlReply CoordinatorNode::apply_remove(const RemoveTask& request) {
   if (result.ok()) {
     persist_and_trace(*result.op);
     tasks_.erase(request.task);
-    {
-      std::lock_guard<std::mutex> lock(shard_export_mu_);
-      shard_export_.erase(request.task);
-    }
     broadcast(TaskDetach{request.task, result.epoch});
     VLOG_INFO("coordinator", "task ", request.task, " removed at epoch ",
               result.epoch);
@@ -515,6 +499,9 @@ ControlReply CoordinatorNode::apply_shard_allowance(
   }
   TaskRuntime& rt = it->second;
   const double err = request.error_allowance;
+  // Store the budget first: an all-zero split (after a budget of 0) falls
+  // back to the even weighted split of the *new* budget.
+  rt.record.spec.error_allowance = err;
   // Rescale the live split proportionally: relative shares (the adaptive
   // allocator's learned state) survive the budget change.
   double sum = 0.0;
@@ -525,7 +512,6 @@ ControlReply CoordinatorNode::apply_shard_allowance(
   for (auto& [id, a] : rt.allowance) {
     a = sum > 0.0 ? a * err / sum : weighted_share(rt, id);
   }
-  rt.record.spec.error_allowance = err;
   for (auto& [id, session] : sessions_) {
     if (!session.connected || session.done ||
         session.state == MonitorLiveness::kDead) {
@@ -534,39 +520,33 @@ ControlReply CoordinatorNode::apply_shard_allowance(
     send_to(id, session,
             allowance_frame(session.shard, request.task, rt.allowance[id]));
   }
-  {
-    std::lock_guard<std::mutex> lock(shard_export_mu_);
-    shard_export_[request.task].budget = err;
-  }
   VLOG_INFO("coordinator", "task ", request.task, " budget set to ", err);
   return ControlReply{control::ControlStatus::kOk, rt.record.epoch,
                       registry_.version(), {}};
 }
 
 double CoordinatorNode::shard_aggregate(TaskId task) const {
-  std::lock_guard<std::mutex> lock(shard_export_mu_);
-  const auto it = shard_export_.find(task);
-  return it != shard_export_.end() ? it->second.last_aggregate : 0.0;
+  const auto it = tasks_.find(task);
+  return it != tasks_.end() ? it->second.last_aggregate : 0.0;
 }
 
 std::vector<ShardSummary> CoordinatorNode::drain_shard_summaries(
     std::uint32_t shard_id) {
   std::vector<ShardSummary> out;
-  std::lock_guard<std::mutex> lock(shard_export_mu_);
-  out.reserve(shard_export_.size());
-  for (auto& [task, ex] : shard_export_) {
+  out.reserve(tasks_.size());
+  for (auto& [task, rt] : tasks_) {
     ShardSummary summary;
     summary.shard = shard_id;
     summary.task = task;
-    summary.r = ex.r_sum;
-    summary.e = ex.e_sum;
-    summary.yield = ex.e_sum > 0.0 ? ex.r_sum / ex.e_sum : 0.0;
-    summary.allowance_used = ex.budget;
-    summary.observations = ex.observations;
+    summary.r = rt.export_r;
+    summary.e = rt.export_e;
+    summary.yield = rt.export_e > 0.0 ? rt.export_r / rt.export_e : 0.0;
+    summary.allowance_used = rt.record.spec.error_allowance;
+    summary.observations = rt.export_observations;
     out.push_back(summary);
-    ex.r_sum = 0.0;
-    ex.e_sum = 0.0;
-    ex.observations = 0;
+    rt.export_r = 0.0;
+    rt.export_e = 0.0;
+    rt.export_observations = 0;
   }
   return out;
 }
@@ -587,22 +567,16 @@ TaskListReply CoordinatorNode::build_task_list() const {
   return reply;
 }
 
-void CoordinatorNode::serve_control(TcpConnection& conn,
-                                    const Message& request) {
+Message CoordinatorNode::control(const Message& request) {
   NetCoordinatorMetrics::get().control_requests->inc();
-  Message reply;
-  if (const auto* add = std::get_if<AddTask>(&request)) {
-    reply = apply_add(*add);
-  } else if (const auto* update = std::get_if<UpdateTask>(&request)) {
-    reply = apply_update(*update);
-  } else if (const auto* remove = std::get_if<RemoveTask>(&request)) {
-    reply = apply_remove(*remove);
-  } else if (const auto* budget = std::get_if<ShardAllowance>(&request)) {
-    reply = apply_shard_allowance(*budget);
-  } else {
-    reply = build_task_list();
-  }
-  conn.send_all(frame_payload(encode(reply)));
+  if (const auto* add = std::get_if<AddTask>(&request)) return apply_add(*add);
+  if (const auto* update = std::get_if<UpdateTask>(&request))
+    return apply_update(*update);
+  if (const auto* remove = std::get_if<RemoveTask>(&request))
+    return apply_remove(*remove);
+  if (const auto* budget = std::get_if<ShardAllowance>(&request))
+    return apply_shard_allowance(*budget);
+  return build_task_list();
 }
 
 void CoordinatorNode::disconnect_session(MonitorId id, Session& session) {
@@ -768,7 +742,12 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
     // A shard's compressed coordination stats: feed (r, e) into the same
     // reallocation machinery a StatsReport drives — the root runs the
     // identical allocator over shard sums instead of monitor averages.
+    // An empty summary (no downstream round finished since the last one)
+    // keeps the session fresh but is no report: counting its zero yield
+    // would move budget away from a shard whose round merely fell into
+    // another summary window.
     session.last_summary_ms = now_ms();
+    if (summary->observations == 0) return;
     const auto task_it = tasks_.find(summary->task);
     if (task_it == tasks_.end()) return;
     CoordStats s;
@@ -892,7 +871,7 @@ void CoordinatorNode::on_pending(int fd, std::uint32_t events) {
         break;
       }
       if (is_control_request(*message)) {
-        serve_control(pending.conn, *message);
+        pending.conn.send_all(frame_payload(encode(control(*message))));
         drop = true;
         break;
       }

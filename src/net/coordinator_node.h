@@ -169,7 +169,18 @@ class CoordinatorNode {
     return registry_load_stats_;
   }
 
-  // --- shard export (thread-safe; read by an embedding AggregatorNode) ----
+  /// Applies one control request — AddTask / UpdateTask / RemoveTask /
+  /// ListTasks / ShardAllowance — and returns its reply (ControlReply or
+  /// TaskListReply). Loop thread only: the pre-Hello path calls it for
+  /// control clients, an embedding AggregatorNode for the root's pushes.
+  Message control(const Message& request);
+
+  /// The loop every fd and timer of this node lives on. An embedding
+  /// AggregatorNode registers its upstream link here, so the shard runs on
+  /// one thread.
+  Reactor& reactor() { return reactor_; }
+
+  // --- shard export (loop thread only; read by an embedding AggregatorNode)
   /// The latest settled poll aggregate for a task (0.0 before the first
   /// poll). An aggregator answers upstream PollRequests with this cached
   /// value — the net tier's stale-value semantics one level up: the root's
@@ -225,6 +236,14 @@ class CoordinatorNode {
 
     // Stats-report state.
     std::map<MonitorId, CoordStats> pending_stats;
+
+    // Upstream export for an embedding aggregator: the (r, e) sums of the
+    // reallocation rounds since the last drain, and the last settled poll
+    // aggregate.
+    double export_r{0.0};
+    double export_e{0.0};
+    std::int64_t export_observations{0};
+    double last_aggregate{0.0};
   };
 
   void handle_message(MonitorId id, Session& session, const Message& message);
@@ -236,9 +255,6 @@ class CoordinatorNode {
   /// Answers a StatsRequest on a (pre-Hello) connection with one StatsReply;
   /// the caller then drops the connection — stats clients are not monitors.
   void serve_stats(TcpConnection& conn, const StatsRequest& request);
-  /// Answers AddTask/RemoveTask/UpdateTask/ListTasks on a (pre-Hello)
-  /// connection; like serve_stats the caller drops the connection after.
-  void serve_control(TcpConnection& conn, const Message& request);
   ControlReply apply_add(const AddTask& request);
   ControlReply apply_update(const UpdateTask& request);
   ControlReply apply_remove(const RemoveTask& request);
@@ -327,19 +343,6 @@ class CoordinatorNode {
   std::vector<GlobalAlert> alerts_;
   NetFaultStats fault_stats_;
   std::map<MonitorId, std::int64_t> reported_ops_;
-
-  /// Per-task upstream export, fed from run()'s thread (finish_poll,
-  /// maybe_reallocate) and drained by an embedding AggregatorNode's
-  /// upstream leg — the only cross-thread state beyond the atomics above.
-  struct ShardExport {
-    double r_sum{0.0};
-    double e_sum{0.0};
-    std::int64_t observations{0};
-    double budget{0.0};
-    double last_aggregate{0.0};
-  };
-  mutable std::mutex shard_export_mu_;
-  std::map<TaskId, ShardExport> shard_export_;
 };
 
 }  // namespace volley::net

@@ -259,11 +259,13 @@ struct ShardHello {
 /// Aggregator -> root coordinator, once per summary interval per live task:
 /// the compressed (r, e, yield, allowance_used) coordination summary of the
 /// shard's subset since the previous frame. r and e are the *sums* of the
-/// per-monitor averaged gains/allowances drained by the shard's own
-/// reallocation rounds (Coordinator::last_period_stats); yield = r/e is
+/// per-monitor averaged gains/allowances of the shard's own reallocation
+/// rounds (CoordinatorNode::drain_shard_summaries); yield = r/e is
 /// carried redundantly for observability; allowance_used is the shard's
 /// current budget err_s. The root feeds (r, e) into the identical
-/// allocation algorithm it runs over raw monitors in a flat fleet.
+/// allocation algorithm it runs over raw monitors in a flat fleet; a
+/// summary with observations == 0 (no round finished since the previous
+/// frame) only refreshes the shard's last-summary age.
 struct ShardSummary {
   std::uint32_t shard{0};
   TaskId task{0};
@@ -276,9 +278,10 @@ struct ShardSummary {
 
 /// Root coordinator -> aggregator: the task's new error budget for this
 /// shard (pushed after each root reallocation round and on resume resync).
-/// Also accepted pre-Hello as a control request: the aggregator loops it
-/// back to its own embedded coordinator over the control path to apply the
-/// budget without restarting samplers (unlike UpdateTask).
+/// The aggregator hands it to its embedded coordinator's control() call,
+/// which rescales the live split without restarting samplers (unlike
+/// UpdateTask). Also accepted pre-Hello as a control request
+/// (`volleyctl budget`).
 struct ShardAllowance {
   TaskId task{0};
   double error_allowance{0.0};

@@ -1,37 +1,21 @@
 #include "net/monitor_node.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "obs/trace_events.h"
 
 namespace volley::net {
 
 namespace {
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct MonitorNodeMetrics {
-  obs::CounterCell* reconnect_attempts;
-  obs::CounterCell* reconnects;
   obs::CounterCell* degraded_ticks;
   obs::CounterCell* task_attaches;
   obs::CounterCell* task_detaches;
 
   static MonitorNodeMetrics make(obs::MetricsRegistry& m) {
     return MonitorNodeMetrics{
-        &m.counter("volley_net_reconnect_attempts_total",
-                   "Coordinator reconnect attempts (successes and failures)")
-             .cell(),
-        &m.counter("volley_net_reconnects_total",
-                   "Successful session resumes (Hello{resume} accepted)")
-             .cell(),
         &m.counter("volley_net_degraded_ticks_total",
                    "Ticks spent sampling in degraded (coordinator-less) mode")
              .cell(),
@@ -54,7 +38,12 @@ MonitorNode::MonitorNode(const MonitorNodeOptions& options,
                          const MetricSource& source)
     : options_(options),
       source_(&source),
-      jitter_rng_(static_cast<std::uint64_t>(options.id) * 7919 + 17) {
+      link_(reactor_,
+            upstream_link_options(
+                options, options.id,
+                static_cast<std::uint64_t>(options.id) * 7919 + 17, "monitor"),
+            [this](bool resume) { return Message{Hello{options_.id, resume}}; },
+            [this](const Message& message) { on_frame(message); }) {
   if (!options.sample_log_path.empty()) {
     sample_log_ = std::make_unique<SampleLogWriter>(options.sample_log_path);
   }
@@ -118,84 +107,6 @@ std::int64_t MonitorNode::task_local_violations(TaskId task) const {
   return n;
 }
 
-bool MonitorNode::send(const Message& m) {
-  if (!connected_) return false;
-  const auto payload = encode(m);
-  if (conn_.send_all(frame_payload(payload))) return true;
-  drop_connection();
-  return false;
-}
-
-void MonitorNode::drop_connection() {
-  if (connected_) {
-    VLOG_WARN("monitor", "lost coordinator link; entering degraded mode");
-  }
-  if (conn_.valid()) reactor_.remove_fd(conn_.fd());
-  conn_.close();
-  connected_ = false;
-  reader_ = FrameReader{};
-  backoff_ms_ = options_.reconnect_backoff_ms;
-  next_attempt_ms_ = now_ms();  // first retry is immediate
-}
-
-bool MonitorNode::try_attach_session(bool resume) {
-  auto conn = TcpConnection::try_connect(options_.coordinator_host,
-                                         options_.coordinator_port,
-                                         options_.connect_timeout_ms);
-  if (!conn) return false;
-  conn->set_nonblocking(true);
-  conn_ = std::move(*conn);
-  // Registered with a no-op handler: readiness only ends the tick wait;
-  // wait_tick drains the socket through service_messages right after.
-  reactor_.add_fd(conn_.fd(), [](std::uint32_t) {});
-  reader_ = FrameReader{};
-  connected_ = true;
-  last_rx_ms_ = now_ms();
-  last_heartbeat_ms_ = 0;  // heartbeat on the next loop turn
-  if (!send(Hello{options_.id, resume})) return false;
-  return true;
-}
-
-void MonitorNode::maybe_reconnect(std::int64_t now) {
-  if (connected_ || coordinator_lost_) return;
-  if (now < next_attempt_ms_) return;
-  MonitorNodeMetrics::get().reconnect_attempts->inc();
-  if (try_attach_session(/*resume=*/ever_connected_)) {
-    failed_attempts_ = 0;
-    if (ever_connected_) {
-      ++reconnects_;
-      MonitorNodeMetrics::get().reconnects->inc();
-      VLOG_INFO("monitor", "reconnected to coordinator (resume)");
-    }
-    ever_connected_ = true;
-    return;
-  }
-  ++failed_attempts_;
-  if (failed_attempts_ >= options_.max_reconnect_attempts) {
-    VLOG_ERROR("monitor", "giving up on coordinator after ",
-               failed_attempts_, " attempts; running degraded to the end");
-    coordinator_lost_ = true;
-    return;
-  }
-  // Capped exponential backoff with +-25% jitter so a fleet of monitors
-  // does not reconnect in lockstep after a coordinator restart.
-  const double jitter = jitter_rng_.uniform(0.75, 1.25);
-  next_attempt_ms_ =
-      now + static_cast<std::int64_t>(backoff_ms_ * jitter);
-  obs::trace().record(obs::TraceKind::kReconnectAttempt, 0, options_.id,
-                      static_cast<double>(failed_attempts_),
-                      static_cast<double>(next_attempt_ms_ - now));
-  backoff_ms_ = std::min(backoff_ms_ * 2, options_.reconnect_backoff_max_ms);
-}
-
-void MonitorNode::heartbeat_if_due(std::int64_t now) {
-  if (!connected_) return;
-  if (now - last_heartbeat_ms_ < options_.heartbeat_interval_ms) return;
-  if (send(Heartbeat{options_.id, ++heartbeat_seq_})) {
-    last_heartbeat_ms_ = now;
-  }
-}
-
 void MonitorNode::retire_monitor(TaskId task, const Monitor& monitor) {
   retired_scheduled_ += monitor.scheduled_ops();
   retired_forced_ += monitor.forced_ops();
@@ -246,116 +157,66 @@ void MonitorNode::apply_detach(const TaskDetach& detach) {
             detach.epoch);
 }
 
-MonitorNode::ServiceResult MonitorNode::service_messages(Tick t) {
-  std::array<std::byte, 4096> buf;
-  bool peer_closed = false;
-  while (true) {
-    const auto n = conn_.recv_some(buf);
-    if (!n) break;  // no data ready (non-blocking)
-    if (*n == 0) {  // peer closed; frames already received still count
-      peer_closed = true;
-      break;
+void MonitorNode::on_frame(const Message& message) {
+  if (std::holds_alternative<Shutdown>(message)) {
+    shutdown_ = true;
+  } else if (const auto* attach = std::get_if<TaskAttach>(&message)) {
+    apply_attach(*attach, now_tick_);
+  } else if (const auto* detach = std::get_if<TaskDetach>(&message)) {
+    apply_detach(*detach);
+  } else if (const auto* update = std::get_if<AllowanceUpdate>(&message)) {
+    // Initial allocation, periodic reallocation, and the post-reconnect
+    // allowance resync all arrive through here.
+    const auto it = tasks_.find(update->task);
+    if (it != tasks_.end()) {
+      it->second.monitor->set_error_allowance(update->error_allowance);
     }
-    last_rx_ms_ = now_ms();
-    reader_.feed(std::span<const std::byte>(buf.data(), *n));
+  } else if (const auto* poll = std::get_if<PollRequest>(&message)) {
+    // Answer with the freshest value this node can produce for the task:
+    // its state at the current local tick (cached when it already sampled
+    // this tick). TaskAttach rides the same FIFO connection, so a poll
+    // for an unknown task means the task was detached concurrently —
+    // answer 0 so the coordinator's poll still completes.
+    PollResponse resp;
+    resp.monitor = options_.id;
+    resp.poll_id = poll->poll_id;
+    resp.tick = now_tick_;
+    resp.task = poll->task;
+    const auto it = tasks_.find(poll->task);
+    if (it != tasks_.end()) {
+      const auto outcome = it->second.monitor->force_sample(now_tick_);
+      log_sample(outcome);
+      resp.value = outcome.sample.value;
+    }
+    link_.send(resp);
   }
-  while (auto payload = reader_.next()) {
-    const auto message = decode(*payload);
-    if (!message) {
-      VLOG_WARN("monitor", "dropping malformed frame");
-      continue;
-    }
-    if (std::holds_alternative<Shutdown>(*message))
-      return ServiceResult::kShutdown;
-    if (std::holds_alternative<HeartbeatAck>(*message)) {
-      continue;  // its arrival already refreshed last_rx_ms_
-    }
-    if (const auto* attach = std::get_if<TaskAttach>(&*message)) {
-      apply_attach(*attach, t);
-    } else if (const auto* detach = std::get_if<TaskDetach>(&*message)) {
-      apply_detach(*detach);
-    } else if (const auto* update = std::get_if<AllowanceUpdate>(&*message)) {
-      // Initial allocation, periodic reallocation, and the post-reconnect
-      // allowance resync all arrive through here.
-      const auto it = tasks_.find(update->task);
-      if (it != tasks_.end()) {
-        it->second.monitor->set_error_allowance(update->error_allowance);
-      }
-    } else if (const auto* poll = std::get_if<PollRequest>(&*message)) {
-      // Answer with the freshest value this node can produce for the task:
-      // its state at the current local tick (cached when it already sampled
-      // this tick). TaskAttach rides the same FIFO connection, so a poll
-      // for an unknown task means the task was detached concurrently —
-      // answer 0 so the coordinator's poll still completes.
-      PollResponse resp;
-      resp.monitor = options_.id;
-      resp.poll_id = poll->poll_id;
-      resp.tick = t;
-      resp.task = poll->task;
-      const auto it = tasks_.find(poll->task);
-      if (it != tasks_.end()) {
-        const auto outcome = it->second.monitor->force_sample(t);
-        log_sample(outcome);
-        resp.value = outcome.sample.value;
-      }
-      if (!send(resp)) return ServiceResult::kDisconnected;
-    }
-  }
-  if (peer_closed || reader_.corrupt()) {
-    drop_connection();
-    return ServiceResult::kDisconnected;
-  }
-  return ServiceResult::kOk;
+  // HeartbeatAck: its arrival already refreshed the link's silence clock.
 }
 
-MonitorNode::ServiceResult MonitorNode::wait_tick(Tick t,
-                                                  std::int64_t wait_ns) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(wait_ns);
-  while (!stop_.load()) {
+void MonitorNode::park(std::chrono::nanoseconds wait,
+                       const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + wait;
+  while (!stop_.load() && !shutdown_ && !done()) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;
     reactor_.run_once_for(deadline - now);
-    if (connected_) {
-      // Drain whatever woke us (level-triggered: leaving bytes unread would
-      // spin the wait loop). Poll answers go out mid-tick, not at t + 1.
-      const ServiceResult r = service_messages(t);
-      if (r != ServiceResult::kOk) return r;
-    }
   }
-  return ServiceResult::kOk;
 }
 
 void MonitorNode::run() {
-  // One loop per monitor: it owns a single upstream connection, and the
-  // same reactor drives the tick waits and socket dispatch alike.
-  backoff_ms_ = options_.reconnect_backoff_ms;
-  next_attempt_ms_ = now_ms();
-  if (try_attach_session(/*resume=*/false)) {
-    ever_connected_ = true;
-  }
+  // One loop per monitor: the same reactor drives the tick waits, the
+  // upstream link's socket and its connect, heartbeat and retry timers.
+  const std::chrono::nanoseconds tick =
+      std::chrono::microseconds(options_.tick_micros);
+  const auto never = [] { return false; };
+  link_.start();
+  // A reachable coordinator accepts within microseconds: give the first
+  // connect up to one tick, so a healthy session is up for tick 0.
+  park(tick, [this] { return !link_.connecting(); });
 
-  for (Tick t = 0; t < options_.ticks && !stop_.load(); ++t) {
-    const std::int64_t now = now_ms();
-    if (connected_) {
-      switch (service_messages(t)) {
-        case ServiceResult::kShutdown:
-          if (sample_log_) sample_log_->flush();
-          return;
-        case ServiceResult::kDisconnected:
-        case ServiceResult::kOk:
-          break;
-      }
-    }
-    // A half-open link delivers nothing — not even heartbeat acks.
-    if (connected_ && now - last_rx_ms_ > options_.coordinator_timeout_ms) {
-      VLOG_WARN("monitor", "coordinator silent for too long");
-      drop_connection();
-    }
-    heartbeat_if_due(now);
-    maybe_reconnect(now);
-
-    if (connected_) {
+  for (Tick t = 0; t < options_.ticks && !stop_.load() && !shutdown_; ++t) {
+    now_tick_ = t;
+    if (link_.connected()) {
       for (auto& [task, state] : tasks_) {
         if (state.monitor->due(t)) {
           const auto outcome = state.monitor->step(t);
@@ -366,13 +227,13 @@ void MonitorNode::run() {
             report.tick = t;
             report.value = outcome.sample.value;
             report.task = task;
-            send(report);  // failure flips to degraded mode; keep ticking
+            link_.send(report);  // failure flips to degraded; keep ticking
           }
-          if (!connected_) break;
+          if (!link_.connected()) break;
         }
       }
       for (auto& [task, state] : tasks_) {
-        if (!connected_) break;
+        if (!link_.connected()) break;
         if (t >= state.next_report) {
           const CoordStats stats = state.monitor->drain_coord_stats();
           StatsReport report;
@@ -381,7 +242,7 @@ void MonitorNode::run() {
           report.avg_allowance = stats.avg_allowance;
           report.observations = stats.observations;
           report.task = task;
-          if (send(report)) state.next_report = t + state.updating_period;
+          if (link_.send(report)) state.next_report = t + state.updating_period;
         }
       }
     } else {
@@ -395,45 +256,21 @@ void MonitorNode::run() {
       ++degraded_ticks_;
       MonitorNodeMetrics::get().degraded_ticks->inc();
     }
-
-    switch (wait_tick(t, static_cast<std::int64_t>(options_.tick_micros) *
-                             1000)) {
-      case ServiceResult::kShutdown:
-        if (sample_log_) sample_log_->flush();
-        return;
-      case ServiceResult::kDisconnected:
-      case ServiceResult::kOk:
-        break;  // the next tick's service pass picks up from here
-    }
+    park(tick, never);
   }
 
   if (sample_log_) sample_log_->flush();
+  if (shutdown_) return;
 
   Bye bye;
   bye.monitor = options_.id;
   bye.scheduled_ops = scheduled_ops();
   bye.forced_ops = forced_ops();
-  if (!send(bye)) return;
-
-  // Keep answering polls (and heartbeating) for stragglers until Shutdown
-  // or the grace timeout.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.shutdown_grace_ms);
-  while (std::chrono::steady_clock::now() < deadline && !stop_.load()) {
-    // Straggler polls are answered with the last in-range tick's state.
-    if (service_messages(options_.ticks - 1) != ServiceResult::kOk) return;
-    heartbeat_if_due(now_ms());
-    // Park until a straggler frame, the next heartbeat, or the deadline.
-    const auto now = std::chrono::steady_clock::now();
-    const auto wait = std::min(
-        deadline - now,
-        std::chrono::steady_clock::duration(
-            std::chrono::milliseconds(options_.heartbeat_interval_ms)));
-    if (wait.count() > 0) {
-      reactor_.run_once_for(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(wait));
-    }
-  }
+  if (!link_.send(bye)) return;
+  // Keep answering straggler polls (at the last tick's state) and
+  // heartbeating until Shutdown, a lost link, or the grace timeout.
+  park(std::chrono::milliseconds(options_.shutdown_grace_ms),
+       [this] { return !link_.connected(); });
 }
 
 void MonitorNode::log_sample(const Monitor::Outcome& outcome) {

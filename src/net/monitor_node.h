@@ -16,35 +16,37 @@
 // node already knows for that task id, so replayed or reordered pushes are
 // no-ops and a removed task cannot be resurrected by a stale attach.
 //
-// Lifecycle: connect() -> Hello -> per-tick loop {service coordinator
-// messages; scheduled sampling per task; LocalViolation reports; StatsReport
-// once per task updating period; Heartbeat every heartbeat_interval_ms} ->
-// Bye -> service polls until Shutdown.
+// Lifecycle: one reactor loop owns the node. Its UpstreamLink
+// (net/upstream_link.h) connects, says Hello and heartbeats; per tick the
+// node samples each task on schedule, reports LocalViolations and, once
+// per task updating period, a StatsReport, then parks in the reactor for
+// the rest of the tick, answering coordinator frames as they arrive. After
+// the last tick: Bye, then keep answering polls until Shutdown.
 //
-// Resilience: a dead coordinator link (send failure, orderly close, or
+// Resilience: while the link is down (send failure, orderly close, or
 // coordinator_timeout_ms without any inbound traffic — heartbeat acks
-// guarantee traffic on a healthy link) moves the node into DEGRADED mode:
-// it samples every task locally at the default interval every tick, so no
-// violation window goes unobserved, while reconnecting with capped
-// exponential backoff + jitter. A successful reconnect replays
-// Hello{resume = true}; the coordinator reattaches the session and pushes
-// the full task set (TaskAttach) plus per-task AllowanceUpdates that resync
-// every sampler's error allowance.
+// guarantee traffic on a healthy link) — and while a connect is in flight —
+// the node runs in DEGRADED mode: it samples every task locally at the
+// default interval every tick, so no violation window goes unobserved. The
+// link reconnects in the background with capped, jittered backoff; a
+// resumed session replays Hello{resume = true}, and the coordinator
+// reattaches it and pushes the full task set (TaskAttach) plus per-task
+// AllowanceUpdates that resync every sampler's error allowance.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
-#include "common/rng.h"
 #include "core/monitor.h"
 #include "core/task.h"
-#include "net/framing.h"
 #include "net/messages.h"
 #include "net/reactor.h"
-#include "net/socket.h"
+#include "net/upstream_link.h"
 #include "storage/sample_log.h"
 
 namespace volley::net {
@@ -84,7 +86,10 @@ class MonitorNode {
   void run();
 
   /// Asks a running node to stop at the next tick boundary.
-  void request_stop() { stop_.store(true); }
+  void request_stop() {
+    stop_.store(true);
+    reactor_.wakeup();
+  }
 
   // Results, valid after run() returns. Op counts sum over every task the
   // node ever ran (detached tasks included).
@@ -101,16 +106,14 @@ class MonitorNode {
   /// Local violations reported by one task (0 for unknown/detached ids).
   std::int64_t task_local_violations(TaskId task) const;
   /// Successful session resumes after a lost coordinator link.
-  std::int64_t reconnects() const { return reconnects_; }
+  std::int64_t reconnects() const { return link_.reconnects(); }
   /// Ticks spent sampling locally (default interval) with no coordinator.
   std::int64_t degraded_ticks() const { return degraded_ticks_; }
   /// True when reconnection was abandoned (max_reconnect_attempts); the
   /// node then ran degraded to the end of its ticks.
-  bool coordinator_lost() const { return coordinator_lost_; }
+  bool coordinator_lost() const { return link_.lost(); }
 
  private:
-  enum class ServiceResult { kOk, kDisconnected, kShutdown };
-
   /// One attached task: its sampler (a full core::Monitor) plus the
   /// revision it runs and its reporting schedule.
   struct TaskState {
@@ -120,23 +123,16 @@ class MonitorNode {
     std::unique_ptr<Monitor> monitor;
   };
 
-  /// Handles every buffered coordinator message.
-  ServiceResult service_messages(Tick t);
-  /// Sleeps out the rest of tick `t`, parked in the reactor: coordinator
-  /// frames are serviced the moment they arrive (a PollRequest is answered
-  /// mid-tick instead of at the next boundary).
-  ServiceResult wait_tick(Tick t, std::int64_t wait_ns);
+  /// Handles one coordinator frame (the link's frame handler).
+  void on_frame(const Message& message);
+  /// Parks in the reactor for up to `wait` — coordinator frames are
+  /// serviced the moment they arrive, so a PollRequest is answered mid-tick
+  /// — and returns early on stop, Shutdown, or once `done()` holds.
+  void park(std::chrono::nanoseconds wait, const std::function<bool()>& done);
   void apply_attach(const TaskAttach& attach, Tick t);
   void apply_detach(const TaskDetach& detach);
   /// Folds a retiring sampler's counters into the retired_* totals.
   void retire_monitor(TaskId task, const Monitor& monitor);
-  bool send(const Message& m);
-  /// Connects (with deadline) and sends Hello. True on success.
-  bool try_attach_session(bool resume);
-  void drop_connection();
-  /// Runs one reconnect attempt when the backoff schedule allows it.
-  void maybe_reconnect(std::int64_t now);
-  void heartbeat_if_due(std::int64_t now);
 
   void log_sample(const Monitor::Outcome& outcome);
 
@@ -155,22 +151,12 @@ class MonitorNode {
   std::unique_ptr<SampleLogWriter> sample_log_;
   std::atomic<bool> stop_{false};
 
-  // Connection state (only touched from run()'s thread).
+  // Loop state (only touched from run()'s thread).
   Reactor reactor_;
-  TcpConnection conn_;
-  FrameReader reader_;
-  bool connected_{false};
-  bool ever_connected_{false};
-  bool coordinator_lost_{false};
-  std::int64_t last_rx_ms_{0};
-  std::int64_t last_heartbeat_ms_{0};
-  std::uint64_t heartbeat_seq_{0};
-  int backoff_ms_{0};
-  std::int64_t next_attempt_ms_{0};
-  int failed_attempts_{0};
-  std::int64_t reconnects_{0};
+  UpstreamLink link_;
+  Tick now_tick_{0};       // the tick a PollRequest is answered at
+  bool shutdown_{false};   // the coordinator sent Shutdown
   std::int64_t degraded_ticks_{0};
-  Rng jitter_rng_;
 };
 
 }  // namespace volley::net

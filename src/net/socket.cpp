@@ -23,13 +23,13 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-/// Completes a nonblocking connect already in flight (EINPROGRESS) within
-/// `timeout_ms`: waits for writability, retrying the wait on EINTR with
-/// the timeout shrunk by the time already spent (a delivered signal is not
-/// a connect failure — test_net's ConnectRetriesAcrossEintr pins this),
-/// then surfaces the socket's SO_ERROR. Throws on timeout or error.
-void connect_with_timeout(int fd, int timeout_ms) {
-  pollfd pfd{fd, POLLOUT, 0};
+/// Waits up to `timeout_ms` for a nonblocking connect in flight
+/// (EINPROGRESS) to finish, retrying the wait on EINTR with the timeout
+/// shrunk by the time already spent (a delivered signal is not a connect
+/// failure — test_net's ConnectRetriesAcrossEintr pins this). Throws on
+/// timeout or a failed connect.
+void await_connect(const TcpConnection& conn, int timeout_ms) {
+  pollfd pfd{conn.fd(), POLLOUT, 0};
   timespec start{};
   clock_gettime(CLOCK_MONOTONIC, &start);
   int remaining_ms = timeout_ms;
@@ -51,18 +51,8 @@ void connect_with_timeout(int fd, int timeout_ms) {
       }
     }
   }
-  if (ready == 0) {
-    errno = ETIMEDOUT;
-    throw_errno("connect");
-  }
-  int err = 0;
-  socklen_t len = sizeof(err);
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0)
-    throw_errno("getsockopt(SO_ERROR)");
-  if (err != 0) {
-    errno = err;
-    throw_errno("connect");
-  }
+  errno = ready == 0 ? ETIMEDOUT : conn.connect_error();
+  if (errno != 0) throw_errno("connect");
 }
 }  // namespace
 
@@ -92,8 +82,9 @@ void FileDescriptor::reset(int fd) {
   fd_ = fd;
 }
 
-TcpConnection TcpConnection::connect(const std::string& host,
-                                     std::uint16_t port, int timeout_ms) {
+TcpConnection TcpConnection::start_connect(const std::string& host,
+                                           std::uint16_t port,
+                                           bool& in_progress) {
   FileDescriptor fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) throw_errno("socket");
   sockaddr_in addr{};
@@ -103,27 +94,38 @@ TcpConnection TcpConnection::connect(const std::string& host,
     errno = EINVAL;
     throw_errno("inet_pton");
   }
-  // TCP_NODELAY before connect, not after: every exit of this function —
-  // immediate success, the EINPROGRESS wait, and any caller that later
-  // hands the fd to a reactor — carries it,
-  // so a small frame (heartbeat, ack) never sits behind Nagle.
+  // TCP_NODELAY before connect, not after: every connect path — blocking,
+  // deadline'd and reactor-driven — carries it, so a small frame
+  // (heartbeat, ack) never sits behind Nagle.
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  TcpConnection conn(std::move(fd));
+  conn.set_nonblocking(true);
+  net::count_io_syscalls();
+  const int rc = ::connect(conn.fd(), reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr));
+  if (rc != 0 && errno != EINPROGRESS) throw_errno("connect");
+  in_progress = rc != 0;
+  return conn;
+}
+
+int TcpConnection::connect_error() const {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd_.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0)
+    return errno;
+  return err;
+}
+
+TcpConnection TcpConnection::connect(const std::string& host,
+                                     std::uint16_t port, int timeout_ms) {
   // Non-blocking connect so a dead host fails at our deadline, not the
   // kernel's (which defaults to minutes of SYN retries).
-  const int flags = ::fcntl(fd.get(), F_GETFL, 0);
-  if (flags < 0) throw_errno("fcntl(F_GETFL)");
-  if (::fcntl(fd.get(), F_SETFL, flags | O_NONBLOCK) < 0)
-    throw_errno("fcntl(F_SETFL)");
-  net::count_io_syscalls();
-  const int rc =
-      ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0) {
-    if (errno != EINPROGRESS) throw_errno("connect");
-    connect_with_timeout(fd.get(), timeout_ms);
-  }
-  if (::fcntl(fd.get(), F_SETFL, flags) < 0) throw_errno("fcntl(F_SETFL)");
-  return TcpConnection(std::move(fd));
+  bool in_progress = false;
+  TcpConnection conn = start_connect(host, port, in_progress);
+  if (in_progress) await_connect(conn, timeout_ms);
+  conn.set_nonblocking(false);
+  return conn;
 }
 
 std::optional<TcpConnection> TcpConnection::try_connect(

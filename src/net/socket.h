@@ -54,6 +54,17 @@ class TcpConnection {
                                                   std::uint16_t port,
                                                   int timeout_ms);
 
+  /// Starts a non-blocking connect and returns the socket (non-blocking,
+  /// TCP_NODELAY). When `in_progress` comes back true the handshake is
+  /// still in flight: wait for writability, then read connect_error().
+  /// Throws std::system_error when the connect fails at once.
+  static TcpConnection start_connect(const std::string& host,
+                                     std::uint16_t port, bool& in_progress);
+
+  /// The outcome of a finished non-blocking connect: 0 when connected,
+  /// else the errno it failed with.
+  int connect_error() const;
+
   /// Sends the whole buffer (blocking). Returns false on broken peer.
   bool send_all(std::span<const std::byte> data);
 

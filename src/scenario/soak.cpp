@@ -15,10 +15,9 @@
 
 #include "net/chaos_proxy.h"
 #include "net/coordinator_node.h"
-#include "net/framing.h"
 #include "net/messages.h"
 #include "net/monitor_node.h"
-#include "net/socket.h"
+#include "net/request_reply.h"
 #include "sim/driver.h"
 #include "sim/experiment.h"
 
@@ -407,30 +406,6 @@ struct WireChurnOp {
   std::string label;
 };
 
-/// Control round trip on a fresh connection (the volleyctl exchange,
-/// in-process). nullopt on transport failure.
-std::optional<net::Message> control_round_trip(std::uint16_t port,
-                                               const net::Message& request,
-                                               int timeout_ms) {
-  auto conn = TcpConnection::try_connect("127.0.0.1", port, timeout_ms);
-  if (!conn) return std::nullopt;
-  if (!conn->send_all(frame_payload(net::encode(request))))
-    return std::nullopt;
-  FrameReader reader;
-  std::array<std::byte, 8192> buf;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto n = conn->recv_some(buf);
-    if (!n) continue;
-    if (*n == 0) break;
-    reader.feed(std::span<const std::byte>(buf.data(), *n));
-    if (auto payload = reader.next()) return net::decode(*payload);
-    if (reader.corrupt()) break;
-  }
-  return std::nullopt;
-}
-
 std::vector<WireChurnOp> build_wire_churn(const Scenario& scenario,
                                           const TaskSpec& boot) {
   std::vector<WireChurnOp> ops;
@@ -559,8 +534,8 @@ SoakReport run_scenario_net(const Scenario& input,
         wall_start + std::chrono::microseconds(
                          static_cast<std::int64_t>(op.tick) *
                          scenario.tick_micros));
-    const auto reply = control_round_trip(coordinator.port(), op.request,
-                                          2000);
+    const auto reply = net::request_reply("127.0.0.1", coordinator.port(),
+                                           2000, op.request);
     bool ok = false;
     if (reply) {
       if (const auto* control = std::get_if<net::ControlReply>(&*reply)) {
@@ -575,7 +550,8 @@ SoakReport run_scenario_net(const Scenario& input,
                          ",\"ok\":" + (ok ? "true" : "false") + "}");
     }
     if (const auto list_reply =
-            control_round_trip(coordinator.port(), net::ListTasks{}, 2000)) {
+            net::request_reply("127.0.0.1", coordinator.port(), 2000,
+                               net::ListTasks{})) {
       if (const auto* list = std::get_if<net::TaskListReply>(&*list_reply))
         last_list = *list;
     }

@@ -18,15 +18,12 @@
 // its last ShardSummary. The coordinator drops the connection after
 // replying; this tool never counts as a monitor.
 #include <cstdio>
-#include <array>
-#include <chrono>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
-#include "net/framing.h"
 #include "net/messages.h"
-#include "net/socket.h"
+#include "net/request_reply.h"
 
 int main(int argc, char** argv) {
   using namespace volley;
@@ -74,13 +71,6 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    auto conn = TcpConnection::try_connect(host, port, timeout_ms);
-    if (!conn) {
-      std::fprintf(stderr, "volley_stats: cannot reach %s:%u\n", host.c_str(),
-                   port);
-      return 1;
-    }
-
     net::Message request_message;
     if (want_tasks) {
       request_message = net::ListTasks{};
@@ -91,29 +81,19 @@ int main(int argc, char** argv) {
       if (want_shards) request.flags |= net::StatsRequest::kIncludeShards;
       request_message = request;
     }
-    if (!conn->send_all(frame_payload(net::encode(request_message)))) {
-      std::fprintf(stderr, "volley_stats: send failed\n");
-      return 1;
-    }
-
-    // The socket stays blocking; bound the wait with a wall-clock deadline
-    // so a wedged coordinator cannot hang the tool past timeout_ms.
-    FrameReader reader;
-    std::array<std::byte, 8192> buf;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    std::optional<net::Message> reply;
-    while (!reply && std::chrono::steady_clock::now() < deadline) {
-      const auto n = conn->recv_some(buf);
-      if (!n) continue;   // spurious wakeup on a blocking socket
-      if (*n == 0) break; // peer closed before replying
-      reader.feed(std::span<const std::byte>(buf.data(), *n));
-      if (auto payload = reader.next()) reply = net::decode(*payload);
-      if (reader.corrupt()) break;
-    }
+    // timeout_ms bounds the whole exchange, so a wedged coordinator cannot
+    // hang the tool.
+    net::RequestError error{};
+    const auto reply =
+        net::request_reply(host, port, timeout_ms, request_message, &error);
     if (!reply) {
-      std::fprintf(stderr, "volley_stats: no reply within %d ms\n",
-                   timeout_ms);
+      if (error == net::RequestError::kConnect) {
+        std::fprintf(stderr, "volley_stats: cannot reach %s:%u\n",
+                     host.c_str(), port);
+      } else {
+        std::fprintf(stderr, "volley_stats: no reply within %d ms\n",
+                     timeout_ms);
+      }
       return 1;
     }
     if (want_tasks) {

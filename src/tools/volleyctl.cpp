@@ -34,7 +34,6 @@
 //   4  cannot connect (refused or connect timeout — the coordinator is not
 //      reachable at host:port)
 #include <cstdio>
-#include <array>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -43,9 +42,8 @@
 
 #include "common/config.h"
 #include "control/task_registry.h"
-#include "net/framing.h"
 #include "net/messages.h"
-#include "net/socket.h"
+#include "net/request_reply.h"
 
 namespace {
 
@@ -71,49 +69,30 @@ constexpr int kExitUsage = 2;
 constexpr int kExitRejected = 3;
 constexpr int kExitConnectRefused = 4;
 
-/// One-shot control exchange: connect, send `request`, await one reply.
-/// On failure, `exit_code` distinguishes a dead coordinator
-/// (kExitConnectRefused) from an established-but-broken exchange
-/// (kExitTransport).
+/// One-shot control exchange. On failure, `exit_code` distinguishes a dead
+/// coordinator (kExitConnectRefused) from an established-but-broken
+/// exchange (kExitTransport).
 std::optional<net::Message> round_trip(const std::string& host,
                                        std::uint16_t port, int timeout_ms,
                                        const net::Message& request,
                                        int& exit_code) {
-  auto conn = TcpConnection::try_connect(host, port, timeout_ms);
-  if (!conn) {
+  net::RequestError error{};
+  auto reply = net::request_reply(host, port, timeout_ms, request, &error);
+  if (reply) return reply;
+  if (error == net::RequestError::kConnect) {
     std::fprintf(stderr,
                  "volleyctl: cannot connect to %s:%u "
                  "(connection refused or timed out after %d ms) — is the "
                  "coordinator running?\n",
                  host.c_str(), port, timeout_ms);
     exit_code = kExitConnectRefused;
-    return std::nullopt;
-  }
-  if (!conn->send_all(frame_payload(net::encode(request)))) {
-    std::fprintf(stderr, "volleyctl: send failed (connection broke)\n");
+  } else {
+    std::fprintf(stderr,
+                 "volleyctl: no valid reply within %d ms (send failed, "
+                 "connection broke or malformed frame)\n",
+                 timeout_ms);
     exit_code = kExitTransport;
-    return std::nullopt;
   }
-  FrameReader reader;
-  std::array<std::byte, 8192> buf;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto n = conn->recv_some(buf);
-    if (!n) continue;    // spurious wakeup on a blocking socket
-    if (*n == 0) break;  // peer closed before replying
-    reader.feed(std::span<const std::byte>(buf.data(), *n));
-    const auto payload = reader.next();
-    if (payload || reader.corrupt()) {
-      auto reply = payload ? net::decode(*payload) : std::nullopt;
-      if (reply) return reply;
-      std::fprintf(stderr, "volleyctl: malformed reply frame\n");
-      exit_code = kExitTransport;
-      return std::nullopt;
-    }
-  }
-  std::fprintf(stderr, "volleyctl: no reply within %d ms\n", timeout_ms);
-  exit_code = kExitTransport;
   return std::nullopt;
 }
 

@@ -12,6 +12,7 @@
 #include <sys/time.h>
 
 #include <array>
+#include <atomic>
 #include <csignal>
 
 #include <chrono>
@@ -24,7 +25,9 @@
 #include "net/framing.h"
 #include "net/messages.h"
 #include "net/monitor_node.h"
+#include "net/request_reply.h"
 #include "net/socket.h"
+#include "stalled_listener.h"
 
 namespace volley {
 namespace {
@@ -682,7 +685,7 @@ namespace {
 void eintr_noop_handler(int) {}
 }  // namespace
 
-// connect_with_timeout's poll(2) wait must retry across EINTR (shrinking the
+// TcpConnection::connect's poll(2) wait must retry across EINTR (shrinking the
 // remaining budget) instead of reporting a connect failure. A SIGALRM
 // interval timer storms this thread while a deadline'd connect completes
 // against a live listener, and while another attempt times out against a
@@ -729,6 +732,33 @@ TEST(Socket, ConnectRetriesAcrossEintr) {
   itimerval off{};
   ASSERT_EQ(::setitimer(ITIMER_REAL, &off, nullptr), 0);
   ASSERT_EQ(::sigaction(SIGALRM, &previous, nullptr), 0);
+}
+
+// request_reply's deadline covers the wait for the reply: a listener that
+// completes the handshake and never answers costs timeout_ms, not forever
+// (a blocking recv would never re-check it). A closed port is a connect
+// failure, reported apart from a broken exchange.
+TEST(Socket, RequestReplyHonoursItsDeadline) {
+  TcpListener silent(0);  // the kernel accepts; nobody ever answers
+  net::RequestError error{};
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = net::request_reply("127.0.0.1", silent.port(), 300,
+                                        Message{net::ListTasks{}}, &error);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_FALSE(reply.has_value());
+  EXPECT_EQ(error, net::RequestError::kTransport);
+  EXPECT_LT(elapsed.count(), 300 + 200);
+
+  std::uint16_t dead_port = 0;
+  {
+    TcpListener closed(0);
+    dead_port = closed.port();
+  }
+  EXPECT_FALSE(net::request_reply("127.0.0.1", dead_port, 300,
+                                  Message{net::ListTasks{}}, &error)
+                   .has_value());
+  EXPECT_EQ(error, net::RequestError::kConnect);
 }
 
 // End-to-end distributed session: one coordinator, three monitors over
@@ -862,25 +892,10 @@ TEST(NetIntegration, StatsEndpointServesMetricsMidSession) {
 
   // Let the session get going, then query it from the side.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  auto conn = TcpConnection::connect("127.0.0.1", coordinator.port(), 2000);
   StatsRequest request;
   request.flags = StatsRequest::kIncludeTrace;
-  ASSERT_TRUE(conn.send_all(frame_payload(net::encode(Message{request}))));
-
-  FrameReader reader;
-  std::array<std::byte, 8192> buf;
-  std::optional<Message> reply;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(3);
-  while (!reply && std::chrono::steady_clock::now() < deadline) {
-    pollfd pfd{conn.fd(), POLLIN, 0};
-    ::poll(&pfd, 1, 100);
-    if (!(pfd.revents & (POLLIN | POLLHUP | POLLERR))) continue;
-    const auto n = conn.recv_some(buf);
-    if (!n || *n == 0) break;
-    reader.feed(std::span<const std::byte>(buf.data(), *n));
-    if (auto payload = reader.next()) reply = net::decode(as_bytes(*payload));
-  }
+  const auto reply =
+      net::request_reply("127.0.0.1", coordinator.port(), 3000, request);
   ASSERT_TRUE(reply.has_value()) << "no StatsReply within the deadline";
   const auto* stats = std::get_if<StatsReply>(&*reply);
   ASSERT_NE(stats, nullptr);
@@ -891,7 +906,6 @@ TEST(NetIntegration, StatsEndpointServesMetricsMidSession) {
   EXPECT_NE(stats->metrics.find("volley_sampler_observations_total"),
             std::string::npos);
   EXPECT_FALSE(stats->trace_jsonl.empty());
-  conn.close();
 
   t0.join();
   t1.join();
@@ -1093,6 +1107,46 @@ TEST(NetFaults, CoordinatorRestartMonitorReconnectsAndResumes) {
   // The successor saw the resumed session through to its Bye.
   EXPECT_EQ(successor.reported_ops().size(), 1u);
   EXPECT_GE(successor.fault_stats().reconnects, 1);
+}
+
+// A coordinator that is up but never completes a handshake (full accept
+// queue): every connect attempt waits out connect_timeout_ms. Degraded
+// sampling must keep its tick cadence meanwhile — no window goes
+// unobserved because the node sat in a connect. A watchdog stops the node
+// so a regression fails instead of hanging.
+TEST(NetFaults, StalledConnectKeepsDegradedTickCadence) {
+  constexpr Tick kTicks = 500;
+  testing::StalledListener coordinator;
+  CallableSource quiet([](Tick) { return 0.5; }, kTicks);
+  net::MonitorNodeOptions mopt;
+  mopt.id = 0;
+  mopt.coordinator_port = coordinator.port();
+  mopt.local_threshold = 50.0;
+  mopt.ticks = kTicks;
+  mopt.tick_micros = 1000;  // 0.5 s of ticks
+  mopt.connect_timeout_ms = 500;
+  net::MonitorNode monitor(mopt, quiet);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread runner([&monitor] { monitor.run(); });
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&monitor, &finished] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(4);
+    while (!finished.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    monitor.request_stop();
+  });
+  runner.join();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  finished.store(true);
+  watchdog.join();
+
+  EXPECT_LE(seconds, 1.5);
+  EXPECT_EQ(monitor.degraded_ticks(), kTicks);
+  EXPECT_EQ(monitor.reconnects(), 0);
 }
 
 // poll_timeout_ms: a poll blocked on a live-but-unresponsive monitor must
@@ -1374,33 +1428,15 @@ TEST(NetFaults, IdleChaosProxyPerformsNoWakeups) {
 
 // --- control plane, end to end -------------------------------------------
 
-/// One-shot control client: connect, send `request`, await a reply of type
-/// T (the coordinator answers control frames pre-Hello and disconnects).
+/// One-shot control exchange expecting a reply of type T (the coordinator
+/// answers control frames pre-Hello and disconnects).
 template <typename T>
 std::optional<T> control_round_trip(std::uint16_t port,
                                     const Message& request,
                                     int timeout_ms = 2500) {
-  auto conn = TcpConnection::connect("127.0.0.1", port, timeout_ms);
-  if (!conn.send_all(frame_payload(net::encode(request)))) return std::nullopt;
-  FrameReader reader;
-  std::array<std::byte, 8192> buf;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    pollfd pfd{conn.fd(), POLLIN, 0};
-    ::poll(&pfd, 1, 100);
-    if (!(pfd.revents & (POLLIN | POLLHUP | POLLERR))) continue;
-    const auto n = conn.recv_some(buf);
-    if (!n || *n == 0) break;
-    reader.feed(std::span<const std::byte>(buf.data(), *n));
-    if (auto payload = reader.next()) {
-      const auto reply = net::decode(as_bytes(*payload));
-      if (reply && std::holds_alternative<T>(*reply)) {
-        return std::get<T>(*reply);
-      }
-      return std::nullopt;
-    }
-  }
+  const auto reply =
+      net::request_reply("127.0.0.1", port, timeout_ms, request);
+  if (reply && std::holds_alternative<T>(*reply)) return std::get<T>(*reply);
   return std::nullopt;
 }
 

@@ -2,14 +2,21 @@
 // sim runs (flat identity at shards == 1, forced-op savings and detection
 // at shards > 1, unsupported shapes rejected), two-level allowance
 // conservation, the shard
-// wire frames, and a full 1-root / 2-aggregator / 8-monitor localhost
-// fleet.
+// wire frames, a full 1-root / 2-aggregator / 8-monitor localhost
+// fleet, and the aggregator's upstream leg against a restarted, an
+// unreachable and a stalled root, task fan-through, root budget pushes,
+// and the root's handling of shard summaries and budgets.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -17,13 +24,17 @@
 #include "core/metric_source.h"
 #include "net/aggregator_node.h"
 #include "net/coordinator_node.h"
+#include "net/framing.h"
 #include "net/messages.h"
 #include "net/monitor_node.h"
+#include "net/request_reply.h"
+#include "net/socket.h"
 #include "shard/placement.h"
 #include "shard/sharded_coordinator.h"
 #include "sim/faults.h"
 #include "sim/runner.h"
 #include "sim_grid.h"
+#include "stalled_listener.h"
 
 namespace volley {
 namespace {
@@ -439,6 +450,393 @@ TEST(NetIntegration, TwoTierFleetDetectsViolationThroughAggregators) {
     EXPECT_GT(ops, 0);
     EXPECT_LT(ops, static_cast<std::int64_t>(kTicks * kPerShard));
   }
+}
+
+// --- aggregator upstream leg and root shard handling ----------------------
+
+/// The ListTasks row of `task` at the coordinator on `port`.
+std::optional<net::TaskEntry> list_task(std::uint16_t port, TaskId task) {
+  const auto reply =
+      net::request_reply("127.0.0.1", port, 3000, net::ListTasks{});
+  if (!reply) return std::nullopt;
+  const auto* list = std::get_if<net::TaskListReply>(&*reply);
+  if (list == nullptr) return std::nullopt;
+  for (const auto& entry : list->tasks) {
+    if (entry.task == task) return entry;
+  }
+  return std::nullopt;
+}
+
+double split_sum(const net::TaskEntry& entry) {
+  double sum = 0.0;
+  for (const auto& [id, allowance] : entry.allowance_split) sum += allowance;
+  return sum;
+}
+
+/// A scripted session peer of a coordinator: says `hello`, then sends and
+/// awaits frames from the test thread.
+class RawSession {
+ public:
+  RawSession(std::uint16_t port, const net::Message& hello)
+      : conn_(TcpConnection::connect("127.0.0.1", port, 2000)) {
+    send(hello);
+  }
+
+  void send(const net::Message& message) {
+    EXPECT_TRUE(conn_.send_all(frame_payload(net::encode(message))));
+  }
+
+  /// The next frame of type T within `timeout_ms` (other types skipped).
+  template <typename T>
+  std::optional<T> await(int timeout_ms) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    std::array<std::byte, 4096> buf;
+    for (;;) {
+      while (auto payload = reader_.next()) {
+        const auto message = net::decode(*payload);
+        if (message && std::holds_alternative<T>(*message))
+          return std::get<T>(*message);
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      if (left <= 0) return std::nullopt;
+      pollfd pfd{conn_.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, static_cast<int>(left)) <= 0) continue;
+      const auto n = conn_.recv_some(buf);
+      if (!n || *n == 0) return std::nullopt;
+      reader_.feed(std::span<const std::byte>(buf.data(), *n));
+    }
+  }
+
+ private:
+  TcpConnection conn_;
+  FrameReader reader_;
+};
+
+/// One aggregator with its monitors, built and run by the tests below.
+struct ShardUnderTest {
+  std::unique_ptr<net::AggregatorNode> aggregator;
+  std::vector<std::unique_ptr<CallableSource>> sources;
+  std::vector<std::unique_ptr<net::MonitorNode>> monitors;
+  std::vector<double> monitor_seconds;  // each monitor's run() wall time
+};
+
+/// A shard of `per_shard` monitors behind an aggregator built from `agg`
+/// (monitors and the upstream knobs filled in here). Monitor 0 of a `hot`
+/// shard reads 20.0 over ticks [100, 250) — above the shard's slice on its
+/// own — and every other reading is 0.5.
+ShardUnderTest make_shard(net::AggregatorNodeOptions agg,
+                          std::size_t per_shard, Tick ticks, int tick_micros,
+                          bool hot) {
+  agg.monitors = per_shard;
+  agg.heartbeat_interval_ms = 50;
+  agg.coordinator_timeout_ms = 400;
+  agg.connect_timeout_ms = 300;
+  agg.reconnect_backoff_ms = 20;
+  agg.reconnect_backoff_max_ms = 100;
+  agg.shutdown_grace_ms = 500;
+  ShardUnderTest shard;
+  shard.aggregator = std::make_unique<net::AggregatorNode>(agg);
+  for (std::size_t i = 0; i < per_shard; ++i) {
+    const bool hot_monitor = hot && i == 0;
+    shard.sources.push_back(std::make_unique<CallableSource>(
+        [hot_monitor](Tick t) {
+          return hot_monitor && t >= 100 && t < 250 ? 20.0 : 0.5;
+        },
+        ticks));
+    net::MonitorNodeOptions mon;
+    mon.id = static_cast<MonitorId>(i);
+    mon.coordinator_port = shard.aggregator->port();
+    mon.local_threshold = agg.global_threshold / static_cast<double>(per_shard);
+    mon.sampler.error_allowance = 0.005;
+    mon.sampler.patience = 3;
+    mon.sampler.max_interval = 8;
+    mon.ticks = ticks;
+    mon.updating_period = 100;
+    mon.tick_micros = tick_micros;
+    shard.monitors.push_back(
+        std::make_unique<net::MonitorNode>(mon, *shard.sources.back()));
+  }
+  shard.monitor_seconds.assign(per_shard, 0.0);
+  return shard;
+}
+
+/// Runs every aggregator and monitor of `shards` on its own thread (the
+/// aggregators get a head start to join their root), calls `during` on the
+/// test thread, and returns once every node's run() returned.
+void run_shards(std::vector<ShardUnderTest>& shards,
+                const std::function<void()>& during = [] {}) {
+  std::vector<std::thread> threads;
+  for (auto& shard : shards) {
+    threads.emplace_back([&shard] { shard.aggregator->run(); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (auto& shard : shards) {
+    for (std::size_t i = 0; i < shard.monitors.size(); ++i) {
+      threads.emplace_back([&shard, i] {
+        const auto start = std::chrono::steady_clock::now();
+        shard.monitors[i]->run();
+        shard.monitor_seconds[i] = std::chrono::duration<double>(
+                                       std::chrono::steady_clock::now() - start)
+                                       .count();
+      });
+    }
+  }
+  during();
+  for (auto& t : threads) t.join();
+}
+
+/// Root options over `shards` shards of `per_shard` monitors each.
+net::CoordinatorNodeOptions root_options(std::size_t shards,
+                                         std::size_t per_shard) {
+  net::CoordinatorNodeOptions root;
+  root.monitors = shards;
+  root.total_weight = shards * per_shard;
+  root.global_threshold = 16.0;
+  root.error_allowance = 0.04;
+  return root;
+}
+
+/// The aggregator slice of root_options for shard `s` of `shards`.
+net::AggregatorNodeOptions shard_slice(std::uint32_t s, std::size_t shards,
+                                       std::uint16_t root_port) {
+  net::AggregatorNodeOptions agg;
+  agg.shard_id = s;
+  agg.coordinator_port = root_port;
+  agg.global_threshold = 16.0 / static_cast<double>(shards);
+  agg.error_allowance = 0.04 / static_cast<double>(shards);
+  agg.summary_interval_ms = 50;
+  return agg;
+}
+
+// The root crashes mid-run (request_stop: connections drop, no Shutdown)
+// and a successor comes up on the same port. The aggregator reconnects
+// with ShardHello{resume} and the successor carries the shard to its Bye.
+TEST(NetIntegration, AggregatorResumesAgainstRestartedRoot) {
+  auto root_opts = root_options(1, 2);
+  auto first = std::make_unique<net::CoordinatorNode>(root_opts);
+  const std::uint16_t port = first->port();
+  std::thread first_thread([&first] { first->run(); });
+
+  auto agg = shard_slice(0, 1, port);
+  agg.max_reconnect_attempts = 200;
+  std::vector<ShardUnderTest> shards;
+  shards.push_back(make_shard(agg, 2, 1500, 400, /*hot=*/false));
+
+  std::unique_ptr<net::CoordinatorNode> successor;
+  std::thread successor_thread;
+  run_shards(shards, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    first->request_stop();
+    first_thread.join();
+    first.reset();  // closes the listener and the shard's connection
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    root_opts.port = port;
+    successor = std::make_unique<net::CoordinatorNode>(root_opts);
+    successor_thread = std::thread([&successor] { successor->run(); });
+  });
+  successor_thread.join();
+
+  const auto& aggregator = *shards[0].aggregator;
+  EXPECT_GT(aggregator.reconnects(), 0);
+  EXPECT_FALSE(aggregator.coordinator_lost());
+  // The successor bound a resumed shard session and saw its Bye.
+  EXPECT_GE(successor->fault_stats().reconnects, 1);
+  EXPECT_EQ(successor->reported_ops().size(), 1u);
+}
+
+// No root ever answers: the aggregator gives up after
+// max_reconnect_attempts and its shard still runs to completion, detecting
+// the subset violation on its own.
+TEST(NetIntegration, AggregatorRunsStandaloneWhenRootUnreachable) {
+  std::uint16_t dead_port = 0;
+  {
+    TcpListener listener(0);
+    dead_port = listener.port();
+  }  // closed: every connect is refused
+  auto agg = shard_slice(0, 1, dead_port);
+  agg.max_reconnect_attempts = 3;
+  std::vector<ShardUnderTest> shards;
+  shards.push_back(make_shard(agg, 2, 400, 300, /*hot=*/true));
+  run_shards(shards);
+
+  const auto& aggregator = *shards[0].aggregator;
+  EXPECT_TRUE(aggregator.coordinator_lost());
+  EXPECT_EQ(aggregator.escalations(), 0);
+  EXPECT_FALSE(aggregator.downstream().alerts().empty());
+  EXPECT_EQ(aggregator.downstream().reported_ops().size(), 2u);
+}
+
+// A root that is up but never completes a handshake (its accept queue is
+// full) must not slow the shard down: each upstream connect waits out its
+// deadline in the aggregator's loop while the shard's monitors keep their
+// tick cadence and the subset alert is still recorded.
+TEST(NetIntegration, StalledRootLeavesShardAtTickCadence) {
+  constexpr Tick kTicks = 400;
+  constexpr int kTickMicros = 1000;  // 0.4 s of ticks
+  testing::StalledListener root;
+  std::vector<ShardUnderTest> shards;
+  shards.push_back(make_shard(shard_slice(0, 1, root.port()), 2, kTicks,
+                              kTickMicros, /*hot=*/true));
+  run_shards(shards);
+
+  const auto& shard = shards[0];
+  for (const double seconds : shard.monitor_seconds) {
+    EXPECT_LT(seconds, 1.0) << "a monitor fell behind its tick cadence";
+  }
+  EXPECT_FALSE(shard.aggregator->downstream().alerts().empty());
+  EXPECT_EQ(shard.aggregator->downstream().reported_ops().size(), 2u);
+  EXPECT_EQ(shard.aggregator->escalations(), 0);
+}
+
+// AddTask at the root reaches every monitor of both shards: the root
+// pushes TaskAttach to each aggregator, which re-slices the task for its
+// own monitors.
+TEST(NetIntegration, RootAddTaskFansThroughBothShards) {
+  net::CoordinatorNode root(root_options(2, 2));
+  std::thread root_thread([&root] { root.run(); });
+  std::vector<ShardUnderTest> shards;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    shards.push_back(
+        make_shard(shard_slice(s, 2, root.port()), 2, 1500, 400, false));
+  }
+  constexpr TaskId kTask = 7;
+  run_shards(shards, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    TaskSpec spec;
+    spec.global_threshold = 40.0;
+    spec.error_allowance = 0.02;
+    const auto reply = net::request_reply("127.0.0.1", root.port(), 3000,
+                                          net::AddTask{kTask, spec});
+    ASSERT_TRUE(reply.has_value());
+    const auto* ok = std::get_if<net::ControlReply>(&*reply);
+    ASSERT_NE(ok, nullptr);
+    EXPECT_EQ(ok->status, control::ControlStatus::kOk);
+  });
+  root_thread.join();
+
+  for (const auto& shard : shards) {
+    EXPECT_NE(shard.aggregator->downstream().registry().find(kTask), nullptr);
+    for (const auto& monitor : shard.monitors) {
+      EXPECT_EQ(monitor->task_epochs().count(kTask), 1u);
+      EXPECT_EQ(monitor->live_tasks(), 2u);
+    }
+  }
+}
+
+// A root budget push (ShardAllowance, what `volleyctl budget` sends)
+// rescales each shard's live split onto the shard's new slice in place:
+// no epoch moves at either tier and no monitor restarts its sampler.
+TEST(NetIntegration, RootShardAllowanceRescalesShardSplitInPlace) {
+  net::CoordinatorNode root(root_options(2, 2));
+  std::thread root_thread([&root] { root.run(); });
+  std::vector<ShardUnderTest> shards;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    auto agg = shard_slice(s, 2, root.port());
+    agg.summary_interval_ms = 60000;  // no root reallocation rounds
+    shards.push_back(make_shard(agg, 2, 1500, 400, false));
+  }
+  run_shards(shards, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    const auto reply = net::request_reply("127.0.0.1", root.port(), 3000,
+                                          net::ShardAllowance{0, 0.02});
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_NE(std::get_if<net::ControlReply>(&*reply), nullptr);
+    EXPECT_EQ(std::get<net::ControlReply>(*reply).status,
+              control::ControlStatus::kOk);
+    // The push travels root -> aggregator -> embedded coordinator; wait
+    // for every shard's split to land on its slice of the new budget.
+    bool settled = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!settled && std::chrono::steady_clock::now() < deadline) {
+      const auto top = list_task(root.port(), kBootTaskId);
+      settled = top && std::abs(split_sum(*top) - 0.02) < 1e-12;
+      for (std::uint32_t id = 0; settled && id < shards.size(); ++id) {
+        const auto row = list_task(shards[id].aggregator->port(), kBootTaskId);
+        double slice = -1.0;  // the root's split entry for this shard
+        for (const auto& [shard, a] : top->allowance_split) {
+          if (shard == id) slice = a;
+        }
+        settled = row && row->epoch == 1 &&
+                  std::abs(row->error_allowance - slice) < 1e-12 &&
+                  std::abs(split_sum(*row) - slice) < 1e-12;
+      }
+      if (!settled)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_TRUE(settled) << "shard splits never matched the new budget";
+    const auto top = list_task(root.port(), kBootTaskId);
+    ASSERT_TRUE(top.has_value());
+    EXPECT_EQ(top->epoch, 1u);
+  });
+  root_thread.join();
+
+  for (const auto& shard : shards) {
+    for (const auto& monitor : shard.monitors) {
+      EXPECT_EQ(monitor->task_epochs().at(kBootTaskId), 1u);
+    }
+  }
+}
+
+// `volleyctl budget` to 0 and back: the all-zero split must be rebuilt
+// from the *new* budget, so Σ split equals it right away.
+TEST(ShardTier, BudgetBackFromZeroRestoresTheSplit) {
+  net::CoordinatorNodeOptions options;
+  options.monitors = 2;
+  options.global_threshold = 10.0;
+  options.error_allowance = 0.03;
+  net::CoordinatorNode coordinator(options);
+  std::thread coord_thread([&coordinator] { coordinator.run(); });
+  RawSession m0(coordinator.port(), net::Hello{0});
+  RawSession m1(coordinator.port(), net::Hello{1});
+  const bool attached = m0.await<net::TaskAttach>(2000).has_value() &&
+                        m1.await<net::TaskAttach>(2000).has_value();
+  std::vector<std::optional<net::Message>> replies;
+  for (const double err : {0.0, 0.02}) {
+    replies.push_back(net::request_reply("127.0.0.1", coordinator.port(),
+                                         3000, net::ShardAllowance{0, err}));
+  }
+  const auto row = list_task(coordinator.port(), kBootTaskId);
+  coordinator.request_stop();
+  coord_thread.join();
+
+  ASSERT_TRUE(attached);
+  for (const auto& reply : replies) {
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_NE(std::get_if<net::ControlReply>(&*reply), nullptr);
+    EXPECT_EQ(std::get<net::ControlReply>(*reply).status,
+              control::ControlStatus::kOk);
+  }
+  ASSERT_TRUE(row.has_value());
+  EXPECT_NEAR(split_sum(*row), 0.02, 1e-12);
+  EXPECT_NEAR(row->error_allowance, 0.02, 1e-12);
+}
+
+// A shard whose downstream finished no round since its last summary sends
+// an empty one (observations == 0). That is not a report: the root must
+// not reallocate on it, or budget drifts away from a shard whose round
+// merely fell into another summary window.
+TEST(ShardTier, EmptySummaryDoesNotCountAsAReport) {
+  net::CoordinatorNode root(root_options(2, 4));
+  std::thread root_thread([&root] { root.run(); });
+  RawSession s0(root.port(), net::ShardHello{0, 4, false});
+  RawSession s1(root.port(), net::ShardHello{1, 4, false});
+  EXPECT_TRUE(s0.await<net::TaskAttach>(2000).has_value());
+  EXPECT_TRUE(s1.await<net::TaskAttach>(2000).has_value());
+
+  s0.send(net::ShardSummary{0, kBootTaskId, 0.8, 0.02, 40.0, 0.02, 500});
+  s1.send(net::ShardSummary{1, kBootTaskId, 0.0, 0.0, 0.0, 0.02, 0});
+  EXPECT_FALSE(s0.await<net::ShardAllowance>(300).has_value())
+      << "the root reallocated on an empty summary";
+
+  s1.send(net::ShardSummary{1, kBootTaskId, 0.1, 0.02, 5.0, 0.02, 500});
+  EXPECT_TRUE(s0.await<net::ShardAllowance>(2000).has_value());
+  EXPECT_TRUE(s1.await<net::ShardAllowance>(2000).has_value());
+  root.request_stop();
+  root_thread.join();
 }
 
 }  // namespace
