@@ -1,7 +1,8 @@
 // Tests for the wire runtime: framing, message codec round-trips, socket
-// primitives, full coordinator + monitors sessions over localhost TCP, and
-// the failure model: heartbeat liveness, stale-value poll completion,
-// allowance reclamation, coordinator restart/reconnect, and the chaos proxy.
+// primitives and the request/reply client, full coordinator + monitors
+// sessions over localhost TCP, and the failure model: heartbeat liveness,
+// stale-value poll completion, allowance reclamation, coordinator
+// restart/reconnect, a stalled coordinator, and the chaos proxy.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -685,8 +686,8 @@ namespace {
 void eintr_noop_handler(int) {}
 }  // namespace
 
-// TcpConnection::connect's poll(2) wait must retry across EINTR (shrinking the
-// remaining budget) instead of reporting a connect failure. A SIGALRM
+// TcpConnection::connect's poll(2) wait must retry across EINTR (shrinking
+// the remaining budget) instead of reporting a connect failure. A SIGALRM
 // interval timer storms this thread while a deadline'd connect completes
 // against a live listener, and while another attempt times out against a
 // backlog-saturated one — both outcomes must match the storm-free behavior.

@@ -3,7 +3,7 @@
 // at shards > 1, unsupported shapes rejected), two-level allowance
 // conservation, the shard
 // wire frames, a full 1-root / 2-aggregator / 8-monitor localhost
-// fleet, and the aggregator's upstream leg against a restarted, an
+// fleet, and the aggregator's upstream link against a restarted, an
 // unreachable and a stalled root, task fan-through, root budget pushes,
 // and the root's handling of shard summaries and budgets.
 #include <gtest/gtest.h>
@@ -452,7 +452,7 @@ TEST(NetIntegration, TwoTierFleetDetectsViolationThroughAggregators) {
   }
 }
 
-// --- aggregator upstream leg and root shard handling ----------------------
+// --- aggregator upstream link and root shard handling ---------------------
 
 /// The ListTasks row of `task` at the coordinator on `port`.
 std::optional<net::TaskEntry> list_task(std::uint16_t port, TaskId task) {
