@@ -533,7 +533,6 @@ ShardUnderTest make_shard(net::AggregatorNodeOptions agg,
   agg.monitors = per_shard;
   agg.heartbeat_interval_ms = 50;
   agg.coordinator_timeout_ms = 400;
-  agg.connect_timeout_ms = 300;
   agg.reconnect_backoff_ms = 20;
   agg.reconnect_backoff_max_ms = 100;
   agg.shutdown_grace_ms = 500;
@@ -671,8 +670,11 @@ TEST(NetIntegration, AggregatorRunsStandaloneWhenRootUnreachable) {
 
 // A root that is up but never completes a handshake (its accept queue is
 // full) must not slow the shard down: each upstream connect waits out its
-// deadline in the aggregator's loop while the shard's monitors keep their
-// tick cadence and the subset alert is still recorded.
+// 1 s deadline while the aggregator's loop keeps serving the shard, so the
+// monitors finish at their tick cadence (their run() includes the wait for
+// the shard's Shutdown) and the subset alert is recorded. A connect that
+// blocked the loop would hold polls and the Shutdown for a second at a
+// time.
 TEST(NetIntegration, StalledRootLeavesShardAtTickCadence) {
   constexpr Tick kTicks = 400;
   constexpr int kTickMicros = 1000;  // 0.4 s of ticks
@@ -684,7 +686,7 @@ TEST(NetIntegration, StalledRootLeavesShardAtTickCadence) {
 
   const auto& shard = shards[0];
   for (const double seconds : shard.monitor_seconds) {
-    EXPECT_LT(seconds, 1.0) << "a monitor fell behind its tick cadence";
+    EXPECT_LT(seconds, 0.7) << "a monitor fell behind its tick cadence";
   }
   EXPECT_FALSE(shard.aggregator->downstream().alerts().empty());
   EXPECT_EQ(shard.aggregator->downstream().reported_ops().size(), 2u);
