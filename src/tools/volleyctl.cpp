@@ -87,9 +87,7 @@ std::optional<net::Message> round_trip(const std::string& host,
                  host.c_str(), port, timeout_ms);
     exit_code = kExitConnectRefused;
   } else {
-    std::fprintf(stderr,
-                 "volleyctl: no valid reply within %d ms (send failed, "
-                 "connection broke or malformed frame)\n",
+    std::fprintf(stderr, "volleyctl: no valid reply within %d ms\n",
                  timeout_ms);
     exit_code = kExitTransport;
   }
