@@ -149,8 +149,9 @@ void BM_TraceRecord(benchmark::State& state) {
 BENCHMARK(BM_TraceRecord);
 
 void BM_TraceRecordPair(benchmark::State& state) {
-  // What Monitor records per sampling operation: kSampleTaken and
-  // kIntervalChosen under one lock. Compare with 2 x BM_TraceRecord.
+  // What Monitor records per sampling operation when its thread has bound
+  // a sink (obs::ScopedTraceSink): kSampleTaken and kIntervalChosen under
+  // one lock. Unbound threads skip it. Compare with 2 x BM_TraceRecord.
   obs::TraceSink sink;
   Tick t = 0;
   for (auto _ : state) {

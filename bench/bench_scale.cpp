@@ -22,10 +22,9 @@
 // ("events") per second.
 //
 // VOLLEY_BENCH_QUICK=1 shrinks all parts to smoke size. Emits
-// BENCH_scale.json (schema checked by the CI bench-smoke job). The
-// process-global trace sink is switched off while the bench runs
-// (obs::set_global_trace_enabled) so the numbers measure the monitoring
-// hot path, not the trace ring.
+// BENCH_scale.json (schema checked by the CI bench-smoke job). No trace
+// sink is bound, so per-sample trace events are not recorded and the
+// numbers measure the monitoring hot path, not the trace ring.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +41,6 @@
 #include "core/monitor.h"
 #include "core/task.h"
 #include "obs/metrics.h"
-#include "obs/trace_events.h"
 #include "sim/experiment.h"
 
 namespace volley {
@@ -430,9 +428,6 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
 
 void run() {
   const bool quick = bench::quick();
-  // Measure the monitoring hot path, not the trace ring: with the global
-  // sink disabled, per-sample trace().record calls reduce to one branch.
-  obs::set_global_trace_enabled(false);
 
   std::vector<std::size_t> sizes = {1000, 10000, 50000};
   Tick max_interval = 128;  // > 64: exercises the Im-derived histogram bound
@@ -509,7 +504,6 @@ void run() {
   write_scale_json(quick, max_interval, timed, rows, quiet_eval, noisy_eval,
                    sim_tasks, sim);
   std::printf("-> BENCH_scale.json\n");
-  obs::set_global_trace_enabled(true);
 }
 
 }  // namespace

@@ -23,9 +23,9 @@
 // summary frames, and the root's alerts.
 //
 // VOLLEY_BENCH_QUICK=1 shrinks all parts to smoke size. Emits
-// BENCH_shard.json (schema checked by the CI bench-smoke job). The global
-// trace sink is off while the bench runs so the numbers measure the
-// coordination hot path, not the trace ring.
+// BENCH_shard.json (schema checked by the CI bench-smoke job). No trace
+// sink is bound, so per-sample trace events are not recorded and the
+// numbers measure the coordination hot path, not the trace ring.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +44,6 @@
 #include "net/coordinator_node.h"
 #include "net/monitor_node.h"
 #include "obs/metrics.h"
-#include "obs/trace_events.h"
 #include "shard/sharded_coordinator.h"
 #include "sim/driver.h"
 
@@ -416,7 +415,6 @@ void write_shard_json(bool quick, bool identity,
 
 void run() {
   const bool quick = bench::quick();
-  obs::set_global_trace_enabled(false);
 
   // (monitors, shards) ladder. Warmup is the untimed AIMD climb to Im; the
   // timed window holds timed/hot_every hot-block violation events.
@@ -541,7 +539,6 @@ void run() {
 
   write_shard_json(quick, identity, rows, net);
   std::printf("\n-> BENCH_shard.json\n");
-  obs::set_global_trace_enabled(true);
 }
 
 }  // namespace

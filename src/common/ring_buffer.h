@@ -3,9 +3,10 @@
 // Used by the correlation detector (recent aligned state histories) and by
 // the distributed coordination layer (recent r_i / e_i observations within
 // an updating period), and by the trace sink (obs/trace_events.h), which
-// pushes on every sampling operation. Overwrites the oldest element when
-// full. Indices wrap by compare-and-subtract, not `%`: every index is below
-// twice the capacity, so one subtraction replaces a 64-bit divide.
+// pushes on every sampling operation of a thread that bound it. Overwrites
+// the oldest element when full. Indices wrap by compare-and-subtract, not
+// `%`: every index is below twice the capacity, so one subtraction
+// replaces a 64-bit divide.
 #pragma once
 
 #include <cstddef>

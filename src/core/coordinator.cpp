@@ -69,7 +69,8 @@ Coordinator::Coordinator(const TaskSpec& spec,
   for (const auto& m : monitors_)
     max_interval = std::max(max_interval, m->sampler().max_interval());
   window_ = static_cast<std::size_t>(max_interval) + 2;
-  buckets_.resize(window_);
+  bucket_head_.resize(window_);
+  bucket_next_.resize(monitors_.size());
   rebuild_due_index();
 }
 
@@ -84,11 +85,12 @@ void Coordinator::due_index_insert(MonitorId id, Tick next) {
   if (offset >= window_) offset %= window_;  // never taken by the invariant
   std::size_t slot = cursor_slot_ + offset;
   if (slot >= window_) slot -= window_;
-  buckets_[slot].push_back(id);
+  bucket_next_[id] = bucket_head_[slot];
+  bucket_head_[slot] = id;
 }
 
 void Coordinator::rebuild_due_index() {
-  for (auto& bucket : buckets_) bucket.clear();
+  std::fill(bucket_head_.begin(), bucket_head_.end(), kNoMonitor);
   cursor_slot_ = static_cast<std::size_t>(cursor_) % window_;
   for (MonitorId i = 0; i < monitors_.size(); ++i)
     due_index_insert(i, monitors_[i]->next_sample_tick());
@@ -105,11 +107,11 @@ void Coordinator::collect_due(Tick t) {
   const Tick span = jump > window ? window : jump;
   auto slot = cursor_slot_;
   for (Tick k = 0; k < span; ++k) {
-    auto& bucket = buckets_[slot];
-    if (!bucket.empty()) {
-      due_scratch_.insert(due_scratch_.end(), bucket.begin(), bucket.end());
-      bucket.clear();
+    for (MonitorId id = bucket_head_[slot]; id != kNoMonitor;
+         id = bucket_next_[id]) {
+      due_scratch_.push_back(id);
     }
+    bucket_head_[slot] = kNoMonitor;
     if (++slot == window_) slot = 0;
   }
   cursor_ = t + 1;
@@ -117,7 +119,7 @@ void Coordinator::collect_due(Tick t) {
   // advanced by exactly `span`; a jump past the ring (rare: first tick of
   // a late-starting task) recomputes it.
   cursor_slot_ = jump == span ? slot : static_cast<std::size_t>(cursor_) % window_;
-  // Buckets accumulate ids in insertion order across ticks; the contract
+  // Buckets hold ids in reverse insertion order across ticks; the contract
   // is ascending id order among same-tick monitors.
   if (due_scratch_.size() > 1)
     std::sort(due_scratch_.begin(), due_scratch_.end());
@@ -190,10 +192,8 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     if (result.global_violation) {
       ++global_violations_;
       CoordinatorMetrics::get().alerts->inc();
-      if (obs::trace_enabled()) {
-        obs::trace().record(obs::TraceKind::kAlertRaised, t, 0, sum,
-                            spec_.global_threshold);
-      }
+      obs::trace().record(obs::TraceKind::kAlertRaised, t, 0, sum,
+                          spec_.global_threshold);
     }
     // The poll rescheduled every monitor that wasn't already sampled at t,
     // invalidating their ring entries wholesale; re-derive the index.

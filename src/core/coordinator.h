@@ -153,7 +153,12 @@ class Coordinator {
   Tick cursor_{0};
   std::size_t cursor_slot_{0};                    // cursor_ % window_, cached
   std::size_t window_{0};                         // bucket count (max Im + 2)
-  std::vector<std::vector<MonitorId>> buckets_;   // ring keyed tick % window_
+  // The ring keyed tick % window_, one intrusive list per slot. Each
+  // monitor has exactly one entry, so n + window_ ids hold the whole index
+  // (per-slot vectors kept every slot's peak size, up to n after a poll).
+  static constexpr MonitorId kNoMonitor = ~MonitorId{0};
+  std::vector<MonitorId> bucket_head_;            // per slot: an id, or none
+  std::vector<MonitorId> bucket_next_;            // per monitor: next in slot
   std::vector<MonitorId> due_scratch_;            // ids due this tick, sorted
   BetaBatch beta_batch_;                          // sample-tick drain scratch
 

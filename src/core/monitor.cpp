@@ -99,8 +99,8 @@ Monitor::Outcome Monitor::apply_sample(Tick t, double value, Tick interval,
     ++forced_ops_;
     om.forced->inc();
   }
-  if (obs::trace_enabled()) {
-    obs::trace().record_pair(
+  if (obs::TraceSink* sink = obs::scoped_trace_sink()) {
+    sink->record_pair(
         {.kind = obs::TraceKind::kSampleTaken,
          .tick = t,
          .monitor = id_,

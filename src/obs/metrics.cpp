@@ -290,11 +290,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
 }
 
-MetricsRegistry& global_metrics() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry& registry)
     : previous_(detail::tls_metrics_registry) {
   detail::tls_metrics_registry = &registry;

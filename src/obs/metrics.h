@@ -274,7 +274,10 @@ class MetricsRegistry {
 };
 
 /// The process-global registry (the default binding of `metrics()`).
-MetricsRegistry& global_metrics();
+inline MetricsRegistry& global_metrics() {
+  static MetricsRegistry registry;
+  return registry;
+}
 
 namespace detail {
 /// The calling thread's current-registry binding (null = global).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace volley::obs {
@@ -83,6 +84,18 @@ class JsonScanner {
   std::size_t pos_{0};
 };
 
+/// `x` as a T when it is a finite integer within T's range, else nullopt.
+/// T's max() + 1 is a power of two, so the exclusive upper bound is exact.
+template <typename T>
+std::optional<T> integral_field(double x) {
+  if (!std::isfinite(x) || x != std::trunc(x)) return std::nullopt;
+  if (x < static_cast<double>(std::numeric_limits<T>::min()) ||
+      x >= static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
+    return std::nullopt;
+  }
+  return static_cast<T>(x);
+}
+
 }  // namespace
 
 const char* trace_kind_name(TraceKind kind) {
@@ -122,12 +135,16 @@ std::optional<TraceEvent> trace_event_from_json(std::string_view line) {
     return std::nullopt;
   }
   const auto parsed_kind = trace_kind_from_name(kind);
-  if (!parsed_kind) return std::nullopt;
-  if (monitor < 0) return std::nullopt;
+  const auto parsed_seq = integral_field<std::int64_t>(seq);
+  const auto parsed_tick = integral_field<Tick>(tick);
+  const auto parsed_monitor = integral_field<std::uint32_t>(monitor);
+  if (!parsed_kind || !parsed_seq || !parsed_tick || !parsed_monitor) {
+    return std::nullopt;
+  }
   event.kind = *parsed_kind;
-  event.seq = static_cast<std::int64_t>(seq);
-  event.tick = static_cast<Tick>(tick);
-  event.monitor = static_cast<std::uint32_t>(monitor);
+  event.seq = *parsed_seq;
+  event.tick = *parsed_tick;
+  event.monitor = *parsed_monitor;
   return event;
 }
 
@@ -196,11 +213,6 @@ void TraceSink::clear() {
 TraceSink& global_trace() {
   static TraceSink sink;
   return sink;
-}
-
-TraceSink& trace() {
-  TraceSink* current = detail::tls_trace_sink;
-  return current ? *current : global_trace();
 }
 
 ScopedTraceSink::ScopedTraceSink(TraceSink& sink)

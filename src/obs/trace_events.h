@@ -2,7 +2,10 @@
 //
 // Counters say *how many* samples were taken; trace events say *which*
 // monitor took one at *which* tick with *what* violation likelihood. Every
-// decision point of the Volley pipeline records one event:
+// decision point of the Volley pipeline records one event. The two
+// per-sample kinds (kSampleTaken, kIntervalChosen) go only to a sink the
+// thread bound with ScopedTraceSink; the others, rare protocol events, go
+// to `trace()` (the bound sink, else the process-global ring):
 //
 //   kSampleTaken        monitor sampled          value = sampled value,
 //                                                detail = 0 scheduled /
@@ -35,13 +38,14 @@
 //
 // Events land in a bounded ring-buffer sink (common/ring_buffer.h): the
 // newest `capacity` events win, the oldest are overwritten — observability
-// must never grow without bound inside the system it observes. `seq` is a
+// must never grow without bound inside the system it observes. Keeping
+// per-sample events out of the global ring is what lets it hold alerts:
+// one 2048-monitor poll would otherwise overwrite all 4096 slots. `seq` is a
 // monotone per-sink sequence number, so an exporter can detect overwritten
 // gaps. Export is JSONL (one JSON object per line); `trace_event_from_json`
 // round-trips the format for offline tooling and tests.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -84,7 +88,8 @@ struct TraceEvent {
 std::string to_json(const TraceEvent& event);
 
 /// Parses one `to_json` line (whitespace-tolerant, key order fixed as
-/// emitted). nullopt on malformed input or unknown kind.
+/// emitted). nullopt on malformed input, an unknown kind, or a seq, tick
+/// or monitor that is not an integer within its field's range.
 std::optional<TraceEvent> trace_event_from_json(std::string_view line);
 
 /// Bounded, thread-safe trace sink. Recording takes one uncontended mutex
@@ -132,44 +137,29 @@ class TraceSink {
 TraceSink& global_trace();
 
 namespace detail {
-/// The calling thread's current-sink binding (null = global). Header-inline
-/// so `trace_enabled()` compiles to a TLS load + branch at every call site.
+/// The calling thread's current-sink binding (null = global).
 inline thread_local TraceSink* tls_trace_sink = nullptr;
-/// Whether instrumentation records into the *global* sink when no scoped
-/// sink is bound. Defaults to on (the seed behavior).
-inline std::atomic<bool> global_trace_enabled{true};
 }  // namespace detail
 
+/// The sink the calling thread bound with ScopedTraceSink, or null when
+/// none is bound. Per-sample sites (Monitor's kSampleTaken/kIntervalChosen
+/// pair) record only here: an unbound thread pays one TLS load and a
+/// branch per sample, and the global ring keeps the protocol's rare events.
+inline TraceSink* scoped_trace_sink() { return detail::tls_trace_sink; }
+
 /// The calling thread's current sink: the innermost active ScopedTraceSink
-/// on this thread, or the process-global sink when none is active. All
-/// built-in instrumentation records through this.
-TraceSink& trace();
-
-/// Hot-path gate for instrumentation sites: false only when the thread has
-/// no scoped sink *and* global tracing is switched off. Per-sample sites
-/// (Monitor::sample_at, Coordinator polls) wrap their `trace().record(...)`
-/// in this so a disabled trace plane costs one TLS load and one relaxed
-/// atomic load — a branch, not a mutex — per sample. Sites that fire rarely
-/// (reallocation, liveness transitions) may skip the gate; they still
-/// record into the global sink when enabled.
-inline bool trace_enabled() {
-  return detail::tls_trace_sink != nullptr ||
-         detail::global_trace_enabled.load(std::memory_order_relaxed);
+/// on this thread, or the process-global sink when none is active. Every
+/// rare-event site (alerts, allowance changes, liveness, reconnects,
+/// registry changes, misdetect windows) records through this.
+inline TraceSink& trace() {
+  TraceSink* scoped = scoped_trace_sink();
+  return scoped ? *scoped : global_trace();
 }
 
-/// Turns recording into the *global* sink on or off (default on). Scoped
-/// sinks are unaffected: a run under ScopedTraceSink is always traced —
-/// sweep workers and the wire runtime rely on that. Benchmarks switch the
-/// global sink off while timing so per-sample tracing doesn't mask the
-/// hot-path win being measured.
-inline void set_global_trace_enabled(bool enabled) {
-  detail::global_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-/// RAII rebinding of `trace()` for the calling thread, mirroring
-/// obs::ScopedMetricsRegistry: parallel sweep workers give each run a
-/// private sink so hot-path trace recording never contends on the global
-/// ring's mutex. Scopes nest and are thread-local.
+/// RAII rebinding of `trace()` and `scoped_trace_sink()` for the calling
+/// thread, mirroring obs::ScopedMetricsRegistry: a run that wants its
+/// per-sample events binds a private sink, and parallel sweep workers never
+/// contend on the global ring's mutex. Scopes nest and are thread-local.
 class ScopedTraceSink {
  public:
   explicit ScopedTraceSink(TraceSink& sink);

@@ -131,10 +131,8 @@ Coordinator::TickResult ShardedCoordinator::run_tick(Tick t) {
     if (result.global_violation) {
       ++root_violations_;
       ShardMetrics::get().alerts->inc();
-      if (obs::trace_enabled()) {
-        obs::trace().record(obs::TraceKind::kAlertRaised, t, 0, total,
-                            spec_.global_threshold);
-      }
+      obs::trace().record(obs::TraceKind::kAlertRaised, t, 0, total,
+                          spec_.global_threshold);
     }
   }
 

@@ -28,13 +28,6 @@ void Histogram::add_n(double x, std::int64_t n) {
   sum_ += x * static_cast<double>(n);
 }
 
-std::size_t Histogram::bin_of(double x) const {
-  if (x < lo_) return 0;
-  if (x >= hi_) return counts_.size() - 1;
-  const auto bin = static_cast<std::size_t>((x - lo_) / bin_width_);
-  return std::min(bin, counts_.size() - 1);  // guard x just below hi_
-}
-
 void Histogram::merge(const Histogram& other) {
   if (lo_ != other.lo_ || hi_ != other.hi_)
     throw std::invalid_argument("Histogram::merge: shape mismatch");

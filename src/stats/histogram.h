@@ -7,6 +7,7 @@
 // so callers can detect mis-sized ranges.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -37,8 +38,14 @@ class Histogram {
                      double sum);
 
   /// The bin add(x) counts x in (out-of-range values clamp to the edge
-  /// bins; add() also tallies them as under/overflow).
-  std::size_t bin_of(double x) const;
+  /// bins; add() also tallies them as under/overflow). NaN lands in the
+  /// last bin and is tallied as neither.
+  std::size_t bin_of(double x) const {
+    if (x < lo_) return 0;
+    if (!(x < hi_)) return counts_.size() - 1;  // x >= hi_, or NaN
+    const auto bin = static_cast<std::size_t>((x - lo_) / bin_width_);
+    return std::min(bin, counts_.size() - 1);  // guard x just below hi_
+  }
 
   std::int64_t count() const { return total_; }
   std::int64_t bin_count(std::size_t bin) const { return counts_.at(bin); }

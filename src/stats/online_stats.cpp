@@ -1,30 +1,14 @@
 #include "stats/online_stats.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace volley {
-
-void OnlineStats::add(double x) {
-  ++n_;
-  const double d1 = x - mean_;
-  mean_ += d1 / static_cast<double>(n_);
-  const double d2 = x - mean_;
-  m2_ += d1 * d2;
-}
 
 void OnlineStats::reset() {
   n_ = 0;
   mean_ = 0.0;
   m2_ = 0.0;
 }
-
-double OnlineStats::variance() const {
-  if (n_ == 0) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void OnlineStats::merge(const OnlineStats& other) {
   if (other.n_ == 0) return;
@@ -47,26 +31,11 @@ WindowedStats::WindowedStats(std::int64_t window, std::int64_t warmup)
   if (warmup < 0) throw std::invalid_argument("WindowedStats: warmup >= 0");
 }
 
-void WindowedStats::add(double x) {
-  if (current_.count() >= window_) {
-    previous_ = current_;
-    has_previous_ = true;
-    current_.reset();
-  }
-  current_.add(x);
-  ++total_;
-}
-
 void WindowedStats::reset() {
   current_.reset();
   previous_.reset();
   has_previous_ = false;
   total_ = 0;
-}
-
-const OnlineStats& WindowedStats::active() const {
-  if (has_previous_ && current_.count() < warmup_) return previous_;
-  return current_;
 }
 
 std::optional<double> WindowedStats::mean() const {
@@ -79,12 +48,6 @@ std::optional<double> WindowedStats::stddev() const {
   const OnlineStats& s = active();
   if (s.count() == 0) return std::nullopt;
   return s.stddev();
-}
-
-std::optional<WindowedStats::Snapshot> WindowedStats::snapshot() const {
-  const OnlineStats& s = active();
-  if (s.count() == 0) return std::nullopt;
-  return Snapshot{s.mean(), s.stddev()};
 }
 
 }  // namespace volley

@@ -12,6 +12,7 @@
 // window's statistics until the new window has a configurable warm-up count.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 
@@ -20,7 +21,13 @@ namespace volley {
 /// Numerically stable streaming mean/variance.
 class OnlineStats {
  public:
-  void add(double x);
+  void add(double x) {
+    ++n_;
+    const double d1 = x - mean_;
+    mean_ += d1 / static_cast<double>(n_);
+    const double d2 = x - mean_;
+    m2_ += d1 * d2;
+  }
 
   /// Removes nothing; restart from scratch.
   void reset();
@@ -30,8 +37,11 @@ class OnlineStats {
   /// convention of starting mu at 0).
   double mean() const { return mean_; }
   /// Population variance (divide by n, per the paper's update rule).
-  double variance() const;
-  double stddev() const;
+  double variance() const {
+    if (n_ == 0) return 0.0;
+    return m2_ / static_cast<double>(n_);
+  }
+  double stddev() const { return std::sqrt(variance()); }
 
   /// Merge another estimator's samples into this one (parallel Welford).
   void merge(const OnlineStats& other);
@@ -53,7 +63,15 @@ class WindowedStats {
  public:
   explicit WindowedStats(std::int64_t window = 1000, std::int64_t warmup = 8);
 
-  void add(double x);
+  void add(double x) {
+    if (current_.count() >= window_) {
+      previous_ = current_;
+      has_previous_ = true;
+      current_.reset();
+    }
+    current_.add(x);
+    ++total_;
+  }
   void reset();
 
   /// Statistics of the active window, falling back to the previous window
@@ -68,7 +86,11 @@ class WindowedStats {
     double mean{0.0};
     double stddev{0.0};
   };
-  std::optional<Snapshot> snapshot() const;
+  std::optional<Snapshot> snapshot() const {
+    const OnlineStats& s = active();
+    if (s.count() == 0) return std::nullopt;
+    return Snapshot{s.mean(), s.stddev()};
+  }
 
   std::int64_t window() const { return window_; }
   /// Samples in the currently accumulating window.
@@ -77,7 +99,10 @@ class WindowedStats {
   std::int64_t total_count() const { return total_; }
 
  private:
-  const OnlineStats& active() const;
+  const OnlineStats& active() const {
+    if (has_previous_ && current_.count() < warmup_) return previous_;
+    return current_;
+  }
 
   std::int64_t window_;
   std::int64_t warmup_;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -255,6 +256,30 @@ TEST(Trace, JsonRejectsMalformedLines) {
                    R"({"seq":0,"kind":"bogus_kind","tick":0,"monitor":0,)"
                    R"("value":0,"detail":0})")
                    .has_value());
+  // seq, tick and monitor must be finite integers within their field's
+  // range: each of these once parsed to garbage through an undefined cast.
+  for (const char* fields :
+       {R"("seq":1e300,"kind":"alert_raised","tick":0,"monitor":0)",
+        R"("seq":9223372036854775808,"kind":"alert_raised","tick":0,"monitor":0)",
+        R"("seq":0,"kind":"alert_raised","tick":-1e19,"monitor":0)",
+        R"("seq":0,"kind":"alert_raised","tick":inf,"monitor":0)",
+        R"("seq":nan,"kind":"alert_raised","tick":0,"monitor":0)",
+        R"("seq":0,"kind":"alert_raised","tick":1.5,"monitor":0)",
+        R"("seq":0,"kind":"alert_raised","tick":0,"monitor":5e12)",
+        R"("seq":0,"kind":"alert_raised","tick":0,"monitor":4294967296)",
+        R"("seq":0,"kind":"alert_raised","tick":0,"monitor":-1)"}) {
+    const std::string line =
+        std::string("{") + fields + R"(,"value":0,"detail":0})";
+    EXPECT_FALSE(trace_event_from_json(line).has_value()) << line;
+  }
+  // The edges of each range still parse.
+  const auto edge = trace_event_from_json(
+      R"({"seq":-9223372036854775808,"kind":"alert_raised",)"
+      R"("tick":9007199254740992,"monitor":4294967295,"value":0,"detail":0})");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->seq, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(edge->tick, 9007199254740992);
+  EXPECT_EQ(edge->monitor, 4294967295u);
 }
 
 TEST(Trace, JsonlExportRoundTripsEveryLine) {
@@ -638,13 +663,15 @@ TEST(ScopedTrace, RebindsSinkAndRestores) {
 // ---------------------------------------------------------------------------
 // Sim integration: every RunResult carries a metrics snapshot.
 
-TEST(ObsIntegration, SimRunEmbedsNonZeroMetricsSnapshot) {
+/// A 2000-tick single-monitor run with one 40-tick episode above T from
+/// tick 500, so polls and alerts fire.
+RunResult run_spiked_single() {
   Rng rng(7);
   TimeSeries series(2000);
   for (std::size_t i = 0; i < series.size(); ++i) {
     series[i] = rng.normal(0.0, 0.1);
   }
-  series[500] = 10.0;  // one violation episode so polls/alerts fire
+  for (std::size_t i = 500; i < 540; ++i) series[i] = 10.0;
 
   TaskSpec spec;
   spec.global_threshold = 5.0;
@@ -652,8 +679,13 @@ TEST(ObsIntegration, SimRunEmbedsNonZeroMetricsSnapshot) {
   spec.max_interval = 16;
   spec.patience = 5;
   spec.updating_period = 400;
+  return run_volley_single(spec, series);
+}
 
-  const auto result = run_volley_single(spec, series);
+TEST(ObsIntegration, SimRunEmbedsNonZeroMetricsSnapshot) {
+  TraceSink sink(1 << 14);
+  ScopedTraceSink trace_scope(sink);
+  const auto result = run_spiked_single();
   ASSERT_FALSE(result.metrics_json.empty());
   EXPECT_NE(result.metrics_json.find("\"counters\""), std::string::npos);
   EXPECT_NE(result.metrics_json.find("volley_sampler_observations_total"),
@@ -668,15 +700,30 @@ TEST(ObsIntegration, SimRunEmbedsNonZeroMetricsSnapshot) {
             0);
   EXPECT_GT(metrics().counter("volley_monitor_scheduled_ops_total").value(),
             0);
-  // The spike produced at least one interval-chosen trace event.
-  bool saw_interval_event = false;
-  for (const auto& event : trace().snapshot()) {
-    if (event.kind == TraceKind::kIntervalChosen) {
-      saw_interval_event = true;
-      break;
-    }
+  // The run's per-sample events land in the sink this thread bound.
+  const auto events = sink.snapshot();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const auto& e) {
+    return e.kind == TraceKind::kIntervalChosen;
+  }));
+}
+
+TEST(ObsIntegration, UnscopedRunKeepsOnlyProtocolEventsInGlobalRing) {
+  ASSERT_EQ(scoped_trace_sink(), nullptr);
+  const std::int64_t before = global_trace().recorded();
+  const auto result = run_spiked_single();
+  ASSERT_GT(result.detected_alert_ticks, 0);
+  // Events this run added; the ring is large enough to still hold them.
+  const std::int64_t added = global_trace().recorded() - before;
+  ASSERT_GT(added, 0);
+  ASSERT_LE(added, static_cast<std::int64_t>(global_trace().capacity()));
+  bool saw_alert = false;
+  for (const auto& event : global_trace().snapshot()) {
+    if (event.seq < before) continue;
+    EXPECT_NE(event.kind, TraceKind::kSampleTaken);
+    EXPECT_NE(event.kind, TraceKind::kIntervalChosen);
+    saw_alert = saw_alert || event.kind == TraceKind::kAlertRaised;
   }
-  EXPECT_TRUE(saw_interval_event);
+  EXPECT_TRUE(saw_alert);
 }
 
 // ---------------------------------------------------------------------------

@@ -253,6 +253,16 @@ TEST(Histogram, BinsAndClampsOutOfRange) {
   EXPECT_EQ(h.overflow(), 1);
 }
 
+TEST(Histogram, NanLandsInLastBinWithoutUnderOrOverflow) {
+  Histogram h(0.0, 10.0, 10);
+  EXPECT_EQ(h.bin_of(std::nan("")), 9u);
+  h.add(std::nan(""));
+  EXPECT_EQ(h.count(), 1);
+  EXPECT_EQ(h.bin_count(9), 1);
+  EXPECT_EQ(h.underflow(), 0);
+  EXPECT_EQ(h.overflow(), 0);
+}
+
 TEST(Histogram, QuantileInterpolatesWithinBin) {
   Histogram h(0.0, 10.0, 10);
   for (int i = 0; i < 100; ++i) h.add(0.5);  // all mass in bin [0,1)
