@@ -29,9 +29,12 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
-  /// Normal with the given mean and standard deviation.
+  /// Normal with the given mean and standard deviation; stddev = 0 returns
+  /// mean. Scales a standard normal by hand (libstdc++'s own expression),
+  /// because the library distribution requires stddev > 0; the engine is
+  /// consumed the same way for every stddev.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
   /// Exponential with the given rate (mean 1/rate).
   double exponential(double rate) {

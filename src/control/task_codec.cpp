@@ -1,115 +1,36 @@
 #include "control/task_codec.h"
 
-#include <cstring>
-
 namespace volley::control {
 
 namespace {
 
-void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-void put_f64(std::vector<std::byte>& out, double v) { put_raw(out, &v, 8); }
-void put_i64(std::vector<std::byte>& out, std::int64_t v) {
-  put_raw(out, &v, 8);
-}
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  put_raw(out, &v, 8);
-}
-void put_i32(std::vector<std::byte>& out, std::int32_t v) {
-  put_raw(out, &v, 4);
-}
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  put_raw(out, &v, 4);
-}
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  put_raw(out, &v, 1);
-}
-
-bool get_raw(std::span<const std::byte> in, std::size_t& pos, void* p,
-             std::size_t n) {
-  if (in.size() - pos < n) return false;
-  std::memcpy(p, in.data() + pos, n);
-  pos += n;
-  return true;
-}
-
-bool get_f64(std::span<const std::byte> in, std::size_t& pos, double& v) {
-  return get_raw(in, pos, &v, 8);
-}
-bool get_i64(std::span<const std::byte> in, std::size_t& pos,
-             std::int64_t& v) {
-  return get_raw(in, pos, &v, 8);
-}
-bool get_u64(std::span<const std::byte> in, std::size_t& pos,
-             std::uint64_t& v) {
-  return get_raw(in, pos, &v, 8);
-}
-bool get_i32(std::span<const std::byte> in, std::size_t& pos,
-             std::int32_t& v) {
-  return get_raw(in, pos, &v, 4);
-}
-bool get_u32(std::span<const std::byte> in, std::size_t& pos,
-             std::uint32_t& v) {
-  return get_raw(in, pos, &v, 4);
-}
-bool get_u8(std::span<const std::byte> in, std::size_t& pos,
-            std::uint8_t& v) {
-  return get_raw(in, pos, &v, 1);
+template <class T>
+bool read(std::span<const std::byte> in, std::size_t& pos, T& value) {
+  wire::ByteReader r(in, pos);
+  const bool ok = r(value);
+  pos = r.pos();
+  return ok;
 }
 
 }  // namespace
 
 void encode_task_spec(std::vector<std::byte>& out, const TaskSpec& spec) {
-  put_f64(out, spec.global_threshold);
-  put_f64(out, spec.error_allowance);
-  put_f64(out, spec.id_seconds);
-  put_i64(out, spec.max_interval);
-  put_f64(out, spec.slack_ratio);
-  put_i32(out, spec.patience);
-  put_i64(out, spec.updating_period);
-  put_i64(out, spec.estimator.stats_window);
-  put_i64(out, spec.estimator.stats_warmup);
-  put_i64(out, spec.estimator.min_observations);
-  put_u8(out, static_cast<std::uint8_t>(spec.estimator.bound));
+  wire::ByteWriter{out}(spec);
 }
 
 bool decode_task_spec(std::span<const std::byte> in, std::size_t& pos,
                       TaskSpec& spec) {
-  std::int32_t patience = 0;
-  std::uint8_t bound = 0;
-  if (!get_f64(in, pos, spec.global_threshold) ||
-      !get_f64(in, pos, spec.error_allowance) ||
-      !get_f64(in, pos, spec.id_seconds) ||
-      !get_i64(in, pos, spec.max_interval) ||
-      !get_f64(in, pos, spec.slack_ratio) || !get_i32(in, pos, patience) ||
-      !get_i64(in, pos, spec.updating_period) ||
-      !get_i64(in, pos, spec.estimator.stats_window) ||
-      !get_i64(in, pos, spec.estimator.stats_warmup) ||
-      !get_i64(in, pos, spec.estimator.min_observations) ||
-      !get_u8(in, pos, bound)) {
-    return false;
-  }
-  using Bound = ViolationLikelihoodEstimator::Bound;
-  if (bound > static_cast<std::uint8_t>(Bound::kGaussian)) return false;
-  spec.patience = patience;
-  spec.estimator.bound = static_cast<Bound>(bound);
-  return true;
+  return read(in, pos, spec);
 }
 
 void encode_task_record(std::vector<std::byte>& out,
                         const TaskRecord& record) {
-  put_u32(out, record.id);
-  put_u64(out, record.epoch);
-  encode_task_spec(out, record.spec);
+  wire::ByteWriter{out}(record);
 }
 
 bool decode_task_record(std::span<const std::byte> in, std::size_t& pos,
                         TaskRecord& record) {
-  return get_u32(in, pos, record.id) && get_u64(in, pos, record.epoch) &&
-         decode_task_spec(in, pos, record.spec);
+  return read(in, pos, record);
 }
 
 std::vector<std::byte> encode_record(const TaskRecord& record) {

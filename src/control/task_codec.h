@@ -7,12 +7,9 @@
 // never drift apart — a spec accepted over the wire round-trips through the
 // journal bit-for-bit.
 //
-// Layout (little-endian, fixed-width):
-//   TaskSpec:   f64 global_threshold | f64 error_allowance | f64 id_seconds |
-//               i64 max_interval | f64 slack_ratio | i32 patience |
-//               i64 updating_period | i64 stats_window | i64 stats_warmup |
-//               i64 min_observations | u8 bound
-//   TaskRecord: u32 id | u64 epoch | TaskSpec
+// The layouts are the two `fields` functions below, encoded under the rules
+// of common/wire_io.h (little-endian, fixed-width; the estimator bound is
+// one byte, at most kGaussian).
 //
 // Decoding is total: truncated or out-of-range input returns false and
 // leaves the cursor unspecified; nothing throws, because both consumers
@@ -24,8 +21,25 @@
 #include <span>
 #include <vector>
 
+#include "common/wire_io.h"
 #include "core/task.h"
 #include "core/types.h"
+
+namespace volley {
+
+constexpr auto wire_max(ViolationLikelihoodEstimator::Bound) {
+  return ViolationLikelihoodEstimator::Bound::kGaussian;
+}
+
+/// TaskSpec on the wire and in the journal.
+void fields(auto& io, wire::Is<TaskSpec> auto& s) {
+  io(s.global_threshold, s.error_allowance, s.id_seconds, s.max_interval,
+     s.slack_ratio, s.patience, s.updating_period, s.estimator.stats_window,
+     s.estimator.stats_warmup, s.estimator.min_observations,
+     s.estimator.bound);
+}
+
+}  // namespace volley
 
 namespace volley::control {
 
@@ -38,6 +52,10 @@ struct TaskRecord {
   std::uint64_t epoch{0};
   TaskSpec spec{};
 };
+
+void fields(auto& io, wire::Is<TaskRecord> auto& r) {
+  io(r.id, r.epoch, r.spec);
+}
 
 /// Appends the serialized spec to `out`.
 void encode_task_spec(std::vector<std::byte>& out, const TaskSpec& spec);

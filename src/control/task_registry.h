@@ -56,6 +56,11 @@ enum class ControlStatus : std::uint8_t {
   kInvalid = 3,
 };
 
+/// Highest ControlStatus a ControlReply may carry (common/wire_io.h).
+constexpr ControlStatus wire_max(ControlStatus) {
+  return ControlStatus::kInvalid;
+}
+
 const char* control_status_name(ControlStatus status);
 
 struct MutationResult {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <optional>
 #include <stdexcept>
 
@@ -12,12 +11,6 @@
 namespace volley::net {
 
 namespace {
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 constexpr int kPartialWriteGapMs = 3;
 }  // namespace
 
@@ -202,7 +195,7 @@ void ChaosProxy::on_link(Link& link, bool from_client,
   while (!link.closed) {
     const auto n = in.recv_some(buf);
     if (!n) break;  // drained to EAGAIN
-    const std::int64_t now = now_ms();
+    const std::int64_t now = Reactor::now_ms();
     if (*n == 0) {
       // One side hung up: flush what is queued, then mirror the close.
       flush(link, now + (1 << 20));
@@ -213,7 +206,7 @@ void ChaosProxy::on_link(Link& link, bool from_client,
            now);
   }
   if (!link.closed) {
-    flush(link, now_ms());
+    flush(link, Reactor::now_ms());
     schedule_link_timer(link);
   }
 }
@@ -237,11 +230,12 @@ void ChaosProxy::schedule_link_timer(Link& link) {
   if (link.timer_armed && link.timer_due <= *due) return;
   if (link.timer_armed) reactor_.cancel_timer(link.timer);
   Link* raw = &link;
-  const std::int64_t delay = std::max<std::int64_t>(*due - now_ms(), 0) + 1;
+  const std::int64_t delay =
+      std::max<std::int64_t>(*due - Reactor::now_ms(), 0) + 1;
   link.timer = reactor_.add_timer(delay, [this, raw] {
     raw->timer_armed = false;
     if (raw->closed) return;
-    flush(*raw, now_ms());
+    flush(*raw, Reactor::now_ms());
     schedule_link_timer(*raw);
   });
   link.timer_armed = true;

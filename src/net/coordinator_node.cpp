@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -13,11 +12,6 @@
 namespace volley::net {
 
 namespace {
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct NetCoordinatorMetrics {
   obs::CounterCell* heartbeats;
@@ -211,7 +205,7 @@ void CoordinatorNode::start_poll(TaskId task, TaskRuntime& rt, Tick tick) {
   rt.active_poll = next_poll_id_++;
   rt.active_poll_tick = tick;
   rt.poll_values.clear();
-  rt.poll_started_ms = now_ms();
+  rt.poll_started_ms = Reactor::now_ms();
   ++global_polls_;
   // Timer-wheel deadline. The captured poll id guards against firing on a
   // later poll of the same task: finish_poll cancels, but a timer
@@ -280,7 +274,7 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
   {
     std::lock_guard<std::mutex> lock(poll_settle_mu_);
     poll_settle_ms_.push_back(
-        static_cast<double>(now_ms() - rt.poll_started_ms));
+        static_cast<double>(Reactor::now_ms() - rt.poll_started_ms));
   }
   if (rt.poll_timer != 0) {
     reactor_.cancel_timer(rt.poll_timer);
@@ -339,7 +333,7 @@ void CoordinatorNode::maybe_reallocate_all() {
 void CoordinatorNode::mark_suspect(MonitorId id, Session& session) {
   if (session.state != MonitorLiveness::kActive || session.done) return;
   session.state = MonitorLiveness::kSuspect;
-  session.suspect_since_ms = now_ms();
+  session.suspect_since_ms = Reactor::now_ms();
   ++fault_stats_.suspected;
   NetCoordinatorMetrics::get().suspects->inc();
   obs::trace().record(obs::TraceKind::kLivenessTransition, 0, id,
@@ -413,7 +407,7 @@ void CoordinatorNode::serve_stats(TcpConnection& conn,
     reply.trace_jsonl = obs::trace().to_jsonl(2048);
   }
   if (request.flags & StatsRequest::kIncludeShards) {
-    const std::int64_t now = now_ms();
+    const std::int64_t now = Reactor::now_ms();
     const auto boot = tasks_.find(kBootTaskId);
     for (const auto& [id, session] : sessions_) {
       if (!session.shard) continue;
@@ -601,7 +595,7 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     Session session;
     session.conn = std::move(pending.conn);
     session.reader = std::move(pending.reader);
-    session.last_seen_ms = now_ms();
+    session.last_seen_ms = Reactor::now_ms();
     session.shard = shard;
     session.weight = weight;
     it = sessions_.emplace(id, std::move(session)).first;
@@ -644,7 +638,7 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     session.reader = std::move(pending.reader);
     session.connected = true;
     session.state = MonitorLiveness::kActive;
-    session.last_seen_ms = now_ms();
+    session.last_seen_ms = Reactor::now_ms();
     session.shard = shard;
     session.weight = weight;
     ++fault_stats_.reconnects;
@@ -746,7 +740,7 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
     // keeps the session fresh but is no report: counting its zero yield
     // would move budget away from a shard whose round merely fell into
     // another summary window.
-    session.last_summary_ms = now_ms();
+    session.last_summary_ms = Reactor::now_ms();
     if (summary->observations == 0) return;
     const auto task_it = tasks_.find(summary->task);
     if (task_it == tasks_.end()) return;
@@ -773,7 +767,7 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
 // pending-Hello drop, idle guard).
 void CoordinatorNode::run() {
   idle_abort_ = false;
-  last_activity_ms_ = now_ms();
+  last_activity_ms_ = Reactor::now_ms();
   reactor_.enable_loop_stats(0);
   reactor_.add_fd(listener_.fd(),
                   [this](std::uint32_t) { on_accept(); });
@@ -820,12 +814,12 @@ void CoordinatorNode::on_accept() {
     const int fd = conn->fd();
     PendingConn pending;
     pending.conn = std::move(*conn);
-    pending.since_ms = now_ms();
+    pending.since_ms = Reactor::now_ms();
     pending_.emplace(fd, std::move(pending));
     reactor_.add_fd(fd, [this, fd](std::uint32_t events) {
       on_pending(fd, events);
     });
-    last_activity_ms_ = now_ms();
+    last_activity_ms_ = Reactor::now_ms();
   }
   schedule_pending_timer();
 }
@@ -848,7 +842,7 @@ void CoordinatorNode::on_pending(int fd, std::uint32_t events) {
       drop = true;
       break;
     }
-    last_activity_ms_ = now_ms();
+    last_activity_ms_ = Reactor::now_ms();
     pending.reader.feed(std::span<const std::byte>(buf.data(), *n));
     while (auto payload = pending.reader.next()) {
       const auto message = decode(*payload);
@@ -922,7 +916,7 @@ void CoordinatorNode::on_session(MonitorId id, std::uint32_t events) {
       disconnect_session(id, session);
       return;
     }
-    const std::int64_t now = now_ms();
+    const std::int64_t now = Reactor::now_ms();
     last_activity_ms_ = now;
     session.last_seen_ms = now;
     session.reader.feed(std::span<const std::byte>(buf.data(), *n));
@@ -979,7 +973,7 @@ void CoordinatorNode::flush_dirty() {
 }
 
 void CoordinatorNode::liveness_sweep() {
-  const std::int64_t now = now_ms();
+  const std::int64_t now = Reactor::now_ms();
   for (auto& [id, session] : sessions_) {
     if (session.done) continue;
     if (session.state == MonitorLiveness::kActive &&
@@ -1019,7 +1013,8 @@ void CoordinatorNode::schedule_liveness_timer() {
   // An already-armed earlier (or equal) deadline only fires early — fine.
   if (liveness_timer_armed_ && liveness_timer_due_ <= *min_due) return;
   if (liveness_timer_armed_) reactor_.cancel_timer(liveness_timer_);
-  const std::int64_t delay = std::max<std::int64_t>(*min_due - now_ms(), 0) + 1;
+  const std::int64_t delay =
+      std::max<std::int64_t>(*min_due - Reactor::now_ms(), 0) + 1;
   liveness_timer_ = reactor_.add_timer(delay, [this] {
     liveness_timer_armed_ = false;
     liveness_sweep();
@@ -1036,10 +1031,11 @@ void CoordinatorNode::schedule_pending_timer() {
     min_since = std::min(min_since, pending.since_ms);
   }
   const std::int64_t due = min_since + options_.heartbeat_timeout_ms;
-  const std::int64_t delay = std::max<std::int64_t>(due - now_ms(), 0) + 1;
+  const std::int64_t delay =
+      std::max<std::int64_t>(due - Reactor::now_ms(), 0) + 1;
   pending_timer_ = reactor_.add_timer(delay, [this] {
     pending_timer_armed_ = false;
-    const std::int64_t now = now_ms();
+    const std::int64_t now = Reactor::now_ms();
     for (auto it = pending_.begin(); it != pending_.end();) {
       // A connection silent for a whole heartbeat timeout never said Hello.
       if (now - it->second.since_ms > options_.heartbeat_timeout_ms) {
@@ -1056,9 +1052,10 @@ void CoordinatorNode::schedule_pending_timer() {
 
 void CoordinatorNode::schedule_idle_timer() {
   const std::int64_t due = last_activity_ms_ + options_.idle_timeout_ms;
-  const std::int64_t delay = std::max<std::int64_t>(due - now_ms(), 0) + 1;
+  const std::int64_t delay =
+      std::max<std::int64_t>(due - Reactor::now_ms(), 0) + 1;
   reactor_.add_timer(delay, [this] {
-    if (now_ms() - last_activity_ms_ > options_.idle_timeout_ms) {
+    if (Reactor::now_ms() - last_activity_ms_ > options_.idle_timeout_ms) {
       VLOG_ERROR("coordinator", "session idle too long; aborting");
       idle_abort_ = true;
     } else {

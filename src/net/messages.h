@@ -37,11 +37,13 @@
 // coordinator_node.h). Hello carries a `resume` flag so a reconnecting
 // monitor can reattach to its session and resync its error allowance.
 //
-// Encoding: 1 type byte followed by fixed-width little-endian fields
-// (u32/i64/f64); strings are a u32 byte length followed by the raw bytes
-// (UTF-8 by convention, not enforced). Decoding is total: a malformed
-// buffer returns nullopt rather than throwing, because it arrives from the
-// network. DESIGN.md's wire-format appendix documents every message layout.
+// Encoding: 1 type byte (the frame's index in `Message` plus 1) followed by
+// the frame's fields, written once per frame in messages.cpp under the rules
+// of common/wire_io.h: fixed-width little-endian scalars, one-byte bools
+// (0/1) and enums, u32-length strings (UTF-8 by convention, not enforced),
+// u32-count vectors capped at wire::kMaxCount on read. Decoding is total: a
+// malformed buffer returns nullopt rather than throwing, because it arrives
+// from the network. DESIGN.md's wire-format appendix documents every layout.
 #pragma once
 
 #include <cstddef>
@@ -157,9 +159,6 @@ struct StatsReply {
   std::string trace_jsonl;
   /// Shard sessions (kIncludeShards); empty otherwise and on flat fleets.
   std::vector<ShardStatsRow> shards{};
-
-  /// Decode-time sanity cap on the shard row count (cf. kMaxTasks).
-  static constexpr std::uint32_t kMaxShards = 4096;
 };
 
 // --- control plane --------------------------------------------------------
@@ -214,10 +213,6 @@ struct TaskEntry {
 struct TaskListReply {
   std::uint64_t registry_version{0};
   std::vector<TaskEntry> tasks{};
-
-  /// Decode-time sanity cap on the task count: a corrupt frame must not
-  /// drive a near-unbounded parse loop. Generous versus kMaxFrameBytes.
-  static constexpr std::uint32_t kMaxTasks = 4096;
 };
 
 /// Coordinator -> monitor: run this task (create the sampler if unknown,
@@ -287,6 +282,8 @@ struct ShardAllowance {
   double error_allowance{0.0};
 };
 
+/// The alternative's index plus 1 is its type byte on the wire, so new
+/// frames are appended, never inserted or reordered.
 using Message =
     std::variant<Hello, LocalViolation, PollRequest, PollResponse, StatsReport,
                  AllowanceUpdate, Bye, Shutdown, Heartbeat, HeartbeatAck,

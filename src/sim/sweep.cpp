@@ -10,14 +10,17 @@ namespace volley::sim {
 
 namespace {
 
-/// Runs one job under a private observability scope and folds its counters
-/// into `parent` (the registry current on the sweep caller's thread).
+/// Capacity of each job's private trace ring. Sweep runs are replays whose
+/// traces are discarded unread, so it is small.
+constexpr std::size_t kJobTraceCapacity = 256;
+
+/// Runs one job under a private metrics registry and trace sink and folds
+/// its counters into `parent` (the registry current on the sweep caller's
+/// thread); the trace is discarded.
 RunResult run_scoped(const std::function<RunResult(std::size_t)>& job,
-                     std::size_t index, obs::MetricsRegistry* parent,
-                     const SweepOptions& options) {
-  if (!options.scope_observability) return job(index);
+                     std::size_t index, obs::MetricsRegistry* parent) {
   obs::MetricsRegistry job_registry;
-  obs::TraceSink job_trace(options.trace_capacity);
+  obs::TraceSink job_trace(kJobTraceCapacity);
   RunResult result;
   {
     obs::ScopedMetricsRegistry metrics_scope(job_registry);
@@ -44,12 +47,12 @@ std::vector<RunResult> sweep(std::size_t count,
   const std::size_t threads = resolve_threads(options);
   if (threads <= 1) {
     for (std::size_t i = 0; i < count; ++i)
-      results[i] = run_scoped(job, i, parent, options);
+      results[i] = run_scoped(job, i, parent);
     return results;
   }
   ThreadPool pool(threads);
   pool.parallel_for(count, [&](std::size_t i) {
-    results[i] = run_scoped(job, i, parent, options);
+    results[i] = run_scoped(job, i, parent);
   });
   return results;
 }

@@ -39,13 +39,6 @@ struct SweepOptions {
   /// VOLLEY_THREADS environment variable, else the hardware count).
   /// 1 runs the jobs as a plain serial loop on the calling thread.
   std::size_t threads{0};
-  /// Give each job a private metrics registry and trace sink (merged /
-  /// discarded respectively when the job finishes). Disabling this is only
-  /// for measuring the cost of global-plane contention.
-  bool scope_observability{true};
-  /// Capacity of each job's private trace ring when scoped. Sweep runs are
-  /// replays whose traces are rarely inspected, so the default is small.
-  std::size_t trace_capacity{256};
 };
 
 /// Resolved thread count for the given options (for benches that report it).

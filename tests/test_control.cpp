@@ -5,6 +5,8 @@
 // recovery, compaction).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -221,8 +223,12 @@ TEST(Registry, ControlStatusNamesAreStable) {
 
 class RegistryStoreTest : public ::testing::Test {
  protected:
+  // ctest runs each case in its own process, and under ASan those
+  // processes allocate the fixture at the same address, so the pid keeps
+  // concurrent cases off each other's files.
   void SetUp() override {
     base_ = ::testing::TempDir() + "volley_registry_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this));
   }
   void TearDown() override {

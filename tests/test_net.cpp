@@ -20,6 +20,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/wire_io.h"
 #include "core/metric_source.h"
 #include "net/chaos_proxy.h"
 #include "net/coordinator_node.h"
@@ -498,14 +499,14 @@ TEST(Messages, TaskListReplyRoundTrip) {
 
 TEST(Messages, TaskListReplyRejectsOversizedCounts) {
   // An empty reply is 13 bytes: type | u64 version | u32 count. Patching
-  // the count past kMaxTasks must fail the decode outright (a corrupt count
-  // must not drive a near-unbounded parse loop), and a smaller-but-wrong
-  // count must fail on truncation.
+  // the count past wire::kMaxCount must fail the decode outright (a corrupt
+  // count must not drive a near-unbounded parse loop), and a
+  // smaller-but-wrong count must fail on truncation.
   const auto base = net::encode(Message{net::TaskListReply{}});
   ASSERT_EQ(base.size(), 13u);
 
   auto oversized = base;
-  const std::uint32_t huge = net::TaskListReply::kMaxTasks + 1;
+  const std::uint32_t huge = wire::kMaxCount + 1;
   std::memcpy(oversized.data() + 9, &huge, 4);
   EXPECT_FALSE(net::decode(as_bytes(oversized)).has_value());
 
