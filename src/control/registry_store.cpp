@@ -1,11 +1,13 @@
 #include "control/registry_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "common/log.h"
+#include "common/wire_io.h"
 #include "obs/metrics.h"
 #include "storage/sample_log.h"
 
@@ -95,7 +97,9 @@ RegistryLoadStats RegistryStore::load(TaskRegistry& registry) {
       std::uint32_t count = 0;
       if (read_u64(in, version) && read_u32(in, count)) {
         std::vector<TaskRecord> records;
-        records.reserve(count);
+        // The count is unchecked input: cap the reservation, and let a
+        // count the file cannot hold fail the read loop at EOF.
+        records.reserve(std::min(count, wire::kMaxCount));
         bool intact = true;
         for (std::uint32_t i = 0; i < count && intact; ++i) {
           std::uint32_t len = 0;

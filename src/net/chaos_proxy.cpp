@@ -194,7 +194,7 @@ void ChaosProxy::on_link(Link& link, bool from_client,
   TcpConnection& in = from_client ? link.client : link.upstream;
   while (!link.closed) {
     const auto n = in.recv_some(buf);
-    if (!n) break;  // drained to EAGAIN
+    if (!n) break;  // EAGAIN
     const std::int64_t now = Reactor::now_ms();
     if (*n == 0) {
       // One side hung up: flush what is queued, then mirror the close.
@@ -204,6 +204,9 @@ void ChaosProxy::on_link(Link& link, bool from_client,
     }
     ingest(link, from_client, std::span<const std::byte>(buf.data(), *n),
            now);
+    // Short read: the socket is empty for now, and level-triggered
+    // readiness reports later bytes (or EOF) on the next turn.
+    if (*n < buf.size()) break;
   }
   if (!link.closed) {
     flush(link, Reactor::now_ms());

@@ -38,7 +38,7 @@ const ReactorMetrics& reactor_metrics() {
     h.io_events = &m.counter("volley_reactor_io_events_total",
                              "File-descriptor events dispatched").cell();
     h.timers_fired = &m.counter("volley_reactor_timers_fired_total",
-                                "Timer-wheel callbacks fired").cell();
+                                "Timer callbacks fired").cell();
     h.dispatch_ms = &m.histogram(
         "volley_reactor_dispatch_ms", 0.0, 50.0, 50,
         "Per-turn dispatch latency (I/O handlers + due timers), ms").cell();
@@ -83,7 +83,6 @@ Reactor::Reactor() {
     ::close(epoll_fd_);
     throw_errno("epoll_ctl(wakeup)");
   }
-  wheel_cursor_ms_ = now_ms();
 }
 
 Reactor::~Reactor() {
@@ -140,75 +139,35 @@ Reactor::TimerId Reactor::add_timer(std::int64_t delay_ms, TimerCallback cb) {
       static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000 +
       (ts.tv_nsec % 1000000 != 0 ? 1 : 0);
   const std::int64_t due = now_ceil + delay_ms;
-  timers_.emplace(id, std::move(cb));
-  wheel_[slot_of(due)].push_back(WheelEntry{id, due});
+  timers_.emplace(std::pair{due, id}, std::move(cb));
+  due_of_.emplace(id, due);
   return id;
 }
 
 void Reactor::cancel_timer(TimerId id) {
-  // Membership in timers_ is the liveness bit; the wheel entry becomes a
-  // tombstone swept when its slot is next visited.
-  timers_.erase(id);
+  const auto it = due_of_.find(id);
+  if (it == due_of_.end()) return;
+  timers_.erase(std::pair{it->second, id});
+  due_of_.erase(it);
 }
 
 std::optional<std::int64_t> Reactor::next_deadline_ms() const {
   if (timers_.empty()) return std::nullopt;
-  const std::int64_t cursor = wheel_cursor_ms_;
-  // Ring order == time order for deadlines within one wheel span of the
-  // cursor, so the first slot holding a near entry yields the minimum.
-  for (std::size_t k = 0; k < kWheelSlots; ++k) {
-    const auto& slot = wheel_[(slot_of(cursor) + k) & (kWheelSlots - 1)];
-    std::optional<std::int64_t> best;
-    for (const auto& e : slot) {
-      if (timers_.count(e.id) == 0) continue;        // cancelled tombstone
-      if (e.due_ms >= cursor + kWheelSpanMs) continue;  // a later lap
-      if (!best || e.due_ms < *best) best = e.due_ms;
-    }
-    if (best) return best;
-  }
-  // Every live timer is a lap or more out: sleep one span, then re-scan.
-  return cursor + kWheelSpanMs;
+  return timers_.begin()->first.first;
 }
 
-int Reactor::advance_wheel(std::int64_t now) {
-  if (timers_.empty()) {
-    wheel_cursor_ms_ = now;
-    return 0;
-  }
-  // Visit every slot the cursor passes over (capped at one full lap — past
-  // that the ring repeats), collecting entries due by `now`. Entries for
-  // future laps stay in their slot and are re-examined next pass.
-  const std::int64_t elapsed = now - wheel_cursor_ms_;
-  const std::int64_t steps =
-      std::min<std::int64_t>(elapsed / kWheelResMs + 1, kWheelSlots);
-  due_scratch_.clear();
-  for (std::int64_t k = 0; k < steps; ++k) {
-    auto& slot = wheel_[(slot_of(wheel_cursor_ms_) + static_cast<std::size_t>(k)) &
-                        (kWheelSlots - 1)];
-    for (std::size_t i = 0; i < slot.size();) {
-      const WheelEntry e = slot[i];
-      if (timers_.count(e.id) == 0 || e.due_ms <= now) {
-        slot[i] = slot.back();
-        slot.pop_back();
-        if (timers_.count(e.id) != 0) due_scratch_.push_back(e);
-      } else {
-        ++i;
-      }
-    }
-  }
-  wheel_cursor_ms_ = now;
-  // Fire in deadline order so interdependent timers observe a consistent
-  // sequence (e.g. poll timeout before the liveness sweep armed later).
-  std::sort(due_scratch_.begin(), due_scratch_.end(),
-            [](const WheelEntry& a, const WheelEntry& b) {
-              return a.due_ms < b.due_ms || (a.due_ms == b.due_ms && a.id < b.id);
-            });
+int Reactor::fire_due(std::int64_t now) {
+  // A timer armed from a callback has a deadline >= now and an id >= limit,
+  // so it sorts after every older timer due by now and waits a turn.
+  const TimerId limit = next_timer_id_;
   int fired = 0;
-  for (const auto& e : due_scratch_) {
-    auto it = timers_.find(e.id);
-    if (it == timers_.end()) continue;  // cancelled by an earlier callback
+  while (!timers_.empty()) {
+    const auto it = timers_.begin();
+    const auto [due, id] = it->first;
+    if (due > now || id >= limit) break;
     TimerCallback cb = std::move(it->second);
     timers_.erase(it);
+    due_of_.erase(id);
     cb();
     ++fired;
   }
@@ -251,9 +210,9 @@ int Reactor::wait_and_dispatch(std::int64_t wait_ns) {
   for (int i = 0; i < n; ++i) {
     const int fd = evs[i].data.fd;
     if (fd == wake_fd_) {
-      std::uint64_t drain = 0;
-      while (::read(wake_fd_, &drain, sizeof drain) > 0) {
-      }
+      // One read returns and resets the whole eventfd counter.
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t r = ::read(wake_fd_, &count, sizeof count);
       continue;
     }
     // Lookup at dispatch time: an earlier handler in this batch may have
@@ -264,7 +223,7 @@ int Reactor::wait_and_dispatch(std::int64_t wait_ns) {
     (*handler)(evs[i].events);
     ++handled;
   }
-  const int fired = advance_wheel(now_ms());
+  const int fired = fire_due(now_ms());
   stats_.io_events += handled;
   stats_.timers_fired += fired;
   if (handled != 0) met.io_events->inc(handled);

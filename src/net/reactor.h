@@ -1,13 +1,12 @@
-// Event-loop reactor + calendar-ring timer wheel for the Volley net runtime.
+// Event-loop reactor + ordered timer set for the Volley net runtime.
 //
 // One Reactor instance is one event loop: file descriptors register a
 // handler once (persistent registration — no per-tick fd-vector rebuild)
-// and are dispatched on readiness;
-// millisecond timers live in a calendar bucket ring (the due-index idiom
-// from core/coordinator.cpp, one ring level plus lap carry-over for
-// far-out deadlines). A quiet loop therefore sleeps until the next due
-// timer or the next byte of I/O — zero wakeups in between — instead of
-// polling on a fixed tick.
+// and are dispatched on readiness; millisecond timers live in one set
+// ordered by (deadline, id), so the sleep bound is its first key and a
+// cancel erases its entry. A quiet loop therefore sleeps until the next
+// due timer or the next byte of I/O — zero wakeups in between, however
+// far out that deadline lies — instead of polling on a fixed tick.
 //
 // Readiness is level-triggered epoll: one epoll_ctl syscall per interest
 // change, one epoll_wait (epoll_pwait2 for sub-millisecond bounds) per
@@ -22,10 +21,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 namespace volley::net {
 
@@ -69,10 +69,11 @@ class Reactor {
   bool watching(int fd) const { return handlers_.count(fd) != 0; }
   std::size_t watched_fds() const { return handlers_.size(); }
 
-  // --- timers (calendar ring, 1 ms resolution) ----------------------------
+  // --- timers (ordered set, 1 ms resolution) ------------------------------
 
   /// Fires `cb` once, ~delay_ms from now (never early; late only by loop
-  /// dispatch time). Returns an id for cancel_timer.
+  /// dispatch time). Due timers fire in (deadline, id) order; one armed by
+  /// a callback fires on a later turn. Returns an id for cancel_timer.
   TimerId add_timer(std::int64_t delay_ms, TimerCallback cb);
 
   /// Cancels a pending timer; a no-op for unknown/already-fired ids.
@@ -120,22 +121,8 @@ class Reactor {
   void enable_loop_stats(std::size_t loop_index);
 
  private:
-  struct WheelEntry {
-    TimerId id{0};
-    std::int64_t due_ms{0};
-  };
-
-  static constexpr std::size_t kWheelSlots = 512;  // power of two
-  static constexpr std::int64_t kWheelResMs = 1;
-  static constexpr std::int64_t kWheelSpanMs =
-      static_cast<std::int64_t>(kWheelSlots) * kWheelResMs;
-
-  std::size_t slot_of(std::int64_t ms) const {
-    return static_cast<std::size_t>(ms / kWheelResMs) & (kWheelSlots - 1);
-  }
-
-  /// Fires every timer due by `now` and advances the wheel cursor.
-  int advance_wheel(std::int64_t now);
+  /// Fires every timer due by `now` that was armed before this call.
+  int fire_due(std::int64_t now);
   int wait_and_dispatch(std::int64_t wait_ns);
   /// epoll_ctl ADD/MOD with the read (+ write) interest set; counted.
   void set_interest(int op, int fd, bool want_write);
@@ -147,11 +134,11 @@ class Reactor {
   /// keeps the object it pinned across update_handler / remove_fd.
   std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_;
 
-  std::unordered_map<TimerId, TimerCallback> timers_;
-  std::vector<std::vector<WheelEntry>> wheel_{kWheelSlots};
-  std::int64_t wheel_cursor_ms_{0};
+  /// Pending timers keyed by (deadline ms, id); due_of_ maps an id back to
+  /// its deadline so cancel_timer can erase the entry.
+  std::map<std::pair<std::int64_t, TimerId>, TimerCallback> timers_;
+  std::unordered_map<TimerId, std::int64_t> due_of_;
   TimerId next_timer_id_{1};
-  std::vector<WheelEntry> due_scratch_;
 
   Stats stats_;
 

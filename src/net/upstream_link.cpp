@@ -205,13 +205,16 @@ void UpstreamLink::on_io(std::uint32_t events) {
   bool peer_closed = false;
   for (;;) {
     const auto n = conn_.recv_some(buf);
-    if (!n) break;  // drained to EAGAIN
+    if (!n) break;  // EAGAIN
     if (*n == 0) {  // frames already received still count
       peer_closed = true;
       break;
     }
     last_rx_ms_ = Reactor::now_ms();
     reader_.feed(std::span<const std::byte>(buf.data(), *n));
+    // Short read: the socket is empty for now, and level-triggered
+    // readiness reports later bytes (or EOF) on the next turn.
+    if (*n < buf.size()) break;
   }
   const std::uint64_t generation = generation_;
   while (auto payload = reader_.next()) {

@@ -385,6 +385,35 @@ TEST_F(RegistryStoreTest, CorruptJournalRecordStopsReplayAtThatRecord) {
   EXPECT_NE(restored.find(1), nullptr);
 }
 
+// A snapshot whose record count reads 0xFFFFFFFF is corrupt, not an
+// allocation request: load() ignores it and replays the journal.
+TEST_F(RegistryStoreTest, HugeSnapshotCountFallsBackToJournal) {
+  TaskRegistry original;
+  {
+    RegistryStore store(base_);
+    apply(store, original.add(1, make_spec(10.0)));
+    apply(store, original.add(2, make_spec(20.0)));
+  }
+  {
+    std::ofstream f(base_ + ".snapshot", std::ios::binary);
+    const std::uint32_t format = 1;
+    const std::uint64_t version = 7;
+    const std::uint32_t count = 0xFFFFFFFFu;
+    f.write("VREG", 4);
+    f.write(reinterpret_cast<const char*>(&format), sizeof format);
+    f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    f.write(reinterpret_cast<const char*>(&count), sizeof count);
+  }
+
+  TaskRegistry restored;
+  RegistryStore reopened(base_);
+  const auto stats = reopened.load(restored);
+  EXPECT_FALSE(stats.had_snapshot);
+  EXPECT_EQ(stats.journal_ops, 2u);
+  EXPECT_TRUE(stats.journal_clean);
+  expect_same(original, restored);
+}
+
 TEST_F(RegistryStoreTest, BadMagicThrows) {
   {
     std::ofstream f(base_ + ".journal", std::ios::binary);

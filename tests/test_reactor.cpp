@@ -1,7 +1,8 @@
-// Unit tests for the epoll reactor and its calendar-ring timer wheel
+// Unit tests for the epoll reactor and its ordered timer set
 // (net/reactor.h): fd registration and level-triggered dispatch, re-adding
-// a registered fd, EPOLLOUT re-arm, timer ordering / cancellation /
-// beyond-one-lap deadlines, cross-thread wakeup and per-loop stats gauges.
+// a registered fd, EPOLLOUT re-arm, timer ordering / cancellation / far
+// deadlines as the exact sleep bound, callback-armed timers waiting a turn,
+// cross-thread wakeup and per-loop stats gauges.
 #include "net/reactor.h"
 
 #include <fcntl.h>
@@ -194,8 +195,8 @@ TEST(ReactorTimerTest, CallbackMayArmAnotherTimer) {
 }
 
 TEST(ReactorTimerTest, BeyondOneLapDeadlineSurvives) {
-  // The wheel spans 512 ms at 1 ms resolution; a 700 ms deadline wraps the
-  // ring and must not fire on the first pass over its slot.
+  // A 700 ms deadline behind a 20 ms one: the near timer fires alone and the
+  // far one stays pending, never early.
   Reactor r;
   bool far_fired = false;
   bool near_fired = false;
@@ -223,6 +224,52 @@ TEST(ReactorTimerTest, BeyondOneLapDeadlineSurvives) {
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_GE(elapsed, 700);  // never early
+}
+
+// The sleep bound is the earliest live deadline itself, however far out, so
+// an idle loop does not wake early to re-scan; a cancel moves it at once.
+TEST(ReactorTimerTest, NextDeadlineIsTheEarliestTimerPastOneLap) {
+  Reactor r;
+  const std::int64_t before = Reactor::now_ms();
+  const auto near = r.add_timer(2000, [] {});
+  r.add_timer(5000, [] {});
+  const std::int64_t after = Reactor::now_ms();
+  auto due = r.next_deadline_ms();
+  ASSERT_TRUE(due.has_value());
+  EXPECT_GE(*due, before + 2000);
+  EXPECT_LE(*due, after + 2001);  // +1: add_timer ceils the arming instant
+  r.cancel_timer(near);
+  EXPECT_EQ(r.pending_timers(), 1U);
+  due = r.next_deadline_ms();
+  ASSERT_TRUE(due.has_value());
+  EXPECT_GE(*due, before + 5000);
+  EXPECT_LE(*due, after + 5001);
+}
+
+// Due timers fire in one pass; a timer a callback arms, even with zero
+// delay, waits for the next turn, so a self-re-arming callback cannot starve
+// I/O.
+TEST(ReactorTimerTest, TimerArmedByCallbackFiresOnALaterTurn) {
+  Reactor r;
+  int first = 0;
+  int second = 0;
+  r.add_timer(0, [&] {
+    ++first;
+    r.add_timer(0, [&] { ++second; });
+  });
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(500);
+  while (first == 0 && std::chrono::steady_clock::now() < deadline) {
+    r.run_once(50);
+  }
+  ASSERT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(r.pending_timers(), 1U);
+  while (second == 0 && std::chrono::steady_clock::now() < deadline) {
+    r.run_once(50);
+  }
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(r.pending_timers(), 0U);
 }
 
 TEST(ReactorTimerTest, TimerNeverFiresEarly) {
