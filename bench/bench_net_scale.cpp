@@ -5,9 +5,9 @@
 // loopback connections (Hello + one acked Heartbeat each), and measures
 // three phases:
 //
-//   idle   — nobody sends anything. The reactor sleeps in epoll_wait (its
-//            only turns are the timer wheel's ~0.5 s lap ticks while the
-//            coalesced liveness deadline is far out). Reported: loop
+//   idle   — nobody sends anything. The reactor sleeps in epoll_wait until
+//            its next timer deadline (the coalesced liveness sweep, seconds
+//            out), so the window should see no turns. Reported: loop
 //            wakeups/sec and coordinator-thread CPU (pthread_getcpuclockid)
 //            across the window.
 //   load   — worker threads blast batched Heartbeat frames over every

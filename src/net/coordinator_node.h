@@ -2,7 +2,7 @@
 //
 // The coordinator accepts the expected number of monitors, then runs an
 // event loop — the reactor (net/reactor.h: readiness dispatch, batched
-// writev egress, timer-wheel deadlines) — handling:
+// writev egress, ordered timer deadlines) — handling:
 //  * LocalViolation  -> start a global poll for the violated task (coincident
 //    violations while that task's poll is in flight are absorbed by it, as in
 //    the paper: one global poll answers "is the global condition violated
