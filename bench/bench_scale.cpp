@@ -2,15 +2,15 @@
 //
 // Part 1 — single-task coordinator tick throughput at 1k/10k/50k monitors.
 // A quiet workload (every sampler pinned at Im in steady state) is driven
-// through Coordinator::run_tick (due index + the likelihood kernel's
-// batched drain). Idle ticks (nothing due — the due index's O(1) case) and
+// through Coordinator::run_tick (due index + the likelihood kernel).
+// Idle ticks (nothing due — the due index's O(1) case) and
 // sample ticks (every monitor due — the β̄ kernel's case) are timed as
 // separate phases. Im = 128 also exercises the Im-derived interval-histogram
 // bound.
 //
 // Part 2 — the β̄-evaluation phase alone: identical lane populations
-// evaluated by the scalar loop, the batch kernel (cold memos), and the
-// batch kernel with warm memos (the incremental layer), reporting ns per
+// evaluated by the scalar loop, the kernel (cold memos), and the kernel
+// with warm memos (the incremental layer), reporting ns per
 // evaluation. Two populations: "quiet" (far below threshold — the zero-β̄
 // certificate regime adaptive sampling spends its life in) and "noisy"
 // (near threshold — the blocked/SIMD product loop has to run). Every
@@ -68,7 +68,7 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 // numbers):
 //  * idle ticks — pure scheduling overhead, O(1) with the due index;
 //  * sample ticks — dominated by the adaptation rule itself (the β̄ bound
-//    per observation, drained through the batch kernel).
+//    per observation, evaluated by the kernel).
 
 struct SingleTiming {
   double idle_seconds{0.0};
@@ -195,8 +195,8 @@ struct BetaEvalTiming {
   std::size_t lanes{0};
   int reps{0};
   double scalar_ns{0.0};       // baseline loop, per evaluation
-  double kernel_ns{0.0};       // batch kernel, cold memos
-  double incremental_ns{0.0};  // batch kernel, warm memos
+  double kernel_ns{0.0};       // kernel, cold memos
+  double incremental_ns{0.0};  // kernel, warm memos
 
   double kernel_speedup() const { return scalar_ns / kernel_ns; }
   double incremental_speedup() const { return scalar_ns / incremental_ns; }
@@ -238,9 +238,9 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
   out.scalar_ns = (bench::now_seconds() - s0) * 1e9 /
                   (static_cast<double>(lanes) * reps);
 
-  const auto check = [&](const BetaBatch& batch, const char* variant) {
+  const auto check = [&](const std::vector<double>& beta, const char* variant) {
     for (std::size_t l = 0; l < lanes; ++l) {
-      if (std::memcmp(&batch.beta[l], &expected[l], sizeof(double)) != 0) {
+      if (std::memcmp(&beta[l], &expected[l], sizeof(double)) != 0) {
         std::fprintf(stderr,
                      "bench scale: %s beta diverged from the scalar loop at "
                      "lane %zu (identity violation)\n",
@@ -250,39 +250,35 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
     }
   };
 
-  // Batch kernel, cold memos: every evaluation re-proves the certificate
-  // or re-runs the blocked loop (caches cleared each rep).
+  // Kernel, cold memos: every evaluation re-proves the certificate or
+  // re-runs the blocked loop (memos cleared each rep).
   std::vector<BetaBoundCache> memos(lanes);
-  BetaBatch batch;
+  std::vector<double> beta(lanes);
   double kernel_seconds = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     for (auto& memo : memos) memo.invalidate();
-    batch.clear();
-    for (std::size_t l = 0; l < lanes; ++l) {
-      batch.push_lane(value[l], threshold[l], stats[l], interval, false,
-                      false, &memos[l]);
-    }
     const double t0 = bench::now_seconds();
-    beta_bound_batch(batch);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      beta[l] = beta_bound_chebyshev(value[l], threshold[l], stats[l],
+                                     interval, &memos[l]);
+    }
     kernel_seconds += bench::now_seconds() - t0;
   }
-  check(batch, "batch-kernel");
+  check(beta, "kernel");
   out.kernel_ns = kernel_seconds * 1e9 / (static_cast<double>(lanes) * reps);
 
   // Incremental: memos stay warm, so each evaluation is a key compare and
   // a memo read (the same-interval hit path).
   double incremental_seconds = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    batch.clear();
-    for (std::size_t l = 0; l < lanes; ++l) {
-      batch.push_lane(value[l], threshold[l], stats[l], interval, false,
-                      false, &memos[l]);
-    }
     const double t0 = bench::now_seconds();
-    beta_bound_batch(batch);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      beta[l] = beta_bound_chebyshev(value[l], threshold[l], stats[l],
+                                     interval, &memos[l]);
+    }
     incremental_seconds += bench::now_seconds() - t0;
   }
-  check(batch, "incremental");
+  check(beta, "incremental");
   out.incremental_ns =
       incremental_seconds * 1e9 / (static_cast<double>(lanes) * reps);
   return out;
@@ -441,13 +437,13 @@ void run() {
   }
 
   bench::print_header(
-      "Scale — single-run hot path: due index + batched β̄ kernel",
+      "Scale — single-run hot path: due index + β̄ kernel",
       "in-process mirror of the paper's 800-VM deployment scale (Sec. V)");
   std::printf(
       "steady state: every sampler pinned at Im=%lld, so %lld of every "
       "%lld run_tick calls are no-op (idle) ticks — the due index pays "
-      "O(1) on each of them; sample ticks drain every monitor's β̄ through "
-      "the batch kernel.\n\n",
+      "O(1) on each of them; sample ticks evaluate every monitor's β̄ in "
+      "the kernel.\n\n",
       static_cast<long long>(max_interval),
       static_cast<long long>(max_interval - 1),
       static_cast<long long>(max_interval));

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "core/likelihood_kernel.h"
 #include "obs/metrics.h"
 
 namespace volley {
@@ -98,17 +97,7 @@ AdaptiveSampler::AdaptiveSampler(const AdaptiveSamplerOptions& options,
 
 Tick AdaptiveSampler::observe(double value, Tick gap) {
   estimator_.observe(value, gap);
-  return observe_finish(estimator_.beta_bound(threshold_, interval_));
-}
-
-void AdaptiveSampler::observe_begin(double value, Tick gap,
-                                    BetaBatch& batch) {
-  estimator_.observe(value, gap);
-  estimator_.push_lane(threshold_, interval_, batch);
-}
-
-Tick AdaptiveSampler::observe_finish(double beta) {
-  last_beta_ = beta;
+  last_beta_ = estimator_.beta_bound(threshold_, interval_);
 
   const auto& om = SamplerMetrics::get();
   om.observations->inc();

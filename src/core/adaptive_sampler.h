@@ -24,26 +24,14 @@
 //   e_i = beta / (1-gamma) error allowance that growth would require
 //                          (inverts the increase rule above).
 //
-// Batched evaluation: the rule factors into observe_begin (feed the
-// estimator, emit a β̄ evaluation lane) and observe_finish (apply the rule
-// to the evaluated β̄), so a coordinator can drain a whole tick's due
-// monitors into one likelihood-kernel batch (DESIGN.md §11). observe() is
-// begin+evaluate+finish fused; both shapes produce bit-identical decisions
-// because the kernel's β̄ is bit-identical to the scalar evaluation.
-//
 // Units: values/thresholds are in the monitored metric's unit; intervals
 // are integer multiples of Id (Tick); err, gamma, beta are dimensionless
 // probabilities in [0, 1].
 //
 // Thread-safety: none — one sampler per monitor, driven from one thread.
-// A batch (BetaBatch) holds borrowed pointers into its samplers'
-// estimators, so it is confined to the same thread as the monitors it
-// drains: one coordinator, one thread. Future coordinator shards each own
-// their monitors and their batch, so shards never share sampler state —
-// the kernel itself is stateless. Every observe_finish() also feeds the
-// process-global obs/ registry (counters volley_sampler_*, histograms of
-// chosen interval and beta bound); those instruments are thread-safe, so
-// concurrent monitors can share them.
+// Every observe() also feeds the process-global obs/ registry (counters
+// volley_sampler_*, histograms of chosen interval and beta bound); those
+// instruments are thread-safe, so concurrent monitors can share them.
 #pragma once
 
 #include <cstdint>
@@ -71,17 +59,6 @@ class AdaptiveSampler {
   /// and applies the adaptation rule. Returns the interval (ticks) to wait
   /// before the next scheduled sample.
   Tick observe(double value, Tick gap);
-
-  /// Phase 1 of a batched observation: feeds the estimator and pushes this
-  /// sampler's β̄ evaluation (current value/threshold/stats/interval) as
-  /// one lane of `batch`. Pair with observe_finish once the batch has been
-  /// evaluated; interleaving another observe breaks the pairing.
-  void observe_begin(double value, Tick gap, BetaBatch& batch);
-
-  /// Phase 2: applies the adaptation rule to the evaluated bound `beta`
-  /// (this sampler's lane result) and returns the next interval. Also the
-  /// tail of observe(), so both shapes share one rule implementation.
-  Tick observe_finish(double beta);
 
   /// Current sampling interval in ticks.
   Tick interval() const { return interval_; }

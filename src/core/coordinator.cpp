@@ -1,6 +1,7 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -41,12 +42,6 @@ struct CoordinatorMetrics {
   }
 };
 
-/// Minimum number of due monitors before the batched begin_step /
-/// beta_bound_batch / finish_step drain pays for its lane bookkeeping;
-/// below this the per-monitor step() loop is at least as fast. The drain
-/// is bit-identical either way, so the constant is pure tuning.
-constexpr std::size_t kBatchMin = 8;
-
 }  // namespace
 
 Coordinator::Coordinator(const TaskSpec& spec,
@@ -71,6 +66,7 @@ Coordinator::Coordinator(const TaskSpec& spec,
   window_ = static_cast<std::size_t>(max_interval) + 2;
   bucket_head_.resize(window_);
   bucket_next_.resize(monitors_.size());
+  due_marks_.resize((monitors_.size() + 63) / 64);
   rebuild_due_index();
 }
 
@@ -105,11 +101,20 @@ void Coordinator::collect_due(Tick t) {
   const Tick jump = t - cursor_ + 1;
   const auto window = static_cast<Tick>(window_);
   const Tick span = jump > window ? window : jump;
+  // Buckets hold ids in reverse insertion order, one descending run per
+  // tick that filled them. Each drained id sets its bit in due_marks_, and
+  // the marked words are read back in ascending order below: no comparison
+  // sort, and the read-back spans only the words between the lowest and
+  // highest id drained.
+  std::size_t lo = due_marks_.size(), hi = 0;  // marked words, [lo, hi]
   auto slot = cursor_slot_;
   for (Tick k = 0; k < span; ++k) {
     for (MonitorId id = bucket_head_[slot]; id != kNoMonitor;
          id = bucket_next_[id]) {
-      due_scratch_.push_back(id);
+      const std::size_t word = id / 64;
+      due_marks_[word] |= std::uint64_t{1} << (id % 64);
+      lo = std::min(lo, word);
+      hi = std::max(hi, word);
     }
     bucket_head_[slot] = kNoMonitor;
     if (++slot == window_) slot = 0;
@@ -119,10 +124,13 @@ void Coordinator::collect_due(Tick t) {
   // advanced by exactly `span`; a jump past the ring (rare: first tick of
   // a late-starting task) recomputes it.
   cursor_slot_ = jump == span ? slot : static_cast<std::size_t>(cursor_) % window_;
-  // Buckets hold ids in reverse insertion order across ticks; the contract
-  // is ascending id order among same-tick monitors.
-  if (due_scratch_.size() > 1)
-    std::sort(due_scratch_.begin(), due_scratch_.end());
+  for (std::size_t word = lo; word <= hi; ++word) {
+    for (std::uint64_t bits = due_marks_[word]; bits != 0; bits &= bits - 1) {
+      due_scratch_.push_back(
+          static_cast<MonitorId>(word * 64 + std::countr_zero(bits)));
+    }
+    due_marks_[word] = 0;
+  }
 }
 
 Coordinator::TickResult Coordinator::run_tick(Tick t) {
@@ -150,22 +158,7 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     }
     due_index_insert(id, monitors_[id]->next_sample_tick());
   };
-  if (due_scratch_.size() >= kBatchMin) {
-    // Batched drain: every due monitor's β̄ is evaluated in one
-    // likelihood-kernel invocation (DESIGN.md §11). Side effects run in
-    // the finish phase, in ascending id order, so metrics, traces, and
-    // results stay bit-identical to the per-monitor loop below.
-    beta_batch_.clear();
-    for (const MonitorId id : due_scratch_)
-      monitors_[id]->begin_step(t, beta_batch_);
-    beta_bound_batch(beta_batch_);
-    std::size_t lane = 0;
-    for (const MonitorId id : due_scratch_)
-      sampled(id, monitors_[id]->finish_step(t, beta_batch_.beta[lane++]));
-  } else {
-    for (const MonitorId id : due_scratch_)
-      sampled(id, monitors_[id]->step(t));
-  }
+  for (const MonitorId id : due_scratch_) sampled(id, monitors_[id]->step(t));
 
   if (reports > 0) {
     // Global poll: collect the value of every monitor at this tick. The

@@ -27,7 +27,6 @@
 
 #include "core/error_allocation.h"
 #include "core/fault_model.h"
-#include "core/likelihood_kernel.h"
 #include "core/monitor.h"
 #include "core/task.h"
 #include "core/types.h"
@@ -57,10 +56,7 @@ class Coordinator {
 
   /// Advances the task by one tick. Touches only the monitors due at `t`
   /// (see the due-index notes below); the result and every observable side
-  /// effect are bit-identical to scanning all monitors in id order. When
-  /// enough monitors are due at once, their β̄ evaluations are drained
-  /// into one likelihood-kernel batch invocation (begin_step /
-  /// beta_bound_batch / finish_step, DESIGN.md §11) — also bit-identical.
+  /// effect are bit-identical to scanning all monitors in id order.
   /// Under a fault model, local_violations counts every violation while
   /// only surviving reports trigger the poll, and a down monitor that is
   /// due is retried at t + 1.
@@ -128,9 +124,10 @@ class Coordinator {
   //  * each monitor has exactly one entry, at max(next_sample, cursor_)
   //    (the clamp lets a freshly built index catch up when the first
   //    run_tick happens at t > 0, e.g. tasks arriving mid-run).
-  //  * same-tick monitors run in ascending id order — collect_due sorts
-  //    the drained ids — so results are bit-identical to scanning every
-  //    monitor's due(t) in id order (tests/reference/scan_all.h).
+  //  * same-tick monitors run in ascending id order — collect_due marks
+  //    the drained ids in a bitmap and reads it back word by word — so
+  //    results are bit-identical to scanning every monitor's due(t) in id
+  //    order (tests/reference/scan_all.h).
   //  * a global poll force-samples every monitor, invalidating most
   //    entries at once; rebuild_due_index() re-derives the ring in O(n),
   //    the same order as the poll itself.
@@ -159,8 +156,8 @@ class Coordinator {
   static constexpr MonitorId kNoMonitor = ~MonitorId{0};
   std::vector<MonitorId> bucket_head_;            // per slot: an id, or none
   std::vector<MonitorId> bucket_next_;            // per monitor: next in slot
-  std::vector<MonitorId> due_scratch_;            // ids due this tick, sorted
-  BetaBatch beta_batch_;                          // sample-tick drain scratch
+  std::vector<std::uint64_t> due_marks_;          // n-bit drain bitmap
+  std::vector<MonitorId> due_scratch_;            // due ids, ascending
 
   std::int64_t global_polls_{0};
   std::int64_t global_violations_{0};

@@ -83,21 +83,6 @@ double ViolationLikelihoodEstimator::beta_bound(double threshold,
   return beta_bound_chebyshev(v, threshold, *stats, interval, &cache_);
 }
 
-void ViolationLikelihoodEstimator::push_lane(double threshold, Tick interval,
-                                             BetaBatch& batch) const {
-  if (interval < 1)
-    throw std::invalid_argument("push_lane: interval >= 1");
-  const auto stats = snapshot_stats();
-  if (!stats) {
-    batch.push_lane(0.0, threshold, DeltaStats{}, interval, /*is_cold=*/true,
-                    /*is_gaussian=*/false, nullptr);
-    return;
-  }
-  batch.push_lane(*last_value_, threshold, *stats, interval,
-                  /*is_cold=*/false,
-                  options_.bound == Bound::kGaussian, &cache_);
-}
-
 double ViolationLikelihoodEstimator::violation_likelihood(double threshold,
                                                           Tick i) const {
   if (i < 1) throw std::invalid_argument("violation_likelihood: i >= 1");

@@ -30,8 +30,8 @@
 // Evaluation contract: `beta_bound_with` below — the literal product loop
 // with its saturation early-exit — is the semantic *and bitwise* definition
 // of β̄'s value. The fast paths in likelihood_kernel.h (zero-β̄ certificate,
-// incremental prefix reuse, blocked/SIMD loop, SoA batch) are pure
-// accelerations: they must return the identical double for every input,
+// incremental prefix reuse, blocked/SIMD loop) are pure accelerations:
+// they must return the identical double for every input,
 // property-tested in tests/test_likelihood_kernel.cpp against direct calls
 // of this loop. Numerics notes, including why the incremental form keeps a
 // product prefix rather than a log-space sum, live in DESIGN.md §11.
@@ -47,9 +47,7 @@
 //
 // Thread-safety: none. An estimator belongs to one monitor and is driven
 // from that monitor's sampling loop; confine each instance to one thread.
-// The embedded BetaBoundCache memo inherits that confinement — batch
-// evaluation (likelihood_kernel.h) runs on the owning coordinator's
-// thread, never concurrently with the monitor's own calls.
+// The embedded BetaBoundCache memo inherits that confinement.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +63,6 @@ struct DeltaStats {
   double mean{0.0};
   double stddev{0.0};
 };
-
-struct BetaBatch;  // likelihood_kernel.h
 
 /// Memo of the most recent Chebyshev β̄ evaluation for one estimator
 /// state (the kernel's incremental layer, DESIGN.md §11). Valid while the
@@ -147,12 +143,6 @@ class ViolationLikelihoodEstimator {
   /// SIMD loop), bitwise identical to the literal loop (the kernel's
   /// identity contract).
   double beta_bound(double threshold, Tick interval) const;
-
-  /// Pushes this estimator's current β̄ evaluation inputs — post-observe
-  /// value, stats snapshot or cold flag, bound choice, memo pointer — as
-  /// one lane of a batch evaluation (likelihood_kernel.h). The lane's
-  /// result is bitwise identical to beta_bound(threshold, interval).
-  void push_lane(double threshold, Tick interval, BetaBatch& batch) const;
 
   /// P[next value at +i ticks exceeds threshold] bound (Definition 1 for a
   /// horizon of i ticks).

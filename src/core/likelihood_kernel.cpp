@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace volley {
@@ -195,54 +196,6 @@ double beta_bound_chebyshev(double value, double threshold,
   const LoopOutcome full = beta_loop(tv, stats, 1, 1.0, interval);
   store(cache, value, threshold, stats, full);
   return full.result;
-}
-
-void BetaBatch::clear() {
-  value.clear();
-  threshold.clear();
-  mean.clear();
-  stddev.clear();
-  interval.clear();
-  cold.clear();
-  gaussian.clear();
-  cache.clear();
-  beta.clear();
-}
-
-void BetaBatch::push_lane(double v, double t, const DeltaStats& s, Tick i,
-                          bool is_cold, bool is_gaussian,
-                          BetaBoundCache* memo) {
-  value.push_back(v);
-  threshold.push_back(t);
-  mean.push_back(s.mean);
-  stddev.push_back(s.stddev);
-  interval.push_back(i);
-  cold.push_back(is_cold ? 1 : 0);
-  gaussian.push_back(is_gaussian ? 1 : 0);
-  cache.push_back(memo);
-  beta.push_back(0.0);
-}
-
-void beta_bound_batch(BetaBatch& batch) {
-  const std::size_t lanes = batch.size();
-  batch.beta.resize(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (batch.cold[l] != 0) {
-      batch.beta[l] = 1.0;  // cold start: conservative bound (likelihood.h)
-      continue;
-    }
-    const DeltaStats s{batch.mean[l], batch.stddev[l]};
-    if (batch.gaussian[l] != 0) {
-      // The Gaussian ablation bound has no kernel fast path (erfc per
-      // step); it runs the baseline loop exactly as the estimator does.
-      batch.beta[l] = beta_bound_with(batch.value[l], batch.threshold[l], s,
-                                      batch.interval[l], gaussian_step_bound);
-    } else {
-      batch.beta[l] = beta_bound_chebyshev(batch.value[l], batch.threshold[l],
-                                           s, batch.interval[l],
-                                           batch.cache[l]);
-    }
-  }
 }
 
 }  // namespace volley

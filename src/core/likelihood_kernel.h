@@ -36,28 +36,15 @@
 //     then folded serially in i order so the product and its saturation
 //     early-exits match the baseline step for step.
 //
-// `beta_bound_batch` evaluates a structure-of-arrays fleet of lanes in one
-// call — the coordinator's sample-tick drain feeds every due monitor into
-// it, so a phase-locked fleet is one kernel invocation instead of 50k
-// virtual-call chains. Lanes carry the estimator options that matter
-// (cold start, Gaussian ablation bound) so a batch evaluation is exactly
-// `ViolationLikelihoodEstimator::beta_bound` per lane.
-//
 // Identity baseline: tests/test_likelihood_kernel.cpp calls
 // `beta_bound_with(..., chebyshev_step_bound)` — the literal Inequality 3
 // loop — directly and asserts kernel == baseline bitwise across a property
 // sweep.
 //
-// Thread-safety: a `BetaBoundCache` belongs to one estimator and inherits its confinement
-// (one monitor, one thread). A `BetaBatch` is scratch owned by one
-// coordinator; concurrent coordinator shards must each own their batch —
-// the kernel itself keeps no mutable global state, so shards never
-// contend (the contract the sharding work in ROADMAP relies on).
+// Thread-safety: a `BetaBoundCache` belongs to one estimator and inherits
+// its confinement (one monitor, one thread). The kernel itself keeps no
+// mutable global state, so coordinator shards never contend.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "common/clock.h"
 #include "core/likelihood.h"
@@ -70,31 +57,5 @@ namespace volley {
 double beta_bound_chebyshev(double value, double threshold,
                             const DeltaStats& stats, Tick interval,
                             BetaBoundCache* cache = nullptr);
-
-/// Structure-of-arrays lane set for one batch evaluation. Vectors are
-/// parallel; `clear()` keeps capacity so a reused batch allocates nothing
-/// in steady state (same discipline as the due index's scratch).
-struct BetaBatch {
-  std::vector<double> value;
-  std::vector<double> threshold;
-  std::vector<double> mean;
-  std::vector<double> stddev;
-  std::vector<Tick> interval;
-  std::vector<std::uint8_t> cold;      // 1: no statistics yet -> β̄ = 1
-  std::vector<std::uint8_t> gaussian;  // 1: kGaussian ablation bound
-  std::vector<BetaBoundCache*> cache;  // per-lane memo, entries may be null
-  std::vector<double> beta;            // output, sized by beta_bound_batch
-
-  void clear();
-  std::size_t size() const { return value.size(); }
-  void push_lane(double v, double t, const DeltaStats& s, Tick i,
-                 bool is_cold, bool is_gaussian, BetaBoundCache* memo);
-};
-
-/// Evaluates every lane: per lane the result is bitwise identical to what
-/// `ViolationLikelihoodEstimator::beta_bound` would return for that
-/// estimator state — including the cold-start 1.0 and the Gaussian
-/// ablation path.
-void beta_bound_batch(BetaBatch& batch);
 
 }  // namespace volley

@@ -54,26 +54,7 @@ Monitor::Outcome Monitor::sample_at(Tick t, SampleReason reason) {
   const double value = source_.value_at(t);
   const Tick gap = last_sample_tick_ ? t - *last_sample_tick_ : 1;
   const Tick interval = sampler_.observe(value, gap);
-  return apply_sample(t, value, interval, reason);
-}
 
-void Monitor::begin_step(Tick t, BetaBatch& batch) {
-  if (!due(t)) throw std::logic_error("Monitor::begin_step called when not due");
-  if (last_sample_tick_ && t <= *last_sample_tick_)
-    throw std::logic_error("Monitor: sampling must move forward in time");
-  const double value = source_.value_at(t);
-  const Tick gap = last_sample_tick_ ? t - *last_sample_tick_ : 1;
-  sampler_.observe_begin(value, gap, batch);
-  pending_value_ = value;
-}
-
-Monitor::Outcome Monitor::finish_step(Tick t, double beta) {
-  const Tick interval = sampler_.observe_finish(beta);
-  return apply_sample(t, pending_value_, interval, SampleReason::kScheduled);
-}
-
-Monitor::Outcome Monitor::apply_sample(Tick t, double value, Tick interval,
-                                       SampleReason reason) {
   last_sample_tick_ = t;
   next_sample_ = t + interval;
 

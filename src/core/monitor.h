@@ -43,17 +43,6 @@ class Monitor {
   /// sample.
   Outcome step(Tick t);
 
-  /// Batched form of step(), split so the coordinator can evaluate every
-  /// due monitor's β̄ in one likelihood-kernel invocation (DESIGN.md §11):
-  /// begin_step samples the source and feeds the estimator, pushing this
-  /// monitor's evaluation lane; finish_step applies the adaptation rule to
-  /// the lane's result and completes the bookkeeping/rescheduling exactly
-  /// as step() would. Calls must be strictly paired, both at the same t.
-  /// begin_step(t); finish_step(t, beta) with the kernel's beta is
-  /// bit-identical to step(t) — asserted by tests and bench_scale.
-  void begin_step(Tick t, BetaBatch& batch);
-  Outcome finish_step(Tick t, double beta);
-
   /// Coordinator-forced sample (global poll). Counts as a sampling op —
   /// unless the monitor already sampled at tick t, in which case the cached
   /// value is returned at no extra cost (a real deployment reuses the datum
@@ -89,11 +78,6 @@ class Monitor {
 
  private:
   Outcome sample_at(Tick t, SampleReason reason);
-  /// Post-adaptation tail shared by sample_at and finish_step: violation
-  /// check, coordination-stat accumulators, accounting, metrics, traces,
-  /// and the next-sample schedule.
-  Outcome apply_sample(Tick t, double value, Tick interval,
-                       SampleReason reason);
 
   MonitorId id_;
   const MetricSource& source_;
@@ -102,7 +86,6 @@ class Monitor {
   std::optional<Tick> last_sample_tick_;
   double last_value_{0.0};
   bool last_was_violation_{false};
-  double pending_value_{0.0};  // begin_step -> finish_step handoff
 
   OnlineStats gain_acc_;       // r_i accumulator within the updating period
   OnlineStats allowance_acc_;  // e_i accumulator

@@ -42,37 +42,47 @@ inline std::vector<MonitorId> scan_due(const Coordinator& c, Tick t) {
   return due;
 }
 
-/// Delegates to a series and appends its monitor's id to a shared log on
+/// Reads a series (borrowed: it must outlive the source, so a large fleet
+/// can share a few series) and appends its monitor's id to a shared log on
 /// every sampling call.
 class RecordingSource final : public MetricSource {
  public:
   RecordingSource(MonitorId id, const TimeSeries& series,
                   std::vector<MonitorId>& log)
-      : id_(id), inner_(series), log_(log) {}
+      : id_(id), series_(series), log_(log) {}
 
   double value_at(Tick t) const override {
     log_.push_back(id_);
-    return inner_.value_at(t);
+    return series_.at(static_cast<std::size_t>(t));
   }
-  Tick length() const override { return inner_.length(); }
+  Tick length() const override { return series_.ticks(); }
 
  private:
   MonitorId id_;
-  SeriesSource inner_;
+  const TimeSeries& series_;
   std::vector<MonitorId>& log_;
 };
 
 /// A Coordinator built the way sim/runner.cpp's run_volley builds one, over
-/// recording sources, with the scan-all check applied on every tick.
+/// recording sources, with the scan-all check applied on every tick. The
+/// series are borrowed and must outlive the run.
 class CheckedRun {
  public:
   CheckedRun(const TaskSpec& spec, std::span<const TimeSeries> series,
+             std::span<const double> locals,
+             std::unique_ptr<AllowanceAllocator> allocator)
+      : CheckedRun(spec, pointers(series), locals, std::move(allocator)) {}
+
+  /// Monitor i reads *series[i]; monitors may share a series.
+  CheckedRun(const TaskSpec& spec,
+             const std::vector<const TimeSeries*>& series,
              std::span<const double> locals,
              std::unique_ptr<AllowanceAllocator> allocator) {
     std::vector<std::unique_ptr<Monitor>> monitors;
     for (std::size_t i = 0; i < series.size(); ++i) {
       const auto id = static_cast<MonitorId>(i);
-      sources_.push_back(std::make_unique<RecordingSource>(id, series[i], log_));
+      sources_.push_back(
+          std::make_unique<RecordingSource>(id, *series[i], log_));
       monitors.push_back(std::make_unique<Monitor>(
           id, *sources_.back(), spec.sampler_options(spec.error_allowance),
           locals[i]));
@@ -105,6 +115,13 @@ class CheckedRun {
   }
 
  private:
+  static std::vector<const TimeSeries*> pointers(
+      std::span<const TimeSeries> series) {
+    std::vector<const TimeSeries*> out;
+    for (const TimeSeries& s : series) out.push_back(&s);
+    return out;
+  }
+
   static std::string ids(const std::vector<MonitorId>& v) {
     std::ostringstream out;
     out << "[";

@@ -1,13 +1,13 @@
 // Identity tests for the β̄ likelihood kernel (DESIGN.md §11): every fast
-// path — zero-β̄ certificate, incremental prefix memo, blocked/SIMD loop,
-// SoA batch, coordinator batch drain — must return the double that the
-// baseline `beta_bound_with(..., chebyshev_step_bound)` loop returns,
-// compared *bitwise*, across a property sweep that covers σ = 0, k ≤ 0,
-// cold start, saturation early-exits, and the AIMD access pattern. The
+// path — zero-β̄ certificate, incremental prefix memo, blocked/SIMD loop —
+// must return the double that the baseline
+// `beta_bound_with(..., chebyshev_step_bound)` loop returns, compared
+// *bitwise*, across a property sweep that covers σ = 0, k ≤ 0, cold
+// start, saturation early-exits, and the AIMD access pattern. The
 // baseline is called directly: it is the literal Inequality 3 loop
 // (likelihood.h). A whole-run regression checks every β̄ decision a
-// coordinator makes — batched drain, per-monitor steps and poll samples —
-// against the same direct call.
+// coordinator makes — scheduled steps and poll samples — against the same
+// direct call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -184,7 +184,7 @@ TEST(KernelCache, CertificateExtensionKeepsResult) {
   }
 }
 
-// --- estimator / batch layers -----------------------------------------
+// --- estimator layer ----------------------------------------------------
 
 /// Feeds both estimators the same walk; returns them warmed up.
 void feed(ViolationLikelihoodEstimator& est, std::uint64_t seed, int n) {
@@ -226,7 +226,11 @@ TEST(KernelEstimator, GaussianPathUnaffected) {
   EXPECT_BITEQ(est.beta_bound(25.0, 12), direct);
 }
 
-TEST(KernelBatch, LanesMatchPerEstimatorResults) {
+TEST(KernelEstimator, EveryLaneMatchesTheLiteralLoop) {
+  // A fleet of estimator states as a coordinator's sample tick meets them:
+  // warm Chebyshev estimators at assorted intervals, one cold estimator
+  // and one Gaussian ablation estimator. Each one's beta_bound must be its
+  // bound's literal loop, called directly, or the cold-start 1.0.
   ViolationLikelihoodEstimator::Options gauss_opt;
   gauss_opt.bound = ViolationLikelihoodEstimator::Bound::kGaussian;
 
@@ -239,36 +243,23 @@ TEST(KernelBatch, LanesMatchPerEstimatorResults) {
   ests.push_back(std::make_unique<ViolationLikelihoodEstimator>(gauss_opt));
   feed(*ests.back(), 999, 120);
 
-  BetaBatch batch;
   const double threshold = 40.0;
   for (std::size_t m = 0; m < ests.size(); ++m) {
     const auto interval = static_cast<Tick>(1 + 11 * m % 64);
-    ests[m]->push_lane(threshold, interval, batch);
-  }
-  ASSERT_EQ(batch.size(), ests.size());
-  beta_bound_batch(batch);
-  for (std::size_t m = 0; m < ests.size(); ++m) {
-    const auto interval = static_cast<Tick>(1 + 11 * m % 64);
-    ASSERT_BITEQ(batch.beta[m], ests[m]->beta_bound(threshold, interval))
-        << "lane " << m;
-    // Chebyshev lanes against the literal loop, called directly.
+    const double beta = ests[m]->beta_bound(threshold, interval);
     const auto stats = ests[m]->delta_stats();
-    if (stats && m != ests.size() - 1) {
-      ASSERT_BITEQ(batch.beta[m],
-                   scalar_reference(*ests[m]->last_value(), threshold, *stats,
-                                    interval))
-          << "lane " << m;
+    if (m == 12) {
+      EXPECT_BITEQ(beta, 1.0);  // cold start: the conservative bound
+    } else if (m == ests.size() - 1) {
+      ASSERT_BITEQ(beta, beta_bound_with(*ests[m]->last_value(), threshold,
+                                         *stats, interval,
+                                         gaussian_step_bound));
+    } else {
+      ASSERT_BITEQ(beta, scalar_reference(*ests[m]->last_value(), threshold,
+                                          *stats, interval))
+          << "estimator " << m;
     }
   }
-  // The cold lane is the conservative 1.0 by construction.
-  EXPECT_BITEQ(batch.beta[12], 1.0);
-
-  // clear() keeps capacity: the coordinator's steady state re-fills the
-  // same batch every sample tick without allocating.
-  const auto cap = batch.value.capacity();
-  batch.clear();
-  EXPECT_EQ(batch.size(), 0u);
-  EXPECT_EQ(batch.value.capacity(), cap);
 }
 
 // --- whole-run regression: every decision against the literal loop -----
@@ -292,10 +283,9 @@ std::vector<TimeSeries> walk_series(int monitors, Tick ticks,
 TEST(ScalarBetaRegression, WholeRunIsByteIdenticalEitherWay) {
   // The name is kept for test-ID continuity; there is no scalar switch to
   // flip, the run is checked against the literal loop called directly.
-  // 16 monitors >= the coordinator's batch threshold: tick 0 (and every
-  // poll rebuild) drains through the batched kernel path, later sparse
-  // ticks through the per-monitor loop, and polls force-sample through the
-  // estimator. Each sample evaluates β̄ exactly once, at the interval the
+  // 16 monitors: scheduled steps drain whole ticks at first and sparse
+  // ones later, and polls force-sample through the estimator. Each
+  // sample evaluates β̄ exactly once, at the interval the
   // sampler held before the sample, over the estimator state right after
   // it; that value must be the literal loop's, bit for bit.
   const Tick ticks = 4000;

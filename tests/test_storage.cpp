@@ -2,6 +2,8 @@
 // write/read round-trips, and crash/corruption recovery semantics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -15,7 +17,10 @@ namespace {
 class SampleLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps parallel test processes apart: each allocates its
+    // fixture at the same address under ASan.
     path_ = ::testing::TempDir() + "volley_sample_log_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
