@@ -5,8 +5,9 @@
 // through Coordinator::run_tick (due index + the likelihood kernel).
 // Idle ticks (nothing due — the due index's O(1) case) and
 // sample ticks (every monitor due — the β̄ kernel's case) are timed as
-// separate phases. Im = 128 also exercises the Im-derived interval-histogram
-// bound.
+// separate phases, over five timed blocks after one warm-up; each phase
+// reports its median block rate. Im = 128 also exercises the Im-derived
+// interval-histogram bound.
 //
 // Part 2 — the β̄-evaluation phase alone: identical lane populations
 // evaluated by the scalar loop, the kernel (cold memos), and the kernel
@@ -25,6 +26,7 @@
 // BENCH_scale.json (schema checked by the CI bench-smoke job). No trace
 // sink is bound, so per-sample trace events are not recorded and the
 // numbers measure the monitoring hot path, not the trace ring.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -64,11 +66,20 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 // same adaptation timeline (identical options, always-safe series), so all
 // of them are due on the same tick once per Im — the remaining Im-1 ticks
 // are no-op ticks. The two tick classes are timed separately (idle ticks in
-// blocks between sample ticks, so no per-tick clock reads pollute the idle
-// numbers):
+// runs between sample ticks, so no per-tick clock reads pollute the idle
+// numbers). One timed block of `timed` ticks holds only ten sample ticks, so
+// one block's sample rate can be an outlier; the timed block is repeated
+// and each phase reports the median block's rate:
 //  * idle ticks — pure scheduling overhead, O(1) with the due index;
 //  * sample ticks — dominated by the adaptation rule itself (the β̄ bound
 //    per observation, evaluated by the kernel).
+
+struct SingleRow {
+  std::size_t monitors;
+  double idle_tps;
+  double sample_tps;
+  double overall_tps;
+};
 
 struct SingleTiming {
   double idle_seconds{0.0};
@@ -88,9 +99,14 @@ struct SingleTiming {
   }
 };
 
-SingleTiming run_single(std::size_t n, Tick warmup, Tick timed,
-                        Tick max_interval) {
-  SingleTiming out;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+SingleRow run_single(std::size_t n, Tick warmup, Tick timed, int repeats,
+                     Tick max_interval) {
+  std::vector<SingleTiming> blocks(static_cast<std::size_t>(repeats));
   obs::MetricsRegistry registry;
   {
     obs::ScopedMetricsRegistry scope(registry);
@@ -107,10 +123,10 @@ SingleTiming run_single(std::size_t n, Tick warmup, Tick timed,
     spec.patience = 1;
     // No reallocation round inside the measured run: draining coordination
     // stats is O(monitors) and would blur the idle-tick numbers.
-    spec.updating_period = warmup + timed + 1;
+    const Tick total = warmup + timed * repeats;
+    spec.updating_period = total + 1;
     spec.estimator.stats_window = 32;
 
-    const Tick total = warmup + timed;
     std::vector<std::unique_ptr<CallableSource>> sources;
     sources.reserve(n);
     std::vector<std::unique_ptr<Monitor>> monitors;
@@ -150,34 +166,49 @@ SingleTiming run_single(std::size_t n, Tick warmup, Tick timed,
 
     // Phase lock makes the sample ticks predictable: t = last_due (mod Im).
     const Tick residue = last_due % max_interval;
+    // Blocks are nested loops, not an index computed per tick: a division
+    // per tick costs about as much as the ~20 ns idle tick it would time.
+    Tick t = warmup;
     double block_t0 = bench::now_seconds();
-    for (Tick t = warmup; t < total; ++t) {
-      const bool expect_due = (t % max_interval) == residue;
-      if (expect_due) {
-        out.idle_seconds += bench::now_seconds() - block_t0;
-        const double s0 = bench::now_seconds();
-        const auto tick = coordinator.run_tick(t);
-        out.sample_seconds += bench::now_seconds() - s0;
-        ++out.sample_ticks;
-        if (!tick.any_due) {
-          std::fprintf(stderr, "bench scale: lost phase lock at tick %lld\n",
-                       static_cast<long long>(t));
-          std::exit(1);
-        }
-        block_t0 = bench::now_seconds();
-      } else {
-        const auto tick = coordinator.run_tick(t);
-        ++out.idle_ticks;
-        if (tick.any_due) {
-          std::fprintf(stderr, "bench scale: lost phase lock at tick %lld\n",
-                       static_cast<long long>(t));
-          std::exit(1);
+    for (SingleTiming& out : blocks) {
+      for (const Tick end = t + timed; t < end; ++t) {
+        const bool expect_due = (t % max_interval) == residue;
+        if (expect_due) {
+          out.idle_seconds += bench::now_seconds() - block_t0;
+          const double s0 = bench::now_seconds();
+          const auto tick = coordinator.run_tick(t);
+          out.sample_seconds += bench::now_seconds() - s0;
+          ++out.sample_ticks;
+          if (!tick.any_due) {
+            std::fprintf(stderr,
+                         "bench scale: lost phase lock at tick %lld\n",
+                         static_cast<long long>(t));
+            std::exit(1);
+          }
+          block_t0 = bench::now_seconds();
+        } else {
+          const auto tick = coordinator.run_tick(t);
+          ++out.idle_ticks;
+          if (tick.any_due) {
+            std::fprintf(stderr,
+                         "bench scale: lost phase lock at tick %lld\n",
+                         static_cast<long long>(t));
+            std::exit(1);
+          }
         }
       }
+      const double now = bench::now_seconds();  // close the block's idle run
+      out.idle_seconds += now - block_t0;
+      block_t0 = now;
     }
-    out.idle_seconds += bench::now_seconds() - block_t0;
   }
-  return out;
+  std::vector<double> idle, sample, overall;
+  for (const SingleTiming& b : blocks) {
+    idle.push_back(b.idle_tps());
+    sample.push_back(b.sample_tps());
+    overall.push_back(b.overall_tps());
+  }
+  return SingleRow{n, median(idle), median(sample), median(overall)};
 }
 
 // --- Part 2: the β̄-evaluation phase in isolation ----------------------
@@ -358,13 +389,6 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon) {
 
 // --- driver -----------------------------------------------------------
 
-struct SingleRow {
-  std::size_t monitors;
-  double idle_tps;
-  double sample_tps;
-  double overall_tps;
-};
-
 bool simd_enabled() {
 #if defined(VOLLEY_OPENMP_SIMD)
   return true;
@@ -374,7 +398,7 @@ bool simd_enabled() {
 }
 
 void write_scale_json(bool quick, Tick max_interval, Tick timed,
-                      const std::vector<SingleRow>& rows,
+                      int repeats, const std::vector<SingleRow>& rows,
                       const BetaEvalTiming& quiet_eval,
                       const BetaEvalTiming& noisy_eval,
                       std::size_t sim_tasks, const SimOutcome& sim) {
@@ -384,9 +408,11 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
     return;
   }
   std::fprintf(f, "{\"bench\":\"scale\",\"quick\":%s,", quick ? "true" : "false");
-  std::fprintf(f, "\"max_interval\":%lld,\"timed_ticks\":%lld,\"single\":[",
+  std::fprintf(f,
+               "\"max_interval\":%lld,\"timed_ticks\":%lld,"
+               "\"timed_blocks\":%d,\"single\":[",
                static_cast<long long>(max_interval),
-               static_cast<long long>(timed));
+               static_cast<long long>(timed), repeats);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     std::fprintf(f,
@@ -429,6 +455,7 @@ void run() {
   Tick max_interval = 128;  // > 64: exercises the Im-derived histogram bound
   Tick warmup = 8600;       // AIMD climb to Im takes ~Im^2/2 ticks
   Tick timed = 1280;        // ten full Im cycles in steady state
+  const int repeats = 5;    // timed blocks; each phase reports the median
   if (quick) {
     sizes = {1000, 10000};
     max_interval = 32;
@@ -451,12 +478,7 @@ void run() {
   bench::print_row({"monitors", "idle tps", "sample tps", "overall tps"});
   std::vector<SingleRow> rows;
   for (std::size_t n : sizes) {
-    const auto timing = run_single(n, warmup, timed, max_interval);
-    SingleRow row;
-    row.monitors = n;
-    row.idle_tps = timing.idle_tps();
-    row.sample_tps = timing.sample_tps();
-    row.overall_tps = timing.overall_tps();
+    const SingleRow row = run_single(n, warmup, timed, repeats, max_interval);
     rows.push_back(row);
     bench::print_row({std::to_string(n), bench::fmt(row.idle_tps, 0),
                       bench::fmt(row.sample_tps, 0),
@@ -497,8 +519,8 @@ void run() {
               sim_tasks, static_cast<unsigned long long>(sim.events), horizon,
               static_cast<double>(sim.events) / sim.run_seconds);
 
-  write_scale_json(quick, max_interval, timed, rows, quiet_eval, noisy_eval,
-                   sim_tasks, sim);
+  write_scale_json(quick, max_interval, timed, repeats, rows, quiet_eval,
+                   noisy_eval, sim_tasks, sim);
   std::printf("-> BENCH_scale.json\n");
 }
 

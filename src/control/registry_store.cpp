@@ -62,7 +62,8 @@ bool read_u64(std::ifstream& in, std::uint64_t& v) {
 }
 
 /// Reads and checks a 4-byte magic + u32 format header. Throws on a file
-/// that is clearly not ours; returns false on an empty/too-short file.
+/// that is clearly not ours; returns false on a file too short to hold the
+/// header (a crash while the header was being written).
 bool read_header(std::ifstream& in, const char (&magic)[4],
                  const char* what) {
   char found[4];
@@ -71,7 +72,8 @@ bool read_header(std::ifstream& in, const char (&magic)[4],
     throw std::runtime_error(std::string(what) + ": bad magic");
   }
   std::uint32_t format = 0;
-  if (!read_u32(in, format) || format != kFormatVersion) {
+  if (!read_u32(in, format)) return false;
+  if (format != kFormatVersion) {
     throw std::runtime_error(std::string(what) + ": unsupported format");
   }
   return true;
@@ -122,6 +124,8 @@ RegistryLoadStats RegistryStore::load(TaskRegistry& registry) {
           }
           records.push_back(std::move(record));
         }
+        // Bytes past the last record mean the count itself was damaged.
+        if (in.peek() != std::ifstream::traits_type::eof()) intact = false;
         // A snapshot is all-or-nothing: it is written atomically, so a
         // partial parse means external corruption — fall back to replaying
         // the journal from scratch rather than installing half a registry.

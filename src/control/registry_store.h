@@ -50,8 +50,9 @@ class RegistryStore {
   /// Replays snapshot + journal into `registry` (which is cleared first via
   /// restore_snapshot when a snapshot exists). Opens the journal for
   /// appending afterwards. Throws std::runtime_error only when a file
-  /// exists but is not a registry file at all (bad magic/format); torn or
-  /// corrupt records are reported through the stats, not thrown.
+  /// exists but is not a registry file at all (bad magic/format); a header
+  /// cut short reads as an empty file, and torn or corrupt records are
+  /// reported through the stats, not thrown.
   RegistryLoadStats load(TaskRegistry& registry);
 
   /// Appends one op and flushes it to the OS before returning. Lazily

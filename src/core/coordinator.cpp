@@ -14,8 +14,7 @@ namespace {
 struct CoordinatorMetrics {
   obs::CounterCell* polls;
   obs::CounterCell* alerts;
-  obs::CounterCell* reallocations;
-  obs::HistogramCell* allowance_share;
+  AllowanceRoundMetrics round;
 
   static CoordinatorMetrics make(obs::MetricsRegistry& m) {
     return CoordinatorMetrics{
@@ -26,14 +25,7 @@ struct CoordinatorMetrics {
                    "Global polls whose aggregate exceeded the task threshold "
                    "T (state alerts)")
              .cell(),
-        &m.counter("volley_coordinator_reallocations_total",
-                   "Error-allowance reallocation rounds (once per updating "
-                   "period)")
-             .cell(),
-        &m.histogram("volley_coordinator_allowance_share", 0.0, 1.0, 20,
-                     "Per-monitor share err_i/err assigned at each "
-                     "reallocation")
-             .cell(),
+        AllowanceRoundMetrics::coordinator(m),
     };
   }
 
@@ -210,14 +202,7 @@ void Coordinator::set_error_budget(double err) {
   if (err < 0.0 || err > 1.0)
     throw std::invalid_argument("Coordinator: error budget in [0,1]");
   spec_.error_allowance = err;
-  double sum = 0.0;
-  for (double a : allocation_) sum += a;
-  if (sum > 0.0) {
-    for (double& a : allocation_) a *= err / sum;
-  } else {
-    const double share = err / static_cast<double>(allocation_.size());
-    for (double& a : allocation_) a = share;
-  }
+  rescale_split(allocation_, err);
   for (std::size_t i = 0; i < monitors_.size(); ++i)
     monitors_[i]->set_error_allowance(allocation_[i]);
 }
@@ -230,29 +215,12 @@ void Coordinator::maybe_reallocate(Tick t) {
   std::vector<CoordStats> stats;
   stats.reserve(monitors_.size());
   for (auto& m : monitors_) stats.push_back(m->drain_coord_stats());
-  last_period_stats_ = CoordStats{};
-  for (const CoordStats& s : stats) {
-    last_period_stats_.avg_gain += s.avg_gain;
-    last_period_stats_.avg_allowance += s.avg_allowance;
-    last_period_stats_.observations += s.observations;
-  }
-
-  const std::vector<double> previous = allocation_;
-  allocation_ = allocator_->allocate(spec_.error_allowance, allocation_,
-                                     stats);
-  const auto& om = CoordinatorMetrics::get();
-  for (std::size_t i = 0; i < monitors_.size(); ++i) {
-    monitors_[i]->set_error_allowance(allocation_[i]);
-    if (spec_.error_allowance > 0.0)
-      om.allowance_share->observe(allocation_[i] / spec_.error_allowance);
-    if (allocation_[i] != previous[i]) {
-      obs::trace().record(obs::TraceKind::kAllowanceAdjusted, t,
-                          static_cast<std::uint32_t>(i), allocation_[i],
-                          previous[i]);
-    }
-  }
+  last_period_stats_ = run_allowance_round(
+      *allocator_, spec_.error_allowance, allocation_, stats,
+      CoordinatorMetrics::get().round, t, [this](std::size_t i, double a) {
+        monitors_[i]->set_error_allowance(a);
+      });
   ++reallocations_;
-  om.reallocations->inc();
 }
 
 std::int64_t Coordinator::total_ops() const {

@@ -6,9 +6,9 @@
 //    the socket runtime in src/net speaks the same protocol over TCP);
 //  * on any local violation, run a *global poll*: force-sample every
 //    monitor, aggregate, and compare against the global threshold T;
-//  * once per updating period (paper: 1000 Id), collect the averaged
-//    r_i / e_i statistics from all monitors and reallocate the task-level
-//    error allowance via the configured AllowanceAllocator.
+//  * once per updating period (paper: 1000 Id), drain the averaged
+//    r_i / e_i statistics from all monitors and run the allowance round
+//    (core/error_allocation.h) with the configured AllowanceAllocator.
 //
 // Units: ticks are multiples of the task's default interval Id; threshold
 // and aggregate values are in the monitored metric's unit; allowances are
@@ -18,7 +18,8 @@
 // threaded tick loop; run concurrent tasks as separate Coordinator
 // instances. Instrumentation (volley_coordinator_* counters, the allowance-
 // share histogram, kAlertRaised / kAllowanceAdjusted trace events) goes to
-// the thread-safe process-global obs/ sinks.
+// the calling thread's obs/ bindings; the round's instruments are the ones
+// net::CoordinatorNode records too.
 #pragma once
 
 #include <cstdint>
@@ -87,15 +88,14 @@ class Coordinator {
 
   /// Replaces the task-level error budget err (the root tier pushes a new
   /// per-shard budget once per root updating period). The per-monitor
-  /// allocation is rescaled proportionally — even re-split when the
-  /// current allocation is all zero — so it sums to `err` again, and the
-  /// monitors see their new allowances immediately. Future reallocation
-  /// rounds allocate the new budget.
+  /// allocation is rescaled by rescale_split (even when it is all zero) so
+  /// it sums to `err` again, and the monitors see their new allowances
+  /// immediately. Future reallocation rounds allocate the new budget.
   void set_error_budget(double err);
 
-  /// Sums of the per-monitor coordination statistics drained at the most
-  /// recent reallocation round — the (r, e) shard summary the root tier
-  /// feeds its own allocator. Zero-valued until the first round.
+  /// The sums run_allowance_round returned at the most recent round — the
+  /// (r, e) shard summary the root tier feeds its own round. Zero-valued
+  /// until the first round.
   CoordStats last_period_stats() const { return last_period_stats_; }
 
   // --- accounting -----------------------------------------------------

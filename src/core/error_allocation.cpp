@@ -109,13 +109,37 @@ std::vector<double> clamp_and_normalize(std::vector<double> alloc,
     }
   }
   // Final renormalization to absorb floating-point drift.
-  const double sum = std::accumulate(alloc.begin(), alloc.end(), 0.0);
-  if (sum > 0.0) {
-    for (double& a : alloc) a *= total / sum;
-  } else {
-    for (double& a : alloc) a = total / static_cast<double>(n);
-  }
+  rescale_split(alloc, total);
   return alloc;
+}
+
+AllowanceRoundMetrics AllowanceRoundMetrics::coordinator(
+    obs::MetricsRegistry& m) {
+  return AllowanceRoundMetrics{
+      &m.counter("volley_coordinator_reallocations_total",
+                 "Error-allowance reallocation rounds (once per updating "
+                 "period)")
+           .cell(),
+      &m.histogram("volley_coordinator_allowance_share", 0.0, 1.0, 20,
+                   "Per-monitor share err_i/err assigned at each "
+                   "reallocation")
+           .cell(),
+      true,
+  };
+}
+
+void rescale_split(std::span<double> split, double budget,
+                   std::span<const double> weights, double total_weight) {
+  double sum = 0.0;
+  for (double a : split) sum += a;
+  if (sum > 0.0) {
+    for (double& a : split) a *= budget / sum;
+  } else if (weights.empty()) {
+    for (double& a : split) a = budget / static_cast<double>(split.size());
+  } else {
+    for (std::size_t i = 0; i < split.size(); ++i)
+      split[i] = budget * weights[i] / total_weight;
+  }
 }
 
 std::vector<double> redistribute_allowance(
@@ -144,14 +168,7 @@ std::vector<double> redistribute_allowance(
   obs::trace().record(obs::TraceKind::kAllowanceReclaimed, 0, 0,
                       static_cast<double>(alive.size()),
                       static_cast<double>(excluded.size()));
-  const double sum =
-      std::accumulate(alive.begin(), alive.end(), 0.0);
-  if (sum <= 0.0) {
-    // Degenerate survivors (all at zero): fall back to an even split.
-    for (double& a : alive) a = err / static_cast<double>(alive.size());
-  } else {
-    for (double& a : alive) a *= err / sum;
-  }
+  rescale_split(alive, err);  // all-zero survivors: an even split
   const double floor_value = feasible_floor(err, alive.size(), 0.01);
   alive = clamp_and_normalize(std::move(alive), err, floor_value);
   std::size_t j = 0;

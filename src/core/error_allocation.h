@@ -34,17 +34,25 @@
 // in [0, 1]; r_i and y_i are dimensionless rates derived from interval
 // counts.
 //
+// `run_allowance_round` is the one round every coordinator tier runs once
+// per updating period: core::Coordinator and net::CoordinatorNode over
+// monitors, shard::ShardedCoordinator's root over shards. What it records
+// is the tier's metric identity, not an option (DESIGN.md §13).
+//
 // Thread-safety: allocators are stateless apart from their Options —
-// allocate() is safe to call from any single thread at a time; the free
-// functions are pure. Reallocation outcomes are observable through the
-// volley_allocation_* counters in the process-global obs/ registry.
+// allocate() is safe to call from any single thread at a time. Outcomes are
+// observable through the volley_allocation_* counters and the round's
+// instruments, recorded through the calling thread's obs bindings.
 #pragma once
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
+#include "obs/metrics.h"
+#include "obs/trace_events.h"
 
 namespace volley {
 
@@ -100,6 +108,56 @@ class AdaptiveAllocation final : public AllowanceAllocator {
 /// so the vector still sums to `total`. Exposed for testing.
 std::vector<double> clamp_and_normalize(std::vector<double> alloc,
                                         double total, double floor_value);
+
+/// The instruments one tier records its rounds into.
+struct AllowanceRoundMetrics {
+  obs::CounterCell* rounds{nullptr};   // one bump per round
+  obs::HistogramCell* share{nullptr};  // err_i/err per lane; null: none
+  bool trace_changes{false};           // kAllowanceAdjusted per changed lane
+
+  /// The coordinator tiers' instruments, registered in `m`.
+  static AllowanceRoundMetrics coordinator(obs::MetricsRegistry& m);
+};
+
+/// Replaces `split` (summing to `budget`) with the allocator's next split
+/// over the lanes' `stats`, hands each lane's new allowance to
+/// `install(i, err_i)`, records the round into `metrics`, and returns the
+/// summed stats. Trace events name lane i `lane_ids[i]` (i when empty) at
+/// tick `t`. Installing inside the loop that records keeps one pass over
+/// the lanes; a second pass cost measurably more per round
+/// (EXPERIMENTS.md, "One allowance round").
+template <typename Install>
+CoordStats run_allowance_round(AllowanceAllocator& allocator, double budget,
+                               std::vector<double>& split,
+                               std::span<const CoordStats> stats,
+                               const AllowanceRoundMetrics& metrics, Tick t,
+                               Install&& install,
+                               std::span<const MonitorId> lane_ids = {}) {
+  CoordStats sums;
+  for (const CoordStats& s : stats) sums += s;
+  std::vector<double> next = allocator.allocate(budget, split, stats);
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    install(i, next[i]);
+    if (metrics.share && budget > 0.0) metrics.share->observe(next[i] / budget);
+    if (metrics.trace_changes && next[i] != split[i]) {
+      obs::trace().record(
+          obs::TraceKind::kAllowanceAdjusted, t,
+          lane_ids.empty() ? static_cast<MonitorId>(i) : lane_ids[i], next[i],
+          split[i]);
+    }
+  }
+  split = std::move(next);
+  metrics.rounds->inc();
+  return sums;
+}
+
+/// Rescales `split` in place to sum to `budget`, keeping the entries'
+/// relative shares (the adaptive allocator's learned state). An all-zero
+/// split (after a budget of 0) is rebuilt as budget·w_i/total_weight from
+/// `weights`, or as the even split budget/n when `weights` is empty.
+void rescale_split(std::span<double> split, double budget,
+                   std::span<const double> weights = {},
+                   double total_weight = 0.0);
 
 /// Reclaims the allowance of failed monitors. Entries whose index appears
 /// in `excluded` are zeroed; the surviving entries are rescaled (keeping

@@ -33,6 +33,13 @@ struct CoordStats {
   double avg_gain{0.0};       // average r_i over the period
   double avg_allowance{0.0};  // average e_i over the period
   std::int64_t observations{0};
+
+  CoordStats& operator+=(const CoordStats& o) {
+    avg_gain += o.avg_gain;
+    avg_allowance += o.avg_allowance;
+    observations += o.observations;
+    return *this;
+  }
 };
 
 }  // namespace volley

@@ -92,6 +92,11 @@ CoordinatorNode::CoordinatorNode(const CoordinatorNodeOptions& options)
     throw std::invalid_argument("CoordinatorNode: heartbeat_timeout_ms > 0");
   if (options.staleness_bound_ms <= 0)
     throw std::invalid_argument("CoordinatorNode: staleness_bound_ms > 0");
+  if (options.adaptive_allocation) {
+    allocator_ = std::make_unique<AdaptiveAllocation>();
+  } else {
+    allocator_ = std::make_unique<EvenAllocation>();
+  }
   if (!options.registry_path.empty()) {
     store_ = std::make_unique<control::RegistryStore>(options.registry_path);
     registry_load_stats_ = store_->load(registry_);
@@ -132,16 +137,9 @@ CoordinatorNode::TaskRuntime& CoordinatorNode::install_task_runtime(
     const control::TaskRecord& record) {
   TaskRuntime& rt = tasks_[record.id];
   rt.record = record;
-  if (options_.adaptive_allocation) {
-    rt.allocator = std::make_unique<AdaptiveAllocation>();
-  } else {
-    rt.allocator = std::make_unique<EvenAllocation>();
-  }
   rt.allowance.clear();
-  for (const auto& [id, session] : sessions_) {
-    (void)session;
+  for (const auto& [id, session] : sessions_)
     rt.allowance.emplace(id, weighted_share(rt, id));
-  }
   return rt;
 }
 
@@ -285,49 +283,41 @@ void CoordinatorNode::finish_poll(TaskId task, TaskRuntime& rt) {
 }
 
 void CoordinatorNode::maybe_reallocate(TaskId task, TaskRuntime& rt) {
-  // Reallocation needs a StatsReport from every *reachable* monitor: dead
-  // monitors are excluded (their allowance was reclaimed) and done monitors
-  // no longer report.
-  std::vector<MonitorId> eligible;
+  // A round needs a StatsReport (a ShardSummary from a shard session) from
+  // every *reachable* monitor: dead monitors are excluded (their allowance
+  // was reclaimed) and done monitors no longer report.
+  if (!all_joined()) return;
+  std::vector<MonitorId> lanes;
+  std::vector<double> split;
+  std::vector<CoordStats> stats;
   for (const auto& [id, session] : sessions_) {
     if (session.done || session.state == MonitorLiveness::kDead) continue;
-    eligible.push_back(id);
+    const auto report = rt.pending_stats.find(id);
+    if (report == rt.pending_stats.end()) return;
+    lanes.push_back(id);
+    split.push_back(rt.allowance[id]);
+    stats.push_back(report->second);
   }
-  if (eligible.empty() || !all_joined()) return;
-  for (MonitorId id : eligible) {
-    if (!rt.pending_stats.count(id)) return;
-  }
-  std::vector<double> current;
-  std::vector<CoordStats> stats;
-  current.reserve(eligible.size());
-  stats.reserve(eligible.size());
-  for (MonitorId id : eligible) {
-    current.push_back(rt.allowance[id]);
-    stats.push_back(rt.pending_stats[id]);
-  }
-  const double budget = rt.record.spec.error_allowance;
-  const auto next = rt.allocator->allocate(budget, current, stats);
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    rt.allowance[eligible[i]] = next[i];
-    auto& session = sessions_.at(eligible[i]);
-    if (session.connected) {
-      send_to(eligible[i], session,
-              allowance_frame(session.shard, task, next[i]));
-    }
-  }
-  // Accumulate this round's (r, e) sums for the upstream ShardSummary:
-  // the root runs the identical allocator over these per-shard sums.
-  for (const CoordStats& s : stats) {
-    rt.export_r += s.avg_gain;
-    rt.export_e += s.avg_allowance;
-    rt.export_observations += s.observations;
-  }
+  if (lanes.empty()) return;
+  // The sim Coordinator's instruments; the wire coordinator has no tick
+  // clock, so its trace events carry tick 0.
+  rt.exported += run_allowance_round(
+      *allocator_, rt.record.spec.error_allowance, split, stats,
+      obs::scoped_handles(&AllowanceRoundMetrics::coordinator), 0,
+      [&](std::size_t i, double a) { push_allowance(task, rt, lanes[i], a); },
+      lanes);
   rt.pending_stats.clear();
   ++reallocations_;
 }
 
-void CoordinatorNode::maybe_reallocate_all() {
-  for (auto& [task, rt] : tasks_) maybe_reallocate(task, rt);
+void CoordinatorNode::push_allowance(TaskId task, TaskRuntime& rt,
+                                     MonitorId id, double allowance) {
+  rt.allowance[id] = allowance;
+  auto& session = sessions_.at(id);
+  if (session.connected && !session.done &&
+      session.state != MonitorLiveness::kDead) {
+    send_to(id, session, allowance_frame(session.shard, task, allowance));
+  }
 }
 
 void CoordinatorNode::mark_suspect(MonitorId id, Session& session) {
@@ -357,7 +347,7 @@ void CoordinatorNode::declare_dead(MonitorId id, Session& session) {
   for (auto& [task, rt] : tasks_) rt.pending_stats.erase(id);
   redistribute_and_push();
   check_all_poll_completions();
-  maybe_reallocate_all();
+  for (auto& [task, rt] : tasks_) maybe_reallocate(task, rt);
 }
 
 void CoordinatorNode::redistribute_and_push() {
@@ -377,15 +367,8 @@ void CoordinatorNode::redistribute_and_push() {
     if (ids.empty() || excluded.size() == ids.size()) continue;
     const auto next = redistribute_allowance(rt.record.spec.error_allowance,
                                              current, excluded);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      rt.allowance[ids[i]] = next[i];
-      auto& session = sessions_.at(ids[i]);
-      if (session.connected && session.state == MonitorLiveness::kActive &&
-          !session.done) {
-        send_to(ids[i], session,
-                allowance_frame(session.shard, task, next[i]));
-      }
-    }
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      push_allowance(task, rt, ids[i], next[i]);
     redistributed = true;
   }
   if (redistributed) ++fault_stats_.allowance_reclaims;
@@ -493,27 +476,17 @@ ControlReply CoordinatorNode::apply_shard_allowance(
   }
   TaskRuntime& rt = it->second;
   const double err = request.error_allowance;
-  // Store the budget first: an all-zero split (after a budget of 0) falls
-  // back to the even weighted split of the *new* budget.
   rt.record.spec.error_allowance = err;
-  // Rescale the live split proportionally: relative shares (the adaptive
-  // allocator's learned state) survive the budget change.
-  double sum = 0.0;
+  std::vector<MonitorId> lanes;
+  std::vector<double> split, weights;
   for (const auto& [id, a] : rt.allowance) {
-    (void)id;
-    sum += a;
+    lanes.push_back(id);
+    split.push_back(a);
+    weights.push_back(session_weight(id));
   }
-  for (auto& [id, a] : rt.allowance) {
-    a = sum > 0.0 ? a * err / sum : weighted_share(rt, id);
-  }
-  for (auto& [id, session] : sessions_) {
-    if (!session.connected || session.done ||
-        session.state == MonitorLiveness::kDead) {
-      continue;
-    }
-    send_to(id, session,
-            allowance_frame(session.shard, request.task, rt.allowance[id]));
-  }
+  rescale_split(split, err, weights, static_cast<double>(total_weight()));
+  for (std::size_t i = 0; i < lanes.size(); ++i)
+    push_allowance(request.task, rt, lanes[i], split[i]);
   VLOG_INFO("coordinator", "task ", request.task, " budget set to ", err);
   return ControlReply{control::ControlStatus::kOk, rt.record.epoch,
                       registry_.version(), {}};
@@ -532,15 +505,13 @@ std::vector<ShardSummary> CoordinatorNode::drain_shard_summaries(
     ShardSummary summary;
     summary.shard = shard_id;
     summary.task = task;
-    summary.r = rt.export_r;
-    summary.e = rt.export_e;
-    summary.yield = rt.export_e > 0.0 ? rt.export_r / rt.export_e : 0.0;
+    summary.r = rt.exported.avg_gain;
+    summary.e = rt.exported.avg_allowance;
+    summary.yield = summary.e > 0.0 ? summary.r / summary.e : 0.0;
     summary.allowance_used = rt.record.spec.error_allowance;
-    summary.observations = rt.export_observations;
+    summary.observations = rt.exported.observations;
     out.push_back(summary);
-    rt.export_r = 0.0;
-    rt.export_e = 0.0;
-    rt.export_observations = 0;
+    rt.exported = {};
   }
   return out;
 }
@@ -599,13 +570,11 @@ void CoordinatorNode::bind_session(PendingConn&& pending, const Hello& hello,
     session.shard = shard;
     session.weight = weight;
     it = sessions_.emplace(id, std::move(session)).first;
-    for (auto& [task, rt] : tasks_) {
-      rt.allowance.emplace(id, weighted_share(rt, id));
-    }
     // Teach the newcomer the full task set. Monitors dedupe by epoch, so
     // the boot task's attach (epoch 1, which they seeded themselves) is a
     // no-op while dynamically added tasks take effect.
     for (auto& [task, rt] : tasks_) {
+      rt.allowance.emplace(id, weighted_share(rt, id));
       send_to(id, it->second, make_attach(rt, id));
     }
     if (hello.resume) {
@@ -724,18 +693,15 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
   if (const auto* stats = std::get_if<StatsReport>(&message)) {
     const auto task_it = tasks_.find(stats->task);
     if (task_it == tasks_.end()) return;
-    CoordStats s;
-    s.avg_gain = stats->avg_gain;
-    s.avg_allowance = stats->avg_allowance;
-    s.observations = stats->observations;
-    task_it->second.pending_stats[stats->monitor] = s;
+    task_it->second.pending_stats[stats->monitor] = {
+        stats->avg_gain, stats->avg_allowance, stats->observations};
     maybe_reallocate(stats->task, task_it->second);
     return;
   }
   if (const auto* summary = std::get_if<ShardSummary>(&message)) {
     // A shard's compressed coordination stats: feed (r, e) into the same
-    // reallocation machinery a StatsReport drives — the root runs the
-    // identical allocator over shard sums instead of monitor averages.
+    // round a StatsReport drives, over shard sums instead of monitor
+    // averages.
     // An empty summary (no downstream round finished since the last one)
     // keeps the session fresh but is no report: counting its zero yield
     // would move budget away from a shard whose round merely fell into
@@ -744,11 +710,8 @@ void CoordinatorNode::handle_message(MonitorId id, Session& session,
     if (summary->observations == 0) return;
     const auto task_it = tasks_.find(summary->task);
     if (task_it == tasks_.end()) return;
-    CoordStats s;
-    s.avg_gain = summary->r;
-    s.avg_allowance = summary->e;
-    s.observations = summary->observations;
-    task_it->second.pending_stats[summary->shard] = s;
+    task_it->second.pending_stats[summary->shard] = {summary->r, summary->e,
+                                                     summary->observations};
     maybe_reallocate(summary->task, task_it->second);
     return;
   }

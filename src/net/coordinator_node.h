@@ -10,9 +10,9 @@
 //  * PollResponse    -> when every reachable monitor answered, aggregate and
 //    compare against the task's global threshold T; record a state alert if
 //    exceeded;
-//  * StatsReport     -> once all reachable monitors reported for a task,
-//    reallocate that task's error allowance (even or adaptive scheme) and
-//    push AllowanceUpdates;
+//  * StatsReport     -> once all reachable monitors reported for a task, run
+//    the sim Coordinator's allowance round (core/error_allocation.h) for
+//    that task and push AllowanceUpdates;
 //  * Heartbeat       -> refresh the monitor's liveness deadline, echo an ack;
 //  * StatsRequest    -> (from any pre-Hello client, e.g. tools/volley_stats)
 //    answer with one StatsReply — session counters plus the obs/ metrics
@@ -186,9 +186,9 @@ class CoordinatorNode {
   /// value — the net tier's stale-value semantics one level up: the root's
   /// poll settles with each quiet shard's last known subset aggregate.
   double shard_aggregate(TaskId task) const;
-  /// Drains the accumulated (r, e, observations) coordination stats per
-  /// live task into upstream ShardSummary frames tagged `shard_id`. r/e/obs
-  /// reset on drain; budget and aggregate persist.
+  /// Drains, per live task, the sums its allowance rounds returned since
+  /// the last drain into upstream ShardSummary frames tagged `shard_id`.
+  /// r/e/obs reset on drain; budget and aggregate persist.
   std::vector<ShardSummary> drain_shard_summaries(std::uint32_t shard_id);
 
  private:
@@ -219,11 +219,10 @@ class CoordinatorNode {
   };
 
   /// Everything the coordinator tracks about one live task beyond the
-  /// registry record: the per-monitor allowance split, its allocator, and
-  /// the task's in-flight poll / stats-report state.
+  /// registry record: the per-monitor allowance split and the task's
+  /// in-flight poll / stats-report state.
   struct TaskRuntime {
     control::TaskRecord record{};
-    std::unique_ptr<AllowanceAllocator> allocator;
     std::map<MonitorId, double> allowance;
 
     // Global-poll state (one in-flight poll per task).
@@ -237,12 +236,10 @@ class CoordinatorNode {
     // Stats-report state.
     std::map<MonitorId, CoordStats> pending_stats;
 
-    // Upstream export for an embedding aggregator: the (r, e) sums of the
+    // Upstream export for an embedding aggregator: the summed stats of the
     // reallocation rounds since the last drain, and the last settled poll
     // aggregate.
-    double export_r{0.0};
-    double export_e{0.0};
-    std::int64_t export_observations{0};
+    CoordStats exported{};
     double last_aggregate{0.0};
   };
 
@@ -269,7 +266,7 @@ class CoordinatorNode {
   /// Journals the op (durable mode) and records the trace event.
   void persist_and_trace(const control::RegistryOp& op);
   /// Installs runtime state for a (new or restored) registry record: even
-  /// allowance split over the expected fleet, fresh allocator.
+  /// allowance split over the expected fleet.
   TaskRuntime& install_task_runtime(const control::TaskRecord& record);
   TaskAttach make_attach(const TaskRuntime& rt, MonitorId id) const;
   void push_attach_all(const TaskRuntime& rt);
@@ -292,7 +289,10 @@ class CoordinatorNode {
   void check_all_poll_completions();
   void finish_poll(TaskId task, TaskRuntime& rt);
   void maybe_reallocate(TaskId task, TaskRuntime& rt);
-  void maybe_reallocate_all();
+  /// Installs a session's allowance for `task` and pushes it when the
+  /// session is connected, not done and not dead.
+  void push_allowance(TaskId task, TaskRuntime& rt, MonitorId id,
+                      double allowance);
   void mark_suspect(MonitorId id, Session& session);
   void declare_dead(MonitorId id, Session& session);
   void redistribute_and_push();
@@ -326,6 +326,8 @@ class CoordinatorNode {
   Reactor::TimerId pending_timer_{0};
   bool pending_timer_armed_{false};
 
+  // Stateless (error_allocation.h), so every task's rounds share it.
+  std::unique_ptr<AllowanceAllocator> allocator_;
   control::TaskRegistry registry_;
   std::unique_ptr<control::RegistryStore> store_;
   control::RegistryLoadStats registry_load_stats_;

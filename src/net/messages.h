@@ -257,10 +257,10 @@ struct ShardHello {
 /// per-monitor averaged gains/allowances of the shard's own reallocation
 /// rounds (CoordinatorNode::drain_shard_summaries); yield = r/e is
 /// carried redundantly for observability; allowance_used is the shard's
-/// current budget err_s. The root feeds (r, e) into the identical
-/// allocation algorithm it runs over raw monitors in a flat fleet; a
-/// summary with observations == 0 (no round finished since the previous
-/// frame) only refreshes the shard's last-summary age.
+/// current budget err_s. The root feeds (r, e) into the same allowance
+/// round (core/error_allocation.h) it runs over raw monitors in a flat
+/// fleet; a summary with observations == 0 (no round finished since the
+/// previous frame) only refreshes the shard's last-summary age.
 struct ShardSummary {
   std::uint32_t shard{0};
   TaskId task{0};

@@ -64,7 +64,6 @@ MonitorNode::MonitorNode(const MonitorNodeOptions& options,
   boot.next_report = options.updating_period;
   boot.monitor = std::make_unique<Monitor>(options.id, source, options.sampler,
                                            options.local_threshold);
-  boot_allowance_ = boot.monitor->error_allowance();
   tasks_.emplace(kBootTaskId, std::move(boot));
   known_epochs_[kBootTaskId] = kBootTaskEpoch;
 }
@@ -88,31 +87,14 @@ std::int64_t MonitorNode::local_violations() const {
   return n;
 }
 
-double MonitorNode::final_allowance() const {
-  const auto it = tasks_.find(kBootTaskId);
-  return it != tasks_.end() ? it->second.monitor->error_allowance()
-                            : boot_allowance_;
-}
-
 std::map<TaskId, std::uint64_t> MonitorNode::task_epochs() const {
   return known_epochs_;
 }
 
-std::int64_t MonitorNode::task_local_violations(TaskId task) const {
-  std::int64_t n = 0;
-  const auto retired = retired_task_violations_.find(task);
-  if (retired != retired_task_violations_.end()) n += retired->second;
-  const auto it = tasks_.find(task);
-  if (it != tasks_.end()) n += it->second.monitor->local_violations();
-  return n;
-}
-
-void MonitorNode::retire_monitor(TaskId task, const Monitor& monitor) {
+void MonitorNode::retire_monitor(const Monitor& monitor) {
   retired_scheduled_ += monitor.scheduled_ops();
   retired_forced_ += monitor.forced_ops();
   retired_violations_ += monitor.local_violations();
-  retired_task_violations_[task] += monitor.local_violations();
-  if (task == kBootTaskId) boot_allowance_ = monitor.error_allowance();
 }
 
 void MonitorNode::apply_attach(const TaskAttach& attach, Tick t) {
@@ -124,7 +106,7 @@ void MonitorNode::apply_attach(const TaskAttach& attach, Tick t) {
     // Re-spec: the sampler restarts with the new knobs (adaptation state
     // does not survive a revision — the new spec may change the rules it
     // adapted under). Its op counts fold into the retired totals.
-    retire_monitor(attach.task, *existing->second.monitor);
+    retire_monitor(*existing->second.monitor);
     tasks_.erase(existing);
   }
   AdaptiveSamplerOptions sampler = options_.sampler;  // keep estimator knobs
@@ -150,7 +132,7 @@ void MonitorNode::apply_detach(const TaskDetach& detach) {
   known = detach.epoch;  // tombstone: older attaches cannot resurrect it
   const auto it = tasks_.find(detach.task);
   if (it == tasks_.end()) return;
-  retire_monitor(detach.task, *it->second.monitor);
+  retire_monitor(*it->second.monitor);
   tasks_.erase(it);
   MonitorNodeMetrics::get().task_detaches->inc();
   VLOG_INFO("monitor", "detached task ", detach.task, " at epoch ",

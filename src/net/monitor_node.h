@@ -96,15 +96,11 @@ class MonitorNode {
   std::int64_t scheduled_ops() const;
   std::int64_t forced_ops() const;
   std::int64_t local_violations() const;
-  /// The boot task's final error allowance (its last value when detached).
-  double final_allowance() const;
   /// Task id -> epoch for every task the node knows about, detached tasks
   /// included (their tombstone epoch).
   std::map<TaskId, std::uint64_t> task_epochs() const;
   /// Live (attached) task count.
   std::size_t live_tasks() const { return tasks_.size(); }
-  /// Local violations reported by one task (0 for unknown/detached ids).
-  std::int64_t task_local_violations(TaskId task) const;
   /// Successful session resumes after a lost coordinator link.
   std::int64_t reconnects() const { return link_.reconnects(); }
   /// Ticks spent sampling locally (default interval) with no coordinator.
@@ -132,7 +128,7 @@ class MonitorNode {
   void apply_attach(const TaskAttach& attach, Tick t);
   void apply_detach(const TaskDetach& detach);
   /// Folds a retiring sampler's counters into the retired_* totals.
-  void retire_monitor(TaskId task, const Monitor& monitor);
+  void retire_monitor(const Monitor& monitor);
 
   void log_sample(const Monitor::Outcome& outcome);
 
@@ -146,8 +142,6 @@ class MonitorNode {
   std::int64_t retired_scheduled_{0};
   std::int64_t retired_forced_{0};
   std::int64_t retired_violations_{0};
-  std::map<TaskId, std::int64_t> retired_task_violations_;
-  double boot_allowance_{0.0};  // boot task's allowance, kept past detach
   std::unique_ptr<SampleLogWriter> sample_log_;
   std::atomic<bool> stop_{false};
 

@@ -17,7 +17,7 @@ namespace {
 struct ShardMetrics {
   obs::CounterCell* escalations;
   obs::CounterCell* alerts;
-  obs::CounterCell* root_reallocations;
+  AllowanceRoundMetrics root_round;  // the root's counter, nothing else
 
   static ShardMetrics make(obs::MetricsRegistry& m) {
     return ShardMetrics{
@@ -29,9 +29,9 @@ struct ShardMetrics {
                    "Root escalations whose task aggregate exceeded T (state "
                    "alerts)")
              .cell(),
-        &m.counter("volley_shard_root_reallocations_total",
-                   "Root budget reallocation rounds over shard summaries")
-             .cell(),
+        {&m.counter("volley_shard_root_reallocations_total",
+                    "Root budget reallocation rounds over shard summaries")
+              .cell()},
     };
   }
 
@@ -141,7 +141,6 @@ Coordinator::TickResult ShardedCoordinator::run_tick(Tick t) {
 }
 
 void ShardedCoordinator::maybe_root_reallocate(Tick t) {
-  if (shards_.size() < 2) return;
   if (t < next_root_update_) return;
   next_root_update_ = t + spec_.updating_period;
   if (!root_allocator_) return;
@@ -153,12 +152,11 @@ void ShardedCoordinator::maybe_root_reallocate(Tick t) {
   // shards' *next* rounds.
   stats_scratch_.clear();
   for (auto& shard : shards_) stats_scratch_.push_back(shard->last_period_stats());
-  budgets_ =
-      root_allocator_->allocate(spec_.error_allowance, budgets_, stats_scratch_);
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    shards_[s]->set_error_budget(budgets_[s]);
+  run_allowance_round(
+      *root_allocator_, spec_.error_allowance, budgets_, stats_scratch_,
+      ShardMetrics::get().root_round, t,
+      [this](std::size_t s, double err) { shards_[s]->set_error_budget(err); });
   ++root_reallocations_;
-  ShardMetrics::get().root_reallocations->inc();
 }
 
 std::int64_t ShardedCoordinator::shard_polls() const {

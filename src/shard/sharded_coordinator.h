@@ -8,8 +8,8 @@
 // sum of its members' β_i. Concretely each shard runs an unmodified
 // core::Coordinator over its subset — adaptive sampling, local polls on
 // local violations, AIMD allowance reallocation — and the root tier runs
-// the *identical* allocation algorithm one level up, over shard summaries
-// instead of raw monitors:
+// the *same* allowance round (core/error_allocation.h) one level up, over
+// shard summaries instead of raw monitors:
 //
 //  * escalation: a shard whose subset aggregate exceeds T_s reports
 //    upward; the root then polls every shard (reusing any subset aggregate
@@ -19,12 +19,12 @@
 //    can only hide a global violation with probability bounded by the
 //    shard's β budget (Σ T_s = T, so all subsets quiet ⇒ no global
 //    violation, exactly the Section II-A argument one level up).
-//  * reallocation: once per updating period the root collects each
-//    shard's summed (r, e) statistics (Coordinator::last_period_stats) and
-//    reassigns the per-shard budgets err_s with the same yield-
-//    proportional scheme the shards use internally; shards fold their new
-//    budget into their current per-monitor split proportionally
-//    (Coordinator::set_error_budget). Budgets always sum to err, so
+//  * reallocation: once per updating period the root runs the round over
+//    each shard's summed (r, e) statistics (Coordinator::last_period_stats)
+//    to reassign the per-shard budgets err_s; shards fold their new budget
+//    into their current per-monitor split proportionally
+//    (Coordinator::set_error_budget). The root's round records only
+//    volley_shard_root_reallocations_total. Budgets always sum to err, so
 //    β_c ≤ Σ_shards Σ_i β_i ≤ err is preserved at both levels.
 //
 // Identity discipline: with shards == 1, run_tick forwards to the single

@@ -1,11 +1,14 @@
 // Unit tests for the task-level error-allowance allocation (Section IV-B):
 // even split, yield-proportional adaptive split, minimum-assignment floor,
-// uniformity throttle and the clamp-and-normalize helper.
+// uniformity throttle, the clamp-and-normalize helper, the budget rescale
+// and the allowance round every coordinator tier runs.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "core/error_allocation.h"
+#include "obs/metrics.h"
+#include "obs/trace_events.h"
 
 namespace volley {
 namespace {
@@ -324,6 +327,72 @@ TEST(RedistributeAllowance, DefaultFloorStaysFeasibleBeyondHundredSurvivors) {
   EXPECT_NEAR(sum(out), kErr, 1e-12);
   EXPECT_EQ(out[7], 0.0);
   EXPECT_EQ(out[8], 0.0);
+}
+
+TEST(RescaleSplit, KeepsSharesAndRebuildsAnAllZeroSplit) {
+  std::vector<double> split{0.01, 0.03};
+  rescale_split(split, 0.02);
+  EXPECT_NEAR(split[0], 0.005, 1e-15);
+  EXPECT_NEAR(split[1], 0.015, 1e-15);
+
+  std::vector<double> zero{0.0, 0.0, 0.0, 0.0};
+  rescale_split(zero, 0.04);  // even
+  for (double a : zero) EXPECT_EQ(a, 0.01);
+  std::vector<double> weighted{0.0, 0.0};
+  const std::vector<double> weights{1.0, 3.0};
+  rescale_split(weighted, 0.04, weights, 8.0);  // err·w/W, W past Σw
+  EXPECT_EQ(weighted[0], 0.04 * 1.0 / 8.0);
+  EXPECT_EQ(weighted[1], 0.04 * 3.0 / 8.0);
+}
+
+// The round returns the summed stats, installs the allocator's split lane
+// by lane and records it into the tier's instruments, naming lanes by their
+// ids.
+TEST(AllowanceRound, RecordsTheRoundIntoTheTiersInstruments) {
+  obs::MetricsRegistry registry;
+  obs::TraceSink sink;
+  obs::ScopedTraceSink trace_scope(sink);
+  const auto coordinator = AllowanceRoundMetrics::coordinator(registry);
+  AdaptiveAllocation adaptive;
+  std::vector<double> split{0.02, 0.02};
+  const std::vector<CoordStats> s{stats(0.5, 0.001), stats(0.01, 0.01)};
+  const std::vector<MonitorId> ids{7, 9};
+  std::vector<double> installed(2, -1.0);
+  const auto install = [&](std::size_t i, double a) { installed[i] = a; };
+  const CoordStats sums = run_allowance_round(adaptive, 0.04, split, s,
+                                              coordinator, 42, install, ids);
+  EXPECT_DOUBLE_EQ(sums.avg_gain, 0.51);
+  EXPECT_DOUBLE_EQ(sums.avg_allowance, 0.011);
+  EXPECT_EQ(sums.observations, 20);
+  EXPECT_GT(split[0], 0.02);  // allowance moved to the high-yield lane
+  EXPECT_NEAR(sum(split), 0.04, 1e-12);
+  EXPECT_EQ(installed, split);
+  EXPECT_EQ(registry.counter("volley_coordinator_reallocations_total").value(),
+            1);
+  EXPECT_EQ(registry.histogram("volley_coordinator_allowance_share", 0.0, 1.0,
+                               20)
+                .snapshot()
+                .count(),
+            2);
+  const auto events = sink.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, obs::TraceKind::kAllowanceAdjusted);
+  EXPECT_EQ(events[0].tick, 42);
+  EXPECT_EQ(events[0].monitor, 7u);
+  EXPECT_EQ(events[0].value, split[0]);
+  EXPECT_EQ(events[0].detail, 0.02);
+  EXPECT_EQ(events[1].monitor, 9u);
+
+  // A tier with only a round counter (the sharded sim root) records
+  // nothing else.
+  obs::MetricsRegistry root_registry;
+  const AllowanceRoundMetrics root{
+      &root_registry.counter("volley_shard_root_reallocations_total").cell()};
+  run_allowance_round(adaptive, 0.04, split, s, root, 43, install);
+  EXPECT_EQ(
+      root_registry.counter("volley_shard_root_reallocations_total").value(),
+      1);
+  EXPECT_EQ(sink.snapshot().size(), 2u);
 }
 
 }  // namespace

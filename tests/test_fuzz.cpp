@@ -7,20 +7,30 @@
 // canonical instance of every frame and of a registry TaskRecord (the
 // journal's on-disk record). On a mismatch the test writes the actual set
 // to wire_frames.actual.txt in the working directory.
+//
+// The registry store's two files (snapshot and journal) get the same
+// structured mutations the wire frames get: every truncation, every 4-byte
+// window overwritten, every record CRC byte flipped.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/wire_io.h"
+#include "control/registry_store.h"
 #include "control/task_codec.h"
+#include "control/task_registry.h"
 #include "net/framing.h"
 #include "net/messages.h"
 
@@ -344,6 +354,245 @@ TEST(FuzzConfig, ParserIsTotalOverPrintableGarbage) {
     } catch (const std::invalid_argument&) {
       // tokens without '=' are rejected loudly — that is the contract
     }
+  }
+}
+
+// --- registry store files ---------------------------------------------------
+//
+// RegistryStore::load over damaged files. The properties: load() throws only
+// when the magic or the format field changed (a foreign file); a snapshot is
+// installed whole or not at all; the journal replays exactly the records
+// before the first damaged one.
+
+/// One damaged copy of a file: its bytes, and which original bytes differ
+/// (truncated bytes count as changed).
+struct Mutation {
+  std::string name;
+  std::vector<char> bytes;
+  std::vector<bool> changed;
+
+  bool any_changed(std::size_t begin, std::size_t end) const {
+    return std::any_of(changed.begin() + static_cast<std::ptrdiff_t>(begin),
+                       changed.begin() + static_cast<std::ptrdiff_t>(end),
+                       [](bool c) { return c; });
+  }
+  /// The 8-byte magic + format header is present and differs: a file that
+  /// is not a registry file of this format.
+  bool foreign_header() const {
+    return bytes.size() >= 8 && any_changed(0, 8);
+  }
+};
+
+/// Every truncation, every 4-byte window set to 0x00 and to 0xFF, and every
+/// byte of each CRC in `crc_offsets` inverted.
+std::vector<Mutation> mutations_of(
+    const std::vector<char>& file,
+    const std::vector<std::size_t>& crc_offsets) {
+  std::vector<Mutation> out;
+  const auto make = [&](std::string name, std::vector<char> bytes) {
+    Mutation m{std::move(name), std::move(bytes),
+               std::vector<bool>(file.size(), true)};
+    for (std::size_t i = 0; i < m.bytes.size(); ++i)
+      m.changed[i] = m.bytes[i] != file[i];
+    out.push_back(std::move(m));
+  };
+  for (std::size_t len = 0; len < file.size(); ++len) {
+    make("truncate to " + std::to_string(len),
+         std::vector<char>(file.begin(),
+                           file.begin() + static_cast<std::ptrdiff_t>(len)));
+  }
+  for (const char fill : {'\x00', '\xFF'}) {
+    for (std::size_t at = 0; at + 4 <= file.size(); ++at) {
+      auto bytes = file;
+      std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(at), 4, fill);
+      make(std::string(fill == 0 ? "0x00" : "0xFF") + " window at " +
+               std::to_string(at),
+           std::move(bytes));
+    }
+  }
+  for (const std::size_t crc : crc_offsets) {
+    for (std::size_t i = crc; i < crc + 4; ++i) {
+      auto bytes = file;
+      bytes[i] = static_cast<char>(~bytes[i]);
+      make("crc byte " + std::to_string(i) + " flipped", std::move(bytes));
+    }
+  }
+  return out;
+}
+
+std::uint32_t u32_at(const std::vector<char>& file, std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, file.data() + at, 4);
+  return v;
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_same_tasks(const control::TaskRegistry& a,
+                       const control::TaskRegistry& b,
+                       const std::string& what) {
+  const auto la = a.list();
+  const auto lb = b.list();
+  ASSERT_EQ(la.size(), lb.size()) << what;
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    EXPECT_EQ(la[i].id, lb[i].id) << what;
+    EXPECT_EQ(la[i].epoch, lb[i].epoch) << what;
+    EXPECT_TRUE(control::specs_equal(la[i].spec, lb[i].spec)) << what;
+  }
+}
+
+class FuzzRegistryStore : public ::testing::Test {
+ protected:
+  // Every damaged file logs a warning; thousands of them say nothing here.
+  void SetUp() override {
+    base_ = ::testing::TempDir() + "volley_fuzz_registry_" +
+            std::to_string(::getpid());
+    clear();
+    log_level_ = Logger::instance().level();
+    Logger::instance().set_level(LogLevel::kError);
+  }
+  void TearDown() override {
+    Logger::instance().set_level(log_level_);
+    clear();
+  }
+  void clear() const {
+    std::remove(snapshot().c_str());
+    std::remove((snapshot() + ".tmp").c_str());
+    std::remove(journal().c_str());
+  }
+  std::string snapshot() const { return base_ + ".snapshot"; }
+  std::string journal() const { return base_ + ".journal"; }
+
+  std::string base_;
+  LogLevel log_level_{LogLevel::kWarn};
+};
+
+// Snapshot: header magic "VREG" | u32 format | u64 version | u32 count, then
+// count x {u32 len | record | u32 crc}. A snapshot with three tasks is
+// damaged while a one-op journal (task 4) stays intact.
+TEST_F(FuzzRegistryStore, SnapshotIsInstalledWholeOrNotAtAll) {
+  control::TaskRegistry full;
+  std::vector<char> journal_bytes;
+  {
+    control::RegistryStore store(base_);
+    for (const TaskId id : {1u, 2u, 3u})
+      ASSERT_TRUE(full.add(id, canonical_spec(10.0 * id)).ok());
+    store.compact(full);
+    const auto op = full.add(4, canonical_spec(40.0));
+    ASSERT_TRUE(op.ok());
+    store.append(*op.op);
+  }
+  const auto original = read_file(snapshot());
+  journal_bytes = read_file(journal());
+  control::TaskRegistry journal_only;
+  journal_only.restore({control::RegistryOpKind::kAdd, *full.find(4)});
+
+  std::vector<std::size_t> crcs;
+  for (std::size_t at = 20; at + 4 <= original.size();) {
+    at += 4 + u32_at(original, at);
+    crcs.push_back(at);
+    at += 4;
+  }
+  ASSERT_EQ(crcs.size(), 3u);
+
+  for (const Mutation& m : mutations_of(original, crcs)) {
+    write_file(snapshot(), m.bytes);
+    write_file(journal(), journal_bytes);
+    control::TaskRegistry restored;
+    control::RegistryStore store(base_);
+    control::RegistryLoadStats stats;
+    try {
+      stats = store.load(restored);
+    } catch (const std::runtime_error&) {
+      EXPECT_TRUE(m.foreign_header()) << m.name << " threw";
+      continue;
+    }
+    EXPECT_FALSE(m.foreign_header()) << m.name << " did not throw";
+    // The version field (bytes 8..15) has no CRC of its own; a change
+    // elsewhere must make load() ignore the snapshot.
+    const bool damaged =
+        m.any_changed(0, 8) || m.any_changed(16, original.size());
+    EXPECT_EQ(stats.had_snapshot, !damaged) << m.name;
+    expect_same_tasks(restored, damaged ? journal_only : full, m.name);
+    if (!m.any_changed(0, original.size())) {
+      EXPECT_EQ(restored.version(), full.version()) << m.name;
+    }
+  }
+}
+
+// Journal: header magic "VRGJ" | u32 format, then {u8 op | u32 len | record
+// | u32 crc} per op. Five ops are damaged with no snapshot on disk.
+TEST_F(FuzzRegistryStore, JournalReplaysTheLongestValidPrefix) {
+  control::TaskRegistry live;
+  std::vector<control::RegistryOp> ops;
+  {
+    control::RegistryStore store(base_);
+    const auto journaled = [&](const control::MutationResult& result) {
+      ASSERT_TRUE(result.ok()) << result.error;
+      store.append(*result.op);
+      ops.push_back(*result.op);
+    };
+    journaled(live.add(1, canonical_spec(10.0)));
+    journaled(live.add(2, canonical_spec(20.0)));
+    journaled(live.update(2, canonical_spec(25.0)));
+    journaled(live.remove(1));
+    journaled(live.add(3, canonical_spec(30.0)));
+  }
+  std::remove(snapshot().c_str());
+  const auto original = read_file(journal());
+
+  std::vector<std::size_t> ends, crcs;  // per record: end offset, crc offset
+  for (std::size_t at = 8; at < original.size();) {
+    at += 5 + u32_at(original, at + 1);
+    crcs.push_back(at);
+    at += 4;
+    ends.push_back(at);
+  }
+  ASSERT_EQ(ends.size(), ops.size());
+  ASSERT_EQ(ends.back(), original.size());
+
+  for (const Mutation& m : mutations_of(original, crcs)) {
+    std::remove(snapshot().c_str());
+    write_file(journal(), m.bytes);
+    control::TaskRegistry restored;
+    control::RegistryStore store(base_);
+    control::RegistryLoadStats stats;
+    try {
+      stats = store.load(restored);
+    } catch (const std::runtime_error&) {
+      EXPECT_TRUE(m.foreign_header()) << m.name << " threw";
+      continue;
+    }
+    EXPECT_FALSE(m.foreign_header()) << m.name << " did not throw";
+    // The longest valid prefix: every record before the first changed one.
+    std::size_t valid = 0;
+    while (valid < ops.size() &&
+           !m.any_changed(valid == 0 ? 0 : ends[valid - 1], ends[valid])) {
+      ++valid;
+    }
+    control::TaskRegistry expected;
+    for (std::size_t i = 0; i < valid; ++i) expected.restore(ops[i]);
+    EXPECT_FALSE(stats.had_snapshot) << m.name;
+    EXPECT_EQ(stats.journal_ops, valid) << m.name;
+    expect_same_tasks(restored, expected, m.name);
+    EXPECT_EQ(restored.version(), expected.version()) << m.name;
+    // Clean iff the file is the original cut at a record boundary (or
+    // before the header completes: an empty journal).
+    const std::size_t size = m.bytes.size();
+    const bool boundary =
+        size < 8 || size == 8 || std::count(ends.begin(), ends.end(), size);
+    EXPECT_EQ(stats.journal_clean,
+              !m.any_changed(0, std::min(size, original.size())) && boundary)
+        << m.name;
   }
 }
 

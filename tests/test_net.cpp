@@ -29,6 +29,8 @@
 #include "net/monitor_node.h"
 #include "net/request_reply.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
+#include "obs/trace_events.h"
 #include "stalled_listener.h"
 
 namespace volley {
@@ -824,7 +826,10 @@ TEST(NetIntegration, CoordinatorAndMonitorsDetectViolation) {
 
 // The allowance reallocation path: monitors with different volatility run a
 // session with StatsReports; the coordinator must issue AllowanceUpdates
-// (observable as reallocations > 0) without breaking the session.
+// (observable as reallocations > 0) without breaking the session, and record
+// each round as the sim Coordinator does: kAllowanceAdjusted events, the
+// reallocation counter and one share observation per reachable monitor per
+// round.
 TEST(NetIntegration, AllowanceReallocationHappens) {
   constexpr Tick kTicks = 500;
   net::CoordinatorNodeOptions copt;
@@ -849,7 +854,15 @@ TEST(NetIntegration, AllowanceReallocationHappens) {
   m1.id = 1;
   net::MonitorNode node0(m0, quiet), node1(m1, wiggly);
 
-  std::thread ct([&coordinator] { coordinator.run(); });
+  // The coordinator's loop thread records into a run-scoped registry and
+  // trace sink (both bindings are thread-local).
+  obs::MetricsRegistry registry;
+  obs::TraceSink sink;
+  std::thread ct([&] {
+    obs::ScopedMetricsRegistry metrics_scope(registry);
+    obs::ScopedTraceSink trace_scope(sink);
+    coordinator.run();
+  });
   std::thread t0([&node0] { node0.run(); });
   std::thread t1([&node1] { node1.run(); });
   t0.join();
@@ -857,6 +870,28 @@ TEST(NetIntegration, AllowanceReallocationHappens) {
   ct.join();
 
   EXPECT_GT(coordinator.reallocations(), 0);
+  bool adjusted = false;
+  for (const auto& event : sink.snapshot()) {
+    adjusted = adjusted ||
+               (event.kind == obs::TraceKind::kAllowanceAdjusted &&
+                event.monitor <= 1);
+  }
+  EXPECT_TRUE(adjusted) << "no allowance_adjusted event names monitor 0/1";
+  const std::int64_t rounds = coordinator.reallocations();
+  EXPECT_EQ(registry.counter("volley_coordinator_reallocations_total").value(),
+            rounds);
+  // Two shares per round, or one when a monitor said Bye before the other's
+  // last StatsReport (done monitors leave the round). Each round's shares
+  // sum to 1, so the observations sum to the round count either way.
+  const auto shares =
+      registry.histogram("volley_coordinator_allowance_share", 0.0, 1.0, 20)
+          .snapshot();
+  EXPECT_GE(shares.count(), rounds);
+  EXPECT_LE(shares.count(), 2 * rounds);
+  if (shares.count() > 0) {
+    EXPECT_NEAR(shares.mean() * static_cast<double>(shares.count()),
+                static_cast<double>(rounds), 1e-9);
+  }
 }
 
 // Introspection endpoint: a stats client connects mid-session, sends
