@@ -13,7 +13,8 @@
 //   - bool: one byte, 0 or 1; any other byte fails the read, so every
 //     accepted input re-encodes to the same bytes;
 //   - enums: one byte; the read fails above wire_max(E{}), a constexpr
-//     function declared next to the enum (values start at 0);
+//     function declared next to the enum, and below wire_min(E{}) where
+//     the enum declares one (otherwise values start at 0);
 //   - strings: u32 byte length, then the bytes;
 //   - vectors: u32 count, then the elements; the read fails on a count
 //     above kMaxCount, so a corrupt count cannot drive a long parse loop;
@@ -122,6 +123,8 @@ class ByteReader {
       std::uint8_t b = 0;
       if (!get(b) || b > static_cast<std::uint8_t>(wire_max(T{})))
         return false;
+      if constexpr (requires { wire_min(T{}); })
+        if (b < static_cast<std::uint8_t>(wire_min(T{}))) return false;
       v = static_cast<T>(b);
     } else if constexpr (std::is_arithmetic_v<T>) {
       return raw(&v, sizeof v);

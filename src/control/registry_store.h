@@ -12,12 +12,16 @@
 // acknowledged; once the journal grows past kCompactThreshold ops the
 // registry is re-snapshotted and the journal truncated.
 //
-// Formats (little-endian; CRC-32 is storage/sample_log.h's IEEE 802.3):
-//   snapshot: magic "VREG" | u32 format=1 | u64 registry_version |
-//             u32 count | count x { u32 len | TaskRecord bytes | u32 crc }
-//   journal:  magic "VRGJ" | u32 format=1 |
-//             repeated    { u8 op | u32 len | TaskRecord bytes | u32 crc }
-//             (crc covers the op byte followed by the record bytes)
+// Formats: two record streams (storage/record_stream.h), where
+// record{body} is the body's wire bytes (common/wire_io.h) followed by a
+// u32 CRC-32 of exactly those bytes:
+//   snapshot: magic "VREG" | u32 format=2 |
+//             record{ u64 registry_version | u32 count } |
+//             count x record{ TaskRecord }
+//   journal:  magic "VRGJ" | u32 format=2 |
+//             repeated record{ u8 op | TaskRecord }
+// A TaskRecord has a fixed width, so no record carries a length. A
+// format-1 file is refused as an unsupported format.
 //
 // Crash tolerance mirrors the sample log: the journal reader stops at the
 // first truncated or CRC-corrupt record — a crash mid-append loses at most
@@ -71,9 +75,6 @@ class RegistryStore {
   std::string journal_path() const { return base_path_ + ".journal"; }
 
   static constexpr std::size_t kCompactThreshold = 128;
-  /// Upper bound on a serialized TaskRecord accepted at load time; a
-  /// corrupt length field must not trigger an unbounded allocation.
-  static constexpr std::uint32_t kMaxRecordBytes = 1 << 16;
 
  private:
   void open_journal_for_append();

@@ -1,25 +1,18 @@
-// Binary codec for task specifications and registry records.
+// Binary layouts of task specifications and registry records.
 //
-// One serialization, two consumers: the wire protocol (net/messages.h
-// carries TaskSpec payloads inside AddTask/UpdateTask frames) and the
-// durable registry store (control/registry_store.h journals TaskRecords).
-// Keeping the byte layout here means a journaled record and a wire frame
-// never drift apart — a spec accepted over the wire round-trips through the
-// journal bit-for-bit.
+// One layout, two consumers: the wire protocol (net/messages.h carries
+// TaskSpec payloads inside AddTask/UpdateTask frames) and the durable
+// registry store (control/registry_store.h writes TaskRecords as the
+// bodies of its snapshot and journal records). Keeping the byte layout
+// here means a journaled record and a wire frame never drift apart — a
+// spec accepted over the wire round-trips through the journal bit-for-bit.
 //
-// The layouts are the two `fields` functions below, encoded under the rules
-// of common/wire_io.h (little-endian, fixed-width; the estimator bound is
-// one byte, at most kGaussian).
-//
-// Decoding is total: truncated or out-of-range input returns false and
-// leaves the cursor unspecified; nothing throws, because both consumers
-// read bytes that may have crossed a network or survived a crash.
+// The layouts are the two `fields` functions below, encoded and decoded
+// by common/wire_io.h's ByteWriter and ByteReader (little-endian,
+// fixed-width; the estimator bound is one byte, at most kGaussian).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/wire_io.h"
 #include "core/task.h"
@@ -31,7 +24,7 @@ constexpr auto wire_max(ViolationLikelihoodEstimator::Bound) {
   return ViolationLikelihoodEstimator::Bound::kGaussian;
 }
 
-/// TaskSpec on the wire and in the journal.
+/// TaskSpec on the wire and in the registry files.
 void fields(auto& io, wire::Is<TaskSpec> auto& s) {
   io(s.global_threshold, s.error_allowance, s.id_seconds, s.max_interval,
      s.slack_ratio, s.patience, s.updating_period, s.estimator.stats_window,
@@ -56,28 +49,5 @@ struct TaskRecord {
 void fields(auto& io, wire::Is<TaskRecord> auto& r) {
   io(r.id, r.epoch, r.spec);
 }
-
-/// Appends the serialized spec to `out`.
-void encode_task_spec(std::vector<std::byte>& out, const TaskSpec& spec);
-
-/// Decodes one spec starting at `pos`, advancing it past the consumed
-/// bytes. False on truncation or an invalid estimator-bound tag.
-bool decode_task_spec(std::span<const std::byte> in, std::size_t& pos,
-                      TaskSpec& spec);
-
-/// Appends the serialized record (id, epoch, spec) to `out`.
-void encode_task_record(std::vector<std::byte>& out, const TaskRecord& record);
-
-/// Decodes one record starting at `pos`, advancing it past the consumed
-/// bytes. False on truncation or an invalid spec.
-bool decode_task_record(std::span<const std::byte> in, std::size_t& pos,
-                        TaskRecord& record);
-
-/// Convenience: one record as a standalone byte vector.
-std::vector<std::byte> encode_record(const TaskRecord& record);
-
-/// Field-wise equality of the codec-visible spec fields (TaskSpec has no
-/// operator==; tests and the registry use this to compare revisions).
-bool specs_equal(const TaskSpec& a, const TaskSpec& b);
 
 }  // namespace volley::control

@@ -40,6 +40,14 @@ enum class RegistryOpKind : std::uint8_t {
   kRemove = 3,
 };
 
+/// The op byte's range (common/wire_io.h): 0 is not an op.
+constexpr RegistryOpKind wire_min(RegistryOpKind) {
+  return RegistryOpKind::kAdd;
+}
+constexpr RegistryOpKind wire_max(RegistryOpKind) {
+  return RegistryOpKind::kRemove;
+}
+
 /// One applied mutation: what happened, to which record, at which epoch.
 /// For kRemove the record carries the id and the epoch consumed by the
 /// removal; its spec is the removed task's final spec (useful for audit).
@@ -47,6 +55,11 @@ struct RegistryOp {
   RegistryOpKind kind{RegistryOpKind::kAdd};
   TaskRecord record{};
 };
+
+/// A journal record's body: the op byte, then the record.
+void fields(auto& io, wire::Is<RegistryOp> auto& op) {
+  io(op.kind, op.record);
+}
 
 /// Outcome codes shared with the wire protocol's ControlReply.
 enum class ControlStatus : std::uint8_t {

@@ -125,6 +125,8 @@ class ViolationLikelihoodEstimator {
     std::int64_t stats_warmup{8};     // see WindowedStats
     std::int64_t min_observations{2}; // below this, beta_bound == 1
     Bound bound{Bound::kChebyshev};
+
+    bool operator==(const Options&) const = default;
   };
 
   ViolationLikelihoodEstimator() : ViolationLikelihoodEstimator(Options{}) {}

@@ -23,6 +23,8 @@ struct TaskSpec {
   Tick updating_period{1000};    // coordinator reallocation period (in Id)
   ViolationLikelihoodEstimator::Options estimator{};
 
+  bool operator==(const TaskSpec&) const = default;
+
   /// Sampler options for a monitor given its share of the allowance.
   [[nodiscard]] AdaptiveSamplerOptions sampler_options(
       double local_allowance) const {

@@ -1,75 +1,28 @@
 #include "storage/sample_log.h"
 
-#include <array>
-#include <cstring>
 #include <stdexcept>
+
+#include "storage/record_stream.h"
 
 namespace volley {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'L', 'O', 'G'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 8;
-constexpr std::size_t kPayloadBytes = 4 + 8 + 8 + 1;  // monitor,tick,value,reason
-constexpr std::size_t kRecordBytes = kPayloadBytes + 4;
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-void encode_payload(const SampleRecord& record, unsigned char* out) {
-  std::memcpy(out, &record.monitor, 4);
-  std::memcpy(out + 4, &record.tick, 8);
-  std::memcpy(out + 12, &record.value, 8);
-  out[20] = static_cast<unsigned char>(record.reason);
-}
-
-bool decode_payload(const unsigned char* in, SampleRecord& record) {
-  std::memcpy(&record.monitor, in, 4);
-  std::memcpy(&record.tick, in + 4, 8);
-  std::memcpy(&record.value, in + 12, 8);
-  if (in[20] > 1) return false;  // unknown reason byte
-  record.reason = static_cast<SampleReason>(in[20]);
-  return true;
-}
+constexpr StreamFormat kFormat{{'V', 'L', 'O', 'G'}, 1, "sample log"};
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t length) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < length; ++i) {
-    c = crc_table()[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 SampleLogWriter::SampleLogWriter(const std::string& path)
     : out_(path, std::ios::binary | std::ios::trunc) {
   if (!out_) throw std::runtime_error("SampleLogWriter: cannot open " + path);
-  out_.write(kMagic, 4);
-  out_.write(reinterpret_cast<const char*>(&kVersion), 4);
+  append_header(buffer_, kFormat);
+  write_out(out_, buffer_);
   if (!out_) throw std::runtime_error("SampleLogWriter: header write failed");
 }
 
 void SampleLogWriter::append(const SampleRecord& record) {
-  unsigned char buf[kRecordBytes];
-  encode_payload(record, buf);
-  const std::uint32_t crc = crc32(buf, kPayloadBytes);
-  std::memcpy(buf + kPayloadBytes, &crc, 4);
-  out_.write(reinterpret_cast<const char*>(buf), kRecordBytes);
+  append_record(buffer_, record);
+  write_out(out_, buffer_);
   if (!out_) throw std::runtime_error("SampleLogWriter: append failed");
   ++records_;
 }
@@ -77,44 +30,13 @@ void SampleLogWriter::append(const SampleRecord& record) {
 void SampleLogWriter::flush() { out_.flush(); }
 
 SampleLogReadResult read_sample_log(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_sample_log: cannot open " + path);
-  char header[kHeaderBytes];
-  in.read(header, kHeaderBytes);
-  if (in.gcount() != static_cast<std::streamsize>(kHeaderBytes) ||
-      std::memcmp(header, kMagic, 4) != 0) {
-    throw std::runtime_error("read_sample_log: not a sample log: " + path);
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, header + 4, 4);
-  if (version != kVersion) {
-    throw std::runtime_error("read_sample_log: unsupported version");
-  }
-
+  const auto bytes = read_file(path);
+  if (!bytes) throw std::runtime_error("read_sample_log: cannot open " + path);
+  RecordReader in(*bytes, kFormat);
   SampleLogReadResult result;
-  std::size_t offset = kHeaderBytes;
-  unsigned char buf[kRecordBytes];
-  while (true) {
-    in.read(reinterpret_cast<char*>(buf), kRecordBytes);
-    const auto got = in.gcount();
-    if (got == 0) break;  // clean EOF
-    if (got != static_cast<std::streamsize>(kRecordBytes)) {
-      result.clean = false;  // truncated tail (crash mid-append)
-      result.bad_offset = offset;
-      break;
-    }
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, buf + kPayloadBytes, 4);
-    SampleRecord record;
-    if (stored != crc32(buf, kPayloadBytes) ||
-        !decode_payload(buf, record)) {
-      result.clean = false;
-      result.bad_offset = offset;
-      break;
-    }
-    result.records.push_back(record);
-    offset += kRecordBytes;
-  }
+  for (SampleRecord record; in.next(record);) result.records.push_back(record);
+  result.clean = in.clean();
+  result.bad_offset = in.bad_offset();
   return result;
 }
 

@@ -8,14 +8,17 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/wire_io.h"
 #include "control/registry_store.h"
 #include "control/task_codec.h"
 #include "control/task_registry.h"
+#include "storage/record_stream.h"
 
 namespace volley {
 namespace {
@@ -48,17 +51,17 @@ TaskSpec make_spec(double threshold) {
 TEST(TaskCodec, SpecRoundTripsEveryField) {
   const TaskSpec in = make_spec(42.5);
   std::vector<std::byte> bytes;
-  control::encode_task_spec(bytes, in);
+  wire::ByteWriter{bytes}(in);
 
   TaskSpec out;
-  std::size_t pos = 0;
-  ASSERT_TRUE(control::decode_task_spec(bytes, pos, out));
-  EXPECT_EQ(pos, bytes.size());
-  EXPECT_TRUE(control::specs_equal(in, out));
-  // specs_equal itself must not be trivially true.
+  wire::ByteReader reader(bytes);
+  ASSERT_TRUE(reader(out));
+  EXPECT_TRUE(reader.done());
+  EXPECT_TRUE(in == out);
+  // operator== itself must not be trivially true.
   TaskSpec other = in;
   other.patience = in.patience + 1;
-  EXPECT_FALSE(control::specs_equal(in, other));
+  EXPECT_FALSE(in == other);
 }
 
 TEST(TaskCodec, RecordRoundTripsIdAndEpoch) {
@@ -66,15 +69,16 @@ TEST(TaskCodec, RecordRoundTripsIdAndEpoch) {
   in.id = 7;
   in.epoch = 123456789012345ull;
   in.spec = make_spec(10.0);
-  const auto bytes = control::encode_record(in);
+  std::vector<std::byte> bytes;
+  wire::ByteWriter{bytes}(in);
 
   TaskRecord out;
-  std::size_t pos = 0;
-  ASSERT_TRUE(control::decode_task_record(bytes, pos, out));
-  EXPECT_EQ(pos, bytes.size());
+  wire::ByteReader reader(bytes);
+  ASSERT_TRUE(reader(out));
+  EXPECT_TRUE(reader.done());
   EXPECT_EQ(out.id, 7u);
   EXPECT_EQ(out.epoch, 123456789012345ull);
-  EXPECT_TRUE(control::specs_equal(in.spec, out.spec));
+  EXPECT_TRUE(in.spec == out.spec);
 }
 
 TEST(TaskCodec, DecodeRejectsTruncationAtEveryLength) {
@@ -82,23 +86,22 @@ TEST(TaskCodec, DecodeRejectsTruncationAtEveryLength) {
   record.id = 3;
   record.epoch = 9;
   record.spec = make_spec(5.0);
-  const auto bytes = control::encode_record(record);
+  std::vector<std::byte> bytes;
+  wire::ByteWriter{bytes}(record);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     TaskRecord out;
-    std::size_t pos = 0;
-    EXPECT_FALSE(control::decode_task_record(
-        std::span<const std::byte>(bytes.data(), cut), pos, out))
+    EXPECT_FALSE(
+        wire::ByteReader(std::span<const std::byte>(bytes.data(), cut))(out))
         << "decoded from a " << cut << "-byte prefix";
   }
 }
 
 TEST(TaskCodec, DecodeRejectsInvalidEstimatorBound) {
   std::vector<std::byte> bytes;
-  control::encode_task_spec(bytes, make_spec(5.0));
+  wire::ByteWriter{bytes}(make_spec(5.0));
   bytes.back() = std::byte{7};  // bound tag past kGaussian
   TaskSpec out;
-  std::size_t pos = 0;
-  EXPECT_FALSE(control::decode_task_spec(bytes, pos, out));
+  EXPECT_FALSE(wire::ByteReader(bytes)(out));
 }
 
 // --- registry -------------------------------------------------------------
@@ -205,7 +208,7 @@ TEST(Registry, RestoreReplaysOpsVerbatim) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].epoch, b[i].epoch);
-    EXPECT_TRUE(control::specs_equal(a[i].spec, b[i].spec));
+    EXPECT_TRUE(a[i].spec == b[i].spec);
   }
 }
 
@@ -253,7 +256,7 @@ class RegistryStoreTest : public ::testing::Test {
     for (std::size_t i = 0; i < la.size(); ++i) {
       EXPECT_EQ(la[i].id, lb[i].id);
       EXPECT_EQ(la[i].epoch, lb[i].epoch);
-      EXPECT_TRUE(control::specs_equal(la[i].spec, lb[i].spec));
+      EXPECT_TRUE(la[i].spec == lb[i].spec);
     }
   }
 
@@ -385,8 +388,36 @@ TEST_F(RegistryStoreTest, CorruptJournalRecordStopsReplayAtThatRecord) {
   EXPECT_NE(restored.find(1), nullptr);
 }
 
-// A snapshot whose record count reads 0xFFFFFFFF is corrupt, not an
-// allocation request: load() ignores it and replays the journal.
+// RegistryOpKind starts at 1: a journal record whose op byte is 0 stops the
+// replay even under a valid CRC.
+TEST_F(RegistryStoreTest, ZeroOpByteStopsReplayUnderValidCrc) {
+  TaskRegistry original;
+  {
+    RegistryStore store(base_);
+    apply(store, original.add(1, make_spec(10.0)));
+  }
+  const auto later = original.add(2, make_spec(20.0));
+  ASSERT_TRUE(later.ok());
+  std::vector<std::byte> bytes;
+  append_record(bytes, RegistryOp{RegistryOpKind{0}, later.op->record});
+  append_record(bytes, *later.op);
+  {
+    std::ofstream f(base_ + ".journal", std::ios::binary | std::ios::app);
+    write_out(f, bytes);
+  }
+
+  TaskRegistry restored;
+  RegistryStore reopened(base_);
+  const auto stats = reopened.load(restored);
+  EXPECT_FALSE(stats.journal_clean);
+  EXPECT_EQ(stats.journal_ops, 1u);
+  EXPECT_EQ(restored.size(), 1u);
+  EXPECT_EQ(restored.version(), 1u);
+}
+
+// A snapshot whose record count reads 0xFFFFFFFF, under a valid CRC, is
+// corrupt, not an allocation request: load() ignores it and replays the
+// journal.
 TEST_F(RegistryStoreTest, HugeSnapshotCountFallsBackToJournal) {
   TaskRegistry original;
   {
@@ -395,14 +426,19 @@ TEST_F(RegistryStoreTest, HugeSnapshotCountFallsBackToJournal) {
     apply(store, original.add(2, make_spec(20.0)));
   }
   {
+    // magic | u32 format | {u64 version | u32 count} | u32 crc of the 12
     std::ofstream f(base_ + ".snapshot", std::ios::binary);
-    const std::uint32_t format = 1;
+    const std::uint32_t format = 2;
     const std::uint64_t version = 7;
     const std::uint32_t count = 0xFFFFFFFFu;
+    char head[12];
+    std::memcpy(head, &version, sizeof version);
+    std::memcpy(head + 8, &count, sizeof count);
+    const std::uint32_t crc = crc32(head, sizeof head);
     f.write("VREG", 4);
     f.write(reinterpret_cast<const char*>(&format), sizeof format);
-    f.write(reinterpret_cast<const char*>(&version), sizeof version);
-    f.write(reinterpret_cast<const char*>(&count), sizeof count);
+    f.write(head, sizeof head);
+    f.write(reinterpret_cast<const char*>(&crc), sizeof crc);
   }
 
   TaskRegistry restored;

@@ -446,7 +446,7 @@ TaskSpec control_spec(double threshold) {
 TEST(Messages, AddUpdateTaskRoundTripCarrySpec) {
   const auto add = round_trip(net::AddTask{9, control_spec(33.0)});
   EXPECT_EQ(add.task, 9u);
-  EXPECT_TRUE(control::specs_equal(add.spec, control_spec(33.0)));
+  EXPECT_TRUE(add.spec == control_spec(33.0));
 
   const auto update = round_trip(net::UpdateTask{9, control_spec(44.0)});
   EXPECT_EQ(update.task, 9u);

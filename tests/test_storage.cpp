@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "storage/record_stream.h"
 #include "storage/sample_log.h"
 
 namespace volley {
