@@ -90,9 +90,13 @@ void AdaptiveSamplerOptions::validate() const {
 
 AdaptiveSampler::AdaptiveSampler(const AdaptiveSamplerOptions& options,
                                  double threshold)
-    : options_(options), threshold_(threshold),
+    : error_allowance_(options.error_allowance),
+      slack_ratio_(options.slack_ratio),
+      max_interval_(options.max_interval),
+      threshold_(threshold),
+      patience_(options.patience),
       estimator_(options.estimator) {
-  options_.validate();
+  options.validate();
 }
 
 Tick AdaptiveSampler::observe(double value, Tick gap) {
@@ -103,16 +107,16 @@ Tick AdaptiveSampler::observe(double value, Tick gap) {
   om.observations->inc();
   om.beta->observe(last_beta_);
 
-  const double err = options_.error_allowance;
+  const double err = error_allowance_;
   if (last_beta_ > err) {
     // Estimated mis-detection rate exceeds the allowance: fall back to the
     // default interval immediately (multiplicative-decrease step).
     if (interval_ != 1) om.resets->inc();
     interval_ = 1;
     safe_streak_ = 0;
-  } else if (last_beta_ <= (1.0 - options_.slack_ratio) * err) {
-    if (++safe_streak_ >= options_.patience) {
-      if (interval_ < options_.max_interval) {
+  } else if (last_beta_ <= (1.0 - slack_ratio_) * err) {
+    if (++safe_streak_ >= patience_) {
+      if (interval_ < max_interval_) {
         ++interval_;
         om.growths->inc();
       }
@@ -122,7 +126,7 @@ Tick AdaptiveSampler::observe(double value, Tick gap) {
     // Inside the slack band: acceptable, but growing would be risky.
     safe_streak_ = 0;
   }
-  interval_histogram(options_.max_interval)
+  interval_histogram(max_interval_)
       .observe(static_cast<double>(interval_));
   return interval_;
 }
@@ -130,17 +134,13 @@ Tick AdaptiveSampler::observe(double value, Tick gap) {
 void AdaptiveSampler::set_error_allowance(double err) {
   if (err < 0.0 || err > 1.0)
     throw std::invalid_argument("set_error_allowance: err in [0,1]");
-  options_.error_allowance = err;
+  error_allowance_ = err;
 }
 
 double AdaptiveSampler::cost_reduction_gain() const {
-  if (interval_ >= options_.max_interval) return 0.0;
+  if (interval_ >= max_interval_) return 0.0;
   const double i = static_cast<double>(interval_);
   return 1.0 / i - 1.0 / (i + 1.0);
-}
-
-double AdaptiveSampler::allowance_to_grow() const {
-  return last_beta_ / (1.0 - options_.slack_ratio);
 }
 
 void AdaptiveSampler::reset() {

@@ -71,16 +71,24 @@ class AdaptiveSampler {
 
   /// Im: the hard cap on the sampling interval, in default intervals. The
   /// coordinator's due-index sizes its bucket ring from this.
-  Tick max_interval() const { return options_.max_interval; }
+  Tick max_interval() const { return max_interval_; }
 
-  double error_allowance() const { return options_.error_allowance; }
+  double error_allowance() const { return error_allowance_; }
   /// Used by the coordinator when reallocating the task-level allowance.
   void set_error_allowance(double err);
 
   /// r_i of Section IV-B; zero when the interval is pinned at Im.
   double cost_reduction_gain() const;
   /// e_i of Section IV-B.
-  double allowance_to_grow() const;
+  double allowance_to_grow() const {
+    return allowance_for(last_beta_, slack_ratio_);
+  }
+  /// β̄ / (1 − γ). A zero β̄ is returned as it is: 1 − γ is in (0, 1], so
+  /// ±0 / (1 − γ) is the same ±0, and the quiet regime skips the division.
+  static double allowance_for(double beta, double slack_ratio) {
+    if (beta == 0.0) return beta;
+    return beta / (1.0 - slack_ratio);
+  }
 
   const ViolationLikelihoodEstimator& estimator() const { return estimator_; }
   int safe_streak() const { return safe_streak_; }
@@ -89,11 +97,16 @@ class AdaptiveSampler {
   void reset();
 
  private:
-  AdaptiveSamplerOptions options_;
+  // The rule's own knobs; the estimator keeps its options itself, so each
+  // monitor stores its configuration once.
+  double error_allowance_;
+  double slack_ratio_;
+  Tick max_interval_;
   double threshold_;
+  int patience_;
+  int safe_streak_{0};
   ViolationLikelihoodEstimator estimator_;
   Tick interval_{1};
-  int safe_streak_{0};
   double last_beta_{1.0};
 };
 

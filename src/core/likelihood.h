@@ -164,7 +164,10 @@ class ViolationLikelihoodEstimator {
   /// this exactly once per evaluation).
   std::optional<DeltaStats> snapshot_stats() const;
 
-  Options options_;
+  // Only the options nothing else keeps: the window and warm-up live in
+  // stats_, so the estimator stores its configuration once.
+  std::int64_t min_observations_;
+  Bound bound_;
   WindowedStats stats_;
   std::optional<double> last_value_;
   // Kernel memo; logically state of the evaluation, not of the estimate,

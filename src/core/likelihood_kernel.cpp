@@ -25,13 +25,6 @@ namespace {
 /// when a saturation early-exit lands mid-block stays negligible.
 constexpr std::size_t kBlock = 16;
 
-/// Every certified k satisfies k² ≥ 2^56, so p = fl(1/fl(1+fl(k²))) ≤
-/// 2^-55.9 < 2^-54, and fl(1 - p) is exactly 1.0 under round-to-nearest
-/// (ties at 2^-54 round to even, i.e. to 1.0). The 2× headroom over the
-/// 2^27 the rounding argument needs absorbs every intermediate rounding
-/// of k itself; see DESIGN.md §11 for the full ulp budget.
-constexpr double kCertMinK = 0x1p28;
-
 /// Conditioning floor for the margin subtraction T − v − i·μ: the margin
 /// must carry at least 2^-20 of the subtraction's magnitude at both
 /// endpoints. Margins are linear in i, so interior margins are bounded by
@@ -45,10 +38,13 @@ constexpr double kCertCondition = 0x1p-20;
 /// unchanged by those steps. k_i and the margin are monotone in i (their
 /// derivatives have constant sign), so two endpoint checks bound the
 /// interior. σ == 0 qualifies via the margin checks alone: each
-/// deterministic-drift step with margin > 0 contributes an exact 1.0.
+/// deterministic-drift step with margin > 0 contributes an exact 1.0. A
+/// NaN σ fails: its factors are NaN, not 1.0.
 bool unit_factor_certificate(double tv, const DeltaStats& s, Tick lo,
                              Tick hi) {
-  if (s.stddev < 0.0) return false;  // never produced by OnlineStats
+  // σ < 0 is never produced by OnlineStats; a NaN σ is, from a NaN or
+  // infinite sample.
+  if (!(s.stddev >= 0.0)) return false;
   const Tick ends[2] = {lo, hi};
   for (const Tick e : ends) {
     const double di = static_cast<double>(e);
@@ -58,37 +54,48 @@ bool unit_factor_certificate(double tv, const DeltaStats& s, Tick lo,
     // certificate and falls back to the exact loop.
     if (!(margin > kCertCondition * (std::fabs(tv) + std::fabs(drift))))
       return false;
-    if (s.stddev > 0.0 && !(margin / (di * s.stddev) >= kCertMinK))
+    if (s.stddev > 0.0 && !certificate_k_passes(margin, di * s.stddev))
       return false;
   }
   return true;
 }
 
-/// Per-step survival factors fl(1 − chebyshev_step_bound(v, T, s, i)) for
-/// i in [i0, i0+n), σ > 0 case. Mirrors chebyshev_step_bound's expression
-/// sequence exactly — including NaN behavior: a NaN k fails `k <= 0`
-/// there and falls through to the division, so the select keys on k <= 0.
-void chebyshev_factors(double tv, const DeltaStats& s, Tick i0,
-                       std::size_t n, double* out) {
-  VOLLEY_SIMD
-  for (std::size_t j = 0; j < n; ++j) {
-    const double di = static_cast<double>(i0 + static_cast<Tick>(j));
-    const double margin = tv - di * s.mean;
-    const double k = margin / (di * s.stddev);
-    const double p = 1.0 / (1.0 + k * k);
-    out[j] = k <= 0.0 ? 0.0 : 1.0 - p;
-  }
+/// The survival factor fl(1 − chebyshev_step_bound(v, T, s, i)) at
+/// di = i, σ > 0 case. Mirrors chebyshev_step_bound's expression sequence
+/// exactly — including NaN behavior: a NaN k fails `k <= 0` there and
+/// falls through to the division, so the select keys on k <= 0.
+inline double chebyshev_factor(double tv, const DeltaStats& s, double di) {
+  const double margin = tv - di * s.mean;
+  const double k = margin / (di * s.stddev);
+  const double p = 1.0 / (1.0 + k * k);
+  return k <= 0.0 ? 0.0 : 1.0 - p;
 }
 
 /// σ ≤ 0 (deterministic drift): per-step bound is 0 or 1 exactly, so the
 /// factor is 1.0 or 0.0.
+inline double deterministic_factor(double tv, const DeltaStats& s,
+                                   double di) {
+  const double margin = tv - di * s.mean;
+  return margin > 0.0 ? 1.0 : 0.0;
+}
+
+/// chebyshev_factor for i in [i0, i0+n).
+void chebyshev_factors(double tv, const DeltaStats& s, Tick i0,
+                       std::size_t n, double* out) {
+  VOLLEY_SIMD
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = chebyshev_factor(
+        tv, s, static_cast<double>(i0 + static_cast<Tick>(j)));
+  }
+}
+
+/// deterministic_factor for i in [i0, i0+n).
 void deterministic_factors(double tv, const DeltaStats& s, Tick i0,
                            std::size_t n, double* out) {
   VOLLEY_SIMD
   for (std::size_t j = 0; j < n; ++j) {
-    const double di = static_cast<double>(i0 + static_cast<Tick>(j));
-    const double margin = tv - di * s.mean;
-    out[j] = margin > 0.0 ? 1.0 : 0.0;
+    out[j] = deterministic_factor(
+        tv, s, static_cast<double>(i0 + static_cast<Tick>(j)));
   }
 }
 
@@ -99,9 +106,21 @@ struct LoopOutcome {
   bool saturated{false};
 };
 
+/// Multiplies step i's factor into `out` with the baseline's two
+/// early-exit checks; true when one fired (out then holds the 1.0).
+bool fold(LoopOutcome& out, double factor, Tick i) {
+  out.survive *= factor;
+  if (out.survive <= 0.0 || 1.0 - out.survive == 1.0) {
+    out.result = 1.0;
+    out.reached = i;
+    out.saturated = true;
+    return true;
+  }
+  return false;
+}
+
 /// The baseline product loop, factors computed block-wise then folded
-/// serially in i order with the baseline's two early-exit checks after
-/// every multiply. Factors computed past an early-exit are discarded
+/// serially in i order. Factors computed past an early-exit are discarded
 /// (they have no side effects), so results match step for step.
 LoopOutcome beta_loop(double tv, const DeltaStats& s, Tick from,
                       double survive0, Tick interval) {
@@ -118,18 +137,26 @@ LoopOutcome beta_loop(double tv, const DeltaStats& s, Tick from,
       chebyshev_factors(tv, s, i, n, factors);
     }
     for (std::size_t j = 0; j < n; ++j) {
-      out.survive *= factors[j];
-      if (out.survive <= 0.0 || 1.0 - out.survive == 1.0) {
-        out.result = 1.0;
-        out.reached = i + static_cast<Tick>(j);
-        out.saturated = true;
-        return out;
-      }
+      if (fold(out, factors[j], i + static_cast<Tick>(j))) return out;
     }
     i += static_cast<Tick>(n);
   }
   out.result = 1.0 - out.survive;
   out.reached = interval;
+  return out;
+}
+
+/// β̄(1), the loop of one step: the one factor folds into survive = 1.0
+/// (1.0 · f is f), with no block and no certificate. A factor the
+/// certificate would have passed is exactly 1.0, which leaves the memo
+/// the certificate would have stored (survive 1, result 0).
+LoopOutcome beta_one(double tv, const DeltaStats& s) {
+  LoopOutcome out;
+  const double factor = s.stddev <= 0.0 ? deterministic_factor(tv, s, 1.0)
+                                        : chebyshev_factor(tv, s, 1.0);
+  if (fold(out, factor, 1)) return out;
+  out.result = 1.0 - out.survive;
+  out.reached = 1;
   return out;
 }
 
@@ -178,6 +205,12 @@ double beta_bound_chebyshev(double value, double threshold,
     }
     // interval < cache->interval: the prefix cannot be un-multiplied;
     // fall through to a fresh evaluation (which refreshes the memo).
+  }
+
+  if (interval == 1) {
+    const LoopOutcome one = beta_one(tv, stats);
+    store(cache, value, threshold, stats, one);
+    return one.result;
   }
 
   if (unit_factor_certificate(tv, stats, 1, interval)) {

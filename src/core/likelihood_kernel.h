@@ -51,6 +51,22 @@
 
 namespace volley {
 
+/// The certificate's bound on k. Every certified k satisfies k² ≥ 2^56, so
+/// p = fl(1/fl(1+fl(k²))) ≤ 2^-55.9 < 2^-54, and fl(1 - p) is exactly 1.0
+/// under round-to-nearest (ties at 2^-54 round to even, i.e. to 1.0). The
+/// 2× headroom over the 2^27 the rounding argument needs absorbs every
+/// intermediate rounding of k itself; see DESIGN.md §11 for the full ulp
+/// budget.
+inline constexpr double kCertMinK = 0x1p28;
+
+/// The certificate's k test at one endpoint, k = margin / d ≥ kCertMinK
+/// with d = fl(i·σ) > 0, in multiplicative form: kCertMinK·d is an exact
+/// power-of-two scaling, so a pass implies fl(margin / d) ≥ kCertMinK by
+/// monotone rounding, and an overflow to inf fails (DESIGN.md §11).
+inline bool certificate_k_passes(double margin, double d) {
+  return margin >= kCertMinK * d;
+}
+
 /// Chebyshev β̄(I), bitwise identical to
 /// `beta_bound_with(value, threshold, stats, interval, chebyshev_step_bound)`.
 /// `cache` may be null (no reuse across calls).

@@ -40,8 +40,8 @@ Monitor::Monitor(MonitorId id, const MetricSource& source,
     : id_(id), source_(source), sampler_(options, local_threshold) {}
 
 Monitor::Outcome Monitor::sample_at(Tick t, SampleReason reason) {
-  if (last_sample_tick_ && t <= *last_sample_tick_) {
-    if (t == *last_sample_tick_ && reason == SampleReason::kGlobalPoll) {
+  if (t <= last_sample_tick_) {
+    if (t == last_sample_tick_ && reason == SampleReason::kGlobalPoll) {
       // The datum for this tick is already in hand; serve it for free.
       Outcome cached;
       cached.sample = Sample{t, last_value_};
@@ -52,7 +52,8 @@ Monitor::Outcome Monitor::sample_at(Tick t, SampleReason reason) {
     throw std::logic_error("Monitor: sampling must move forward in time");
   }
   const double value = source_.value_at(t);
-  const Tick gap = last_sample_tick_ ? t - *last_sample_tick_ : 1;
+  const Tick gap =
+      last_sample_tick_ == kNeverSampled ? 1 : t - last_sample_tick_;
   const Tick interval = sampler_.observe(value, gap);
 
   last_sample_tick_ = t;

@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <limits>
 
 #include "core/adaptive_sampler.h"
 #include "core/metric_source.h"
@@ -79,13 +79,17 @@ class Monitor {
  private:
   Outcome sample_at(Tick t, SampleReason reason);
 
+  /// last_sample_tick_ before the first sample: below every tick, so
+  /// `t <= last_sample_tick_` holds for no tick a monitor is driven at.
+  static constexpr Tick kNeverSampled = std::numeric_limits<Tick>::min();
+
   MonitorId id_;
+  bool last_was_violation_{false};
   const MetricSource& source_;
   AdaptiveSampler sampler_;
   Tick next_sample_{0};
-  std::optional<Tick> last_sample_tick_;
+  Tick last_sample_tick_{kNeverSampled};
   double last_value_{0.0};
-  bool last_was_violation_{false};
 
   OnlineStats gain_acc_;       // r_i accumulator within the updating period
   OnlineStats allowance_acc_;  // e_i accumulator

@@ -138,12 +138,24 @@ class Gauge {
 class alignas(64) HistogramCell {
  public:
   void observe(double x) {
-    if (x < shape_.lo()) {
-      detail::cell_add<std::int64_t>(underflow_, 1);
-    } else if (x >= shape_.hi()) {
-      detail::cell_add<std::int64_t>(overflow_, 1);
+    // A zero on a histogram that starts at 0 lands in bin 0, and adding
+    // ±0 leaves the sum as it is: the sum starts at +0 and is never −0.
+    if (x == 0.0 && lo_is_zero_) {
+      detail::cell_add<std::int64_t>(bins_[0], 1);
+      return;
     }
-    detail::cell_add<std::int64_t>(bins_[shape_.bin_of(x)], 1);
+    std::size_t bin;
+    if (x >= shape_.lo() && x < shape_.hi()) {
+      bin = shape_.bin_in_range(x);
+    } else if (x < shape_.lo()) {
+      detail::cell_add<std::int64_t>(underflow_, 1);
+      bin = 0;
+    } else {
+      // x >= hi, or NaN: the last bin, tallied as overflow unless NaN.
+      if (x >= shape_.hi()) detail::cell_add<std::int64_t>(overflow_, 1);
+      bin = shape_.bins() - 1;
+    }
+    detail::cell_add<std::int64_t>(bins_[bin], 1);
     detail::cell_add(sum_, x);
   }
 
@@ -152,6 +164,7 @@ class alignas(64) HistogramCell {
   HistogramCell(std::thread::id owner, const Histogram& shape)
       : owner_(owner),
         shape_(shape),
+        lo_is_zero_(shape.lo() == 0.0),
         bins_(std::make_unique<std::atomic<std::int64_t>[]>(shape.bins())) {}
 
   void fold_into(Histogram& h) const;
@@ -159,6 +172,7 @@ class alignas(64) HistogramCell {
 
   std::thread::id owner_;  // set once, before the cell is handed out
   const Histogram& shape_;  // the metric's empty, never-written shape
+  bool lo_is_zero_;         // shape_.lo() == 0, the zero path's test
   std::unique_ptr<std::atomic<std::int64_t>[]> bins_;
   std::atomic<std::int64_t> underflow_{0};
   std::atomic<std::int64_t> overflow_{0};

@@ -43,6 +43,11 @@ class Histogram {
   std::size_t bin_of(double x) const {
     if (x < lo_) return 0;
     if (!(x < hi_)) return counts_.size() - 1;  // x >= hi_, or NaN
+    return bin_in_range(x);
+  }
+
+  /// bin_of(x) for x in [lo, hi), without the range tests.
+  std::size_t bin_in_range(double x) const {
     const auto bin = static_cast<std::size_t>((x - lo_) / bin_width_);
     return std::min(bin, counts_.size() - 1);  // guard x just below hi_
   }
@@ -56,6 +61,8 @@ class Histogram {
   double hi() const { return hi_; }
   std::int64_t underflow() const { return underflow_; }
   std::int64_t overflow() const { return overflow_; }
+  /// Sum of every observed value (what mean() divides).
+  double sum() const { return sum_; }
 
   double mean() const;
 

@@ -24,6 +24,10 @@ class OnlineStats {
   void add(double x) {
     ++n_;
     const double d1 = x - mean_;
+    // A zero d1 would add ±0 to mean_ and +0 to m2_. Neither is ever −0
+    // (both start at +0, and a sum is −0 only when both addends are), so
+    // the skipped update leaves them bit for bit as they are.
+    if (d1 == 0.0) return;
     mean_ += d1 / static_cast<double>(n_);
     const double d2 = x - mean_;
     m2_ += d1 * d2;
@@ -42,6 +46,8 @@ class OnlineStats {
     return m2_ / static_cast<double>(n_);
   }
   double stddev() const { return std::sqrt(variance()); }
+  /// Sum of squared deviations from the mean (Welford's accumulator).
+  double m2() const { return m2_; }
 
   /// Merge another estimator's samples into this one (parallel Welford).
   void merge(const OnlineStats& other);

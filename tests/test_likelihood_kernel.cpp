@@ -10,12 +10,15 @@
 // direct call.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/adaptive_sampler.h"
 #include "core/coordinator.h"
 #include "core/likelihood.h"
 #include "core/likelihood_kernel.h"
@@ -111,6 +114,150 @@ TEST(KernelIdentity, SaturationRegimesMatch) {
 TEST(KernelIdentity, RejectsNonPositiveInterval) {
   const DeltaStats s{0.0, 1.0};
   EXPECT_THROW(beta_bound_chebyshev(0.0, 1.0, s, 0), std::invalid_argument);
+}
+
+// --- the multiplicative certificate test --------------------------------
+
+TEST(KernelCertificate, MultiplicativeTestPassesOnlyWhereTheDivisionDoes) {
+  // certificate_k_passes(margin, d) replaces `margin / d >= 2^28` at each
+  // endpoint, with d = fl(i·σ). It may fail where the division passes (the
+  // certificate then falls back to the exact loop), never the reverse.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const auto division = [](double margin, double d) {
+    return margin / d >= kCertMinK;
+  };
+  std::int64_t checked = 0, passed = 0;
+  const auto check = [&](double margin, double d) {
+    const bool mult = certificate_k_passes(margin, d);
+    ++checked;
+    passed += mult ? 1 : 0;
+    ASSERT_TRUE(!mult || division(margin, d))
+        << "margin=" << margin << " d=" << d;
+  };
+  const double sigmas[] = {kTiny,   3 * kTiny, 1e-310, 1e-308,
+                           2.2e-308, 1e-300,  1e-20,  0.37,
+                           1.0,     3.7,       1e150,  1e290,
+                           1e300,   kMax / 4,  kMax};
+  const double steps[] = {1, 2, 3, 7, 40, 1000, 0x1p40};
+  for (const double sigma : sigmas) {
+    for (const double di : steps) {
+      const double d = di * sigma;  // subnormal, normal or overflowed
+      const double target = kCertMinK * d;
+      // Margins within a few ulps of 2^28·d, where the two forms can
+      // round apart.
+      if (std::isfinite(target)) {
+        double below = target, above = target;
+        for (int u = 0; u < 8; ++u) {
+          check(below, d);
+          check(above, d);
+          below = std::nextafter(below, 0.0);
+          above = std::nextafter(above, kInf);
+        }
+      }
+      // Margins spread over the whole range, including where 2^28·d
+      // overflows (the multiplicative form then fails for every finite
+      // margin) and where margin / d overflows to inf.
+      for (const double scale : {1e-300, 1e-20, 1.0, 0x1p27, 0x1p28, 0x1p29,
+                                 1e20, 1e300}) {
+        const double margin = scale * (std::isfinite(d) ? d : kMax);
+        if (std::isfinite(margin) && margin > 0.0) check(margin, d);
+      }
+      for (const double margin : {kTiny, 1.0, 1e300, kMax, -1.0, -kMax,
+                                  std::nan("")}) {
+        check(margin, d);
+      }
+    }
+  }
+  // d underflowing to 0 (it cannot, for σ > 0 and i ≥ 1, but the test
+  // must still hold): margin / +0 is +inf for a positive margin, so both
+  // forms pass exactly there.
+  for (const double margin : {kTiny, 1.0, kMax}) {
+    check(margin, 0.0);
+    EXPECT_TRUE(certificate_k_passes(margin, 0.0));
+  }
+  EXPECT_GT(passed, 0);
+  EXPECT_LT(passed, checked);
+}
+
+// --- β̄(1), the one-step path --------------------------------------------
+
+TEST(KernelIdentity, IntervalOneMatchesTheLiteralLoop) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double v, t;
+    DeltaStats s;
+    const char* what;
+  };
+  const Case cases[] = {
+      {1.0, 10.0, {0.1, 1.0}, "k > 0, a fraction"},
+      {0.0, 1e12, {0.0, 0.5}, "certificate regime, factor exactly 1"},
+      {9.0, 10.0, {2.0, 1.0}, "k < 0: survive 0, first exit"},
+      {9.0, 10.0, {1.0, 1.0}, "k = 0: survive 0, first exit"},
+      {0.0, 1.0, {0.0, 1e9}, "tiny k: 1 + k² rounds to 1, survive 0"},
+      // One factor is never below about 2^-53, so the second exit
+      // (1 - survive == 1 with survive > 0) needs two: it fires at step 2
+      // of the memo's extension below.
+      {0.0, 3e-5, {0.0, 1.0}, "k ≈ 3e-5: second exit at I = 2"},
+      {1.0, 10.0, {0.5, 0.0}, "σ = 0, drift below T"},
+      {9.0, 10.0, {1.5, 0.0}, "σ = 0, drift crosses T"},
+      {9.0, 10.0, {1.0, 0.0}, "σ = 0, margin exactly 0"},
+      {nan, 10.0, {0.1, 1.0}, "NaN value"},
+      {1.0, 10.0, {nan, 1.0}, "NaN mean"},
+      {1.0, 10.0, {0.1, nan}, "NaN σ"},
+      {1.0, inf, {0.1, 1.0}, "infinite threshold"},
+      {-inf, 10.0, {0.1, 1.0}, "value at −inf"},
+      {1.0, 10.0, {0.1, 1e-310}, "subnormal σ"},
+  };
+  for (const Case& c : cases) {
+    const double expected = scalar_reference(c.v, c.t, c.s, 1);
+    EXPECT_BITEQ(beta_bound_chebyshev(c.v, c.t, c.s, 1), expected) << c.what;
+    // Through the memo: the one-step path stores what the loop (or the
+    // certificate) stored, so every later interval extends it exactly.
+    BetaBoundCache cache;
+    EXPECT_BITEQ(beta_bound_chebyshev(c.v, c.t, c.s, 1, &cache), expected)
+        << c.what;
+    for (Tick i : {Tick{1}, Tick{2}, Tick{17}, Tick{40}}) {
+      EXPECT_BITEQ(beta_bound_chebyshev(c.v, c.t, c.s, i, &cache),
+                   scalar_reference(c.v, c.t, c.s, i))
+          << c.what << " I=" << i;
+    }
+  }
+  // A random sweep around the threshold, where β̄(1) takes every regime.
+  Rng rng(25);
+  for (int n = 0; n < 20000; ++n) {
+    const double v = rng.normal(0.0, 5.0);
+    const DeltaStats s{rng.normal(0.0, 2.0),
+                       n % 10 == 0 ? 0.0 : std::fabs(rng.normal(0.0, 3.0))};
+    ASSERT_BITEQ(beta_bound_chebyshev(v, 4.0, s, 1),
+                 scalar_reference(v, 4.0, s, 1))
+        << "v=" << v << " mean=" << s.mean << " sigma=" << s.stddev;
+  }
+}
+
+// --- e_i at a zero bound --------------------------------------------------
+
+TEST(SamplerAllowance, ZeroBoundIsReturnedBitForBit) {
+  for (const double gamma : {0.0, 0.2, 0.5, 0.999, 1.0 - 0x1p-53}) {
+    for (const double beta : {0.0, -0.0}) {
+      EXPECT_BITEQ(AdaptiveSampler::allowance_for(beta, gamma),
+                   beta / (1.0 - gamma))
+          << "beta=" << beta << " gamma=" << gamma;
+      EXPECT_BITEQ(AdaptiveSampler::allowance_for(beta, gamma), beta);
+    }
+    for (const double beta : {1e-300, 0.004, 0.5, 1.0}) {
+      EXPECT_BITEQ(AdaptiveSampler::allowance_for(beta, gamma),
+                   beta / (1.0 - gamma));
+    }
+  }
+  // Through a sampler whose bound is certified zero.
+  AdaptiveSamplerOptions options;
+  AdaptiveSampler sampler(options, 1e12);
+  for (int i = 0; i < 4; ++i) sampler.observe(1.0, 1);
+  ASSERT_BITEQ(sampler.last_beta(), 0.0);
+  EXPECT_BITEQ(sampler.allowance_to_grow(), 0.0 / (1.0 - options.slack_ratio));
 }
 
 // --- the incremental memo ---------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -114,6 +115,63 @@ TEST(Metrics, HistogramBucketsObservations) {
   EXPECT_EQ(snap.bin_count(5), 2);
   EXPECT_EQ(snap.underflow(), 1);
   EXPECT_EQ(snap.overflow(), 1);
+}
+
+/// Observes `xs` through a fresh metric's cell and through Histogram::add
+/// on the same shape; bins, under/overflow and the sum's bits must agree.
+void expect_cell_matches_add(double lo, double hi, std::size_t bins,
+                             const std::vector<double>& xs) {
+  MetricsRegistry reg;
+  auto& cell = reg.histogram("cell_vs_add", lo, hi, bins).cell();
+  Histogram direct(lo, hi, bins);
+  for (const double x : xs) {
+    cell.observe(x);
+    direct.add(x);
+  }
+  const Histogram folded = reg.histogram("cell_vs_add", lo, hi, bins)
+                               .snapshot();
+  for (std::size_t b = 0; b < bins; ++b) {
+    EXPECT_EQ(folded.bin_count(b), direct.bin_count(b)) << "bin " << b;
+  }
+  EXPECT_EQ(folded.count(), direct.count());
+  EXPECT_EQ(folded.underflow(), direct.underflow());
+  EXPECT_EQ(folded.overflow(), direct.overflow());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.sum()),
+            std::bit_cast<std::uint64_t>(direct.sum()));
+}
+
+TEST(Metrics, HistogramCellMatchesHistogramAddAtTheEdges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  // Shapes starting at 0 (the zero path: the β̄ histogram is [0, 1) in 20
+  // bins) and elsewhere (no zero path; 0 is below lo or inside).
+  const struct {
+    double lo, hi;
+    std::size_t bins;
+  } shapes[] = {{0.0, 1.0, 20}, {0.0, 64.0, 64}, {-1.0, 1.0, 8},
+                {1.0, 2.0, 4}, {-2.0, -1.0, 3}};
+  for (const auto& sh : shapes) {
+    const double below_hi = std::nextafter(sh.hi, -kInf);
+    const std::vector<double> edges = {0.0,      -0.0,  sh.lo, below_hi,
+                                       sh.hi,    nan,   kInf,  -kInf,
+                                       std::nextafter(sh.lo, -kInf)};
+    // Each edge on its own, so one value's sum bits are not hidden by
+    // another's.
+    for (const double x : edges) {
+      SCOPED_TRACE(::testing::Message() << "shape [" << sh.lo << ", "
+                                        << sh.hi << ") x=" << x);
+      expect_cell_matches_add(sh.lo, sh.hi, sh.bins, {x});
+      expect_cell_matches_add(sh.lo, sh.hi, sh.bins, {x, x, 0.0, x, -0.0});
+    }
+    SCOPED_TRACE(::testing::Message() << "shape [" << sh.lo << ", " << sh.hi
+                                      << ") all edges");
+    std::vector<double> finite;
+    for (const double x : edges) {
+      if (std::isfinite(x)) finite.push_back(x);
+    }
+    expect_cell_matches_add(sh.lo, sh.hi, sh.bins, finite);
+    expect_cell_matches_add(sh.lo, sh.hi, sh.bins, edges);
+  }
 }
 
 TEST(Metrics, HistogramReRegistrationKeepsFirstBounds) {

@@ -2,7 +2,10 @@
 // windowed restart policy, quantiles (exact + P2), histogram, correlation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -98,6 +101,80 @@ TEST(OnlineStats, MergePropertyShardsMatchConcatenatedStream) {
         << shard_count << " shards";
     EXPECT_NEAR(merged.variance(), whole.variance(), 1e-12)
         << shard_count << " shards";
+  }
+}
+
+/// The Welford update without OnlineStats::add's zero-d1 return.
+struct FullWelford {
+  std::int64_t n{0};
+  double mean{0.0};
+  double m2{0.0};
+  void add(double x) {
+    ++n;
+    const double d1 = x - mean;
+    mean += d1 / static_cast<double>(n);
+    const double d2 = x - mean;
+    m2 += d1 * d2;
+  }
+};
+
+/// The bits of x, with every NaN as one value: a NaN's sign and payload
+/// follow the operand order of the operation that made it, and the
+/// compiler may commute `a + b` and `a * b`.
+std::uint64_t bits(double x) {
+  return std::isnan(x) ? 0x7FF8000000000000ull
+                       : std::bit_cast<std::uint64_t>(x);
+}
+
+/// Feeds `xs` to both updates and checks n, mean and m2 bit for bit after
+/// every sample.
+void expect_same_as_full_update(const std::vector<double>& xs) {
+  OnlineStats fast;
+  FullWelford full;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    fast.add(xs[i]);
+    full.add(xs[i]);
+    ASSERT_EQ(fast.count(), full.n) << "sample " << i;
+    ASSERT_EQ(bits(fast.mean()), bits(full.mean))
+        << "sample " << i << " x=" << xs[i];
+    ASSERT_EQ(bits(fast.m2()), bits(full.m2))
+        << "sample " << i << " x=" << xs[i];
+  }
+}
+
+TEST(OnlineStats, ZeroDeltaReturnIsBitwiseTheFullUpdate) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const double nan = std::nan("");
+  const std::vector<std::vector<double>> streams = {
+      {0.0, -0.0, 0.0, -0.0, -0.0},
+      {-0.0, -0.0, 0.0},
+      {3.0, 3.0, 3.0, 3.0},
+      {1.5, 1.5, -2.0, -2.0, 1.5, 1.5},
+      {kSub, kSub, -kSub, 3 * kSub, 3 * kSub, 0.0, -0.0},
+      {1e-310, 1e-310, 2e-310, -1e-310},
+      {kInf, kInf, 1.0},
+      {-kInf, 0.0, -kInf},
+      {1.0, kInf, -kInf, 2.0},
+      {nan, 1.0, 1.0},
+      {1.0, 1.0, nan, nan, 0.0},
+      {1e308, 1e308, -1e308, 1e308},
+  };
+  for (const auto& xs : streams) expect_same_as_full_update(xs);
+
+  // Random streams over the same palette: repeats make d1 == 0 common.
+  const double palette[] = {0.0, -0.0, 1.0, -1.0, 0.25, kSub, -kSub,
+                            1e-310, 1e300, kInf, -kInf, nan};
+  Rng rng(25);
+  for (int stream = 0; stream < 200; ++stream) {
+    std::vector<double> xs;
+    const bool finite_only = stream % 2 == 0;
+    for (int i = 0; i < 64; ++i) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, finite_only ? 8 : 11));
+      xs.push_back(i > 0 && rng.bernoulli(0.4) ? xs.back() : palette[pick]);
+    }
+    expect_same_as_full_update(xs);
   }
 }
 
