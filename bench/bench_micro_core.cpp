@@ -2,20 +2,29 @@
 // estimation adds negligible overhead compared to sampling itself
 // (Section III-B "cost of the dynamic sampling algorithm"). google-benchmark
 // binary: reports ns/op for the estimator, the full sampler step, the online
-// statistics update, the coordinator's allocation step, and the obs/
+// statistics update, the coordinator's allocation step, one forced sample
+// and one I = 1 step on the production chain (Monitor through the β̄
+// kernel and the obs cells), and the obs/
 // instrumentation primitives (which ride on every one of the above, so
 // their cost must stay orders of magnitude below a sampling operation).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/adaptive_sampler.h"
+#include "core/coordinator.h"
 #include "core/error_allocation.h"
 #include "core/likelihood.h"
+#include "core/metric_source.h"
+#include "core/monitor.h"
+#include "core/task.h"
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
 #include "stats/online_stats.h"
@@ -68,6 +77,99 @@ void BM_SamplerObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SamplerObserve);
+
+/// A quiet series: a seeded noise floor of at most 1e-20 (perfbench's
+/// fleet_quiet floor), far below a 1e-9 local threshold, so β̄ is
+/// certified zero and a monitor climbs to Im.
+class NoiseFloorSource final : public MetricSource {
+ public:
+  explicit NoiseFloorSource(std::uint64_t seed) : seed_(seed) {}
+  double value_at(Tick t) const override {
+    std::uint64_t x = seed_ ^ (static_cast<std::uint64_t>(t) *
+                               0x9E3779B97F4A7C15ull);
+    x ^= x >> 31;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 29;
+    return 1e-20 * static_cast<double>(x >> 11) * 0x1p-53;
+  }
+  Tick length() const override { return std::numeric_limits<Tick>::max(); }
+
+ private:
+  std::uint64_t seed_;
+};
+
+/// Noisy series: a table of N(0, 1) draws replayed in a loop.
+class NoiseTableSource final : public MetricSource {
+ public:
+  explicit NoiseTableSource(std::uint64_t seed) : table_(4096) {
+    Rng rng(seed);
+    for (double& v : table_) v = rng.normal(0.0, 1.0);
+  }
+  double value_at(Tick t) const override {
+    return table_[static_cast<std::size_t>(t) & (table_.size() - 1)];
+  }
+  Tick length() const override { return std::numeric_limits<Tick>::max(); }
+
+ private:
+  std::vector<double> table_;
+};
+
+void BM_CoordinatorForcePoll(benchmark::State& state) {
+  // One root escalation's cost: force_poll samples every monitor of a
+  // 2048-monitor quiet fleet sitting at Im (the production sample chain:
+  // Monitor::force_sample -> sampler -> estimator -> β̄ kernel -> obs
+  // cells), then rebuilds the due index.
+  constexpr std::size_t kMonitors = 2048;
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(registry);
+  TaskSpec spec;
+  spec.global_threshold = 1.0;
+  const double share = spec.error_allowance / kMonitors;
+  std::vector<std::unique_ptr<NoiseFloorSource>> sources;
+  std::vector<std::unique_ptr<Monitor>> monitors;
+  for (std::size_t i = 0; i < kMonitors; ++i) {
+    sources.push_back(std::make_unique<NoiseFloorSource>(i + 1));
+    monitors.push_back(std::make_unique<Monitor>(
+        static_cast<MonitorId>(i), *sources.back(),
+        spec.sampler_options(share), 1e-9));
+  }
+  Coordinator coordinator(spec, std::move(monitors), nullptr);
+  Tick t = 0;
+  // Forced samples apply the adaptation rule too: p safe checks per step
+  // from I = 1 to Im.
+  while (coordinator.monitor(kMonitors - 1).interval() < spec.max_interval &&
+         t < 10 * spec.patience * spec.max_interval) {
+    coordinator.force_poll(t++);
+  }
+  if (coordinator.monitor(0).interval() != spec.max_interval) {
+    state.SkipWithError("the quiet fleet did not reach Im");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(coordinator.force_poll(t++));
+  }
+  state.counters["per_sample"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kMonitors,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CoordinatorForcePoll);
+
+void BM_MonitorStepAtIntervalOne(benchmark::State& state) {
+  // A noisy monitor one σ under its threshold: β̄(1) stays far above err,
+  // so every tick is a scheduled sample at I = 1 through β̄'s one-step path.
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(registry);
+  NoiseTableSource source(7);
+  AdaptiveSamplerOptions options;
+  Monitor monitor(0, source, options, 1.0);
+  Tick t = 0;
+  for (; t < 64; ++t) monitor.step(t);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(monitor.step(t++));
+  }
+  if (monitor.interval() != 1) state.SkipWithError("the monitor left I = 1");
+}
+BENCHMARK(BM_MonitorStepAtIntervalOne);
 
 void BM_AdaptiveAllocation(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
