@@ -10,6 +10,7 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -520,7 +521,6 @@ struct ShardUnderTest {
   std::unique_ptr<net::AggregatorNode> aggregator;
   std::vector<std::unique_ptr<CallableSource>> sources;
   std::vector<std::unique_ptr<net::MonitorNode>> monitors;
-  std::vector<double> monitor_seconds;  // each monitor's run() wall time
 };
 
 /// A shard of `per_shard` monitors behind an aggregator built from `agg`
@@ -558,7 +558,6 @@ ShardUnderTest make_shard(net::AggregatorNodeOptions agg,
     shard.monitors.push_back(
         std::make_unique<net::MonitorNode>(mon, *shard.sources.back()));
   }
-  shard.monitor_seconds.assign(per_shard, 0.0);
   return shard;
 }
 
@@ -574,13 +573,7 @@ void run_shards(std::vector<ShardUnderTest>& shards,
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   for (auto& shard : shards) {
     for (std::size_t i = 0; i < shard.monitors.size(); ++i) {
-      threads.emplace_back([&shard, i] {
-        const auto start = std::chrono::steady_clock::now();
-        shard.monitors[i]->run();
-        shard.monitor_seconds[i] = std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() - start)
-                                       .count();
-      });
+      threads.emplace_back([&shard, i] { shard.monitors[i]->run(); });
     }
   }
   during();
@@ -669,25 +662,49 @@ TEST(NetIntegration, AggregatorRunsStandaloneWhenRootUnreachable) {
 }
 
 // A root that is up but never completes a handshake (its accept queue is
-// full) must not slow the shard down: each upstream connect waits out its
-// 1 s deadline while the aggregator's loop keeps serving the shard, so the
-// monitors finish at their tick cadence (their run() includes the wait for
-// the shard's Shutdown) and the subset alert is recorded. A connect that
-// blocked the loop would hold polls and the Shutdown for a second at a
-// time.
+// full) must not stall the shard: each upstream connect waits out its 1 s
+// deadline on a timer while the aggregator's loop keeps serving. A connect
+// that blocked the loop would hold everything the loop serves (polls,
+// control requests, the monitors' Shutdown) for up to a whole deadline. So
+// the test probes the loop while the first connect is pending: one
+// ListTasks round trip every 10 ms over the run, and the slowest must stay
+// under half the connect deadline. Host contention slows every probe a
+// little; only a blocked loop holds one for most of a second.
 TEST(NetIntegration, StalledRootLeavesShardAtTickCadence) {
   constexpr Tick kTicks = 400;
   constexpr int kTickMicros = 1000;  // 0.4 s of ticks
   testing::StalledListener root;
+  const auto agg = shard_slice(0, 1, root.port());
   std::vector<ShardUnderTest> shards;
-  shards.push_back(make_shard(shard_slice(0, 1, root.port()), 2, kTicks,
-                              kTickMicros, /*hot=*/true));
-  run_shards(shards);
+  shards.push_back(make_shard(agg, 2, kTicks, kTickMicros, /*hot=*/true));
+  const std::uint16_t agg_port = shards[0].aggregator->port();
 
+  double slowest_ms = 0.0;
+  int probes = 0;
+  run_shards(shards, [&] {
+    using Clock = std::chrono::steady_clock;
+    const auto end = Clock::now() + std::chrono::microseconds(
+                                        kTicks * kTickMicros);
+    while (Clock::now() < end) {
+      const auto start = Clock::now();
+      const auto reply = net::request_reply(
+          "127.0.0.1", agg_port, 3 * agg.connect_timeout_ms, net::ListTasks{});
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      EXPECT_TRUE(reply.has_value()) << "probe " << probes;
+      slowest_ms = std::max(slowest_ms, ms);
+      ++probes;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+
+  EXPECT_GT(probes, 0);
+  EXPECT_LT(slowest_ms, 0.5 * agg.connect_timeout_ms)
+      << "the aggregator's loop stalled while its upstream connect was "
+         "pending ("
+      << probes << " probes)";
   const auto& shard = shards[0];
-  for (const double seconds : shard.monitor_seconds) {
-    EXPECT_LT(seconds, 0.7) << "a monitor fell behind its tick cadence";
-  }
   EXPECT_FALSE(shard.aggregator->downstream().alerts().empty());
   EXPECT_EQ(shard.aggregator->downstream().reported_ops().size(), 2u);
   EXPECT_EQ(shard.aggregator->escalations(), 0);
