@@ -14,7 +14,7 @@
 // with warm memos (the incremental layer), reporting ns per
 // evaluation. Two populations: "quiet" (far below threshold — the zero-β̄
 // certificate regime adaptive sampling spends its life in) and "noisy"
-// (near threshold — the blocked/SIMD product loop has to run). Every
+// (near threshold — the scalar product loop has to run). Every
 // variant's outputs are asserted bitwise equal to the scalar loop's.
 //
 // Part 3 — a mixed fleet of 200 four-monitor tasks with the paper's
@@ -217,8 +217,8 @@ SingleRow run_single(std::size_t n, Tick warmup, Tick timed, int repeats,
 // below threshold, where the kernel's zero-β̄ certificate answers in O(1);
 // this is the steady state adaptive sampling creates (the whole point of
 // growing I is that violations became unlikely). Noisy: near threshold,
-// where the O(I) product loop must run and only the blocked/SIMD factor
-// computation helps. "Incremental" re-evaluates the same lanes against
+// where the O(I) product loop must run and the kernel saves nothing on a
+// cold memo. "Incremental" re-evaluates the same lanes against
 // warm per-lane memos — the same-key re-evaluation the AIMD rule performs
 // between adaptation decisions.
 
@@ -282,7 +282,7 @@ BetaEvalTiming time_beta_eval(bool quiet_population, std::size_t lanes,
   };
 
   // Kernel, cold memos: every evaluation re-proves the certificate or
-  // re-runs the blocked loop (memos cleared each rep).
+  // re-runs the product loop (memos cleared each rep).
   std::vector<BetaBoundCache> memos(lanes);
   std::vector<double> beta(lanes);
   double kernel_seconds = 0.0;
@@ -389,14 +389,6 @@ SimOutcome run_sim(std::size_t tasks, SimTime horizon) {
 
 // --- driver -----------------------------------------------------------
 
-bool simd_enabled() {
-#if defined(VOLLEY_OPENMP_SIMD)
-  return true;
-#else
-  return false;
-#endif
-}
-
 void write_scale_json(bool quick, Tick max_interval, Tick timed,
                       int repeats, const std::vector<SingleRow>& rows,
                       const BetaEvalTiming& quiet_eval,
@@ -423,7 +415,7 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
                  r.overall_tps);
   }
   std::fprintf(f,
-               "],\"beta_eval\":{\"interval\":%lld,\"simd\":%s,"
+               "],\"beta_eval\":{\"interval\":%lld,"
                "\"quiet\":{\"lanes\":%zu,\"reps\":%d,"
                "\"scalar_ns_per_eval\":%.2f,\"kernel_ns_per_eval\":%.2f,"
                "\"incremental_ns_per_eval\":%.2f,\"kernel_speedup\":%.2f,"
@@ -432,8 +424,7 @@ void write_scale_json(bool quick, Tick max_interval, Tick timed,
                "\"scalar_ns_per_eval\":%.2f,\"kernel_ns_per_eval\":%.2f,"
                "\"incremental_ns_per_eval\":%.2f,\"kernel_speedup\":%.2f,"
                "\"incremental_speedup\":%.2f}},",
-               static_cast<long long>(max_interval),
-               simd_enabled() ? "true" : "false", quiet_eval.lanes,
+               static_cast<long long>(max_interval), quiet_eval.lanes,
                quiet_eval.reps, quiet_eval.scalar_ns, quiet_eval.kernel_ns,
                quiet_eval.incremental_ns, quiet_eval.kernel_speedup(),
                quiet_eval.incremental_speedup(), noisy_eval.lanes,
@@ -493,9 +484,8 @@ void run() {
       time_beta_eval(true, eval_lanes, eval_reps, max_interval);
   const auto noisy_eval =
       time_beta_eval(false, eval_lanes, eval_reps, max_interval);
-  std::printf("beta evaluation phase (%zu lanes, I=%lld, SIMD %s):\n",
-              eval_lanes, static_cast<long long>(max_interval),
-              simd_enabled() ? "on" : "off");
+  std::printf("beta evaluation phase (%zu lanes, I=%lld):\n", eval_lanes,
+              static_cast<long long>(max_interval));
   bench::print_row(
       {"population", "scalar ns", "kernel ns", "increm. ns", "speedup"});
   bench::print_row({"quiet", bench::fmt(quiet_eval.scalar_ns, 1),
@@ -508,7 +498,7 @@ void run() {
                     bench::fmt(noisy_eval.kernel_speedup(), 1) + "x"});
   std::printf(
       "\n(ns per β̄ evaluation. quiet = far below threshold, the zero-β̄ "
-      "certificate regime; noisy = near threshold, the blocked/SIMD loop. "
+      "certificate regime; noisy = near threshold, the product loop. "
       "Every variant's lanes asserted bitwise equal to the scalar loop.)\n\n");
 
   const std::size_t sim_tasks = quick ? 40 : 200;

@@ -19,17 +19,4 @@ using Tick = std::int64_t;
 /// Simulated (or wall-clock) time in seconds.
 using SimTime = double;
 
-/// Task specification carries its default interval in seconds so layers can
-/// convert: seconds = ticks * id_seconds.
-struct TickScale {
-  double id_seconds{1.0};
-
-  [[nodiscard]] constexpr SimTime to_seconds(Tick t) const {
-    return static_cast<SimTime>(t) * id_seconds;
-  }
-  [[nodiscard]] constexpr Tick to_ticks(SimTime s) const {
-    return static_cast<Tick>(s / id_seconds);
-  }
-};
-
 }  // namespace volley

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
 namespace volley {
 
@@ -20,25 +21,6 @@ void parse_token(Config& cfg, std::string_view token) {
 Config Config::from_args(const std::vector<std::string>& tokens) {
   Config cfg;
   for (const auto& t : tokens) parse_token(cfg, t);
-  return cfg;
-}
-
-Config Config::from_text(std::string_view text) {
-  Config cfg;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    auto end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    auto line = text.substr(start, end - start);
-    // Trim trailing carriage return and surrounding spaces.
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.remove_suffix(1);
-    }
-    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-    if (!line.empty()) parse_token(cfg, line);
-    if (end == text.size()) break;
-    start = end + 1;
-  }
   return cfg;
 }
 

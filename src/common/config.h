@@ -1,7 +1,7 @@
 // Tiny key=value configuration parser.
 //
 // Used by the socket runtime daemons and examples to accept settings as
-// "key=value" tokens (command-line or file lines). Keys are untyped strings;
+// "key=value" command-line tokens. Keys are untyped strings;
 // typed getters convert on access and fall back to a caller default when the
 // key is absent. Malformed numeric values are an error (std::invalid_argument)
 // rather than a silent default — configuration typos should be loud.
@@ -10,7 +10,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace volley {
@@ -22,9 +21,6 @@ class Config {
   /// Parses tokens of the form "key=value"; ignores empty tokens and
   /// comment tokens starting with '#'. Later duplicates win.
   static Config from_args(const std::vector<std::string>& tokens);
-
-  /// Parses newline-separated "key=value" text (e.g. a small config file).
-  static Config from_text(std::string_view text);
 
   void set(std::string key, std::string value);
 

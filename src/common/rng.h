@@ -52,13 +52,6 @@ class Rng {
   bool bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);
   }
-  /// Pareto with scale xm > 0 and shape alpha > 0.
-  double pareto(double xm, double alpha) {
-    double u = uniform();
-    if (u >= 1.0) u = std::nextafter(1.0, 0.0);
-    return xm / std::pow(1.0 - u, 1.0 / alpha);
-  }
-
   std::mt19937_64& engine() { return engine_; }
 
   /// Derive an independent child generator (for per-component seeding).

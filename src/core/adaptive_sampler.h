@@ -67,7 +67,6 @@ class AdaptiveSampler {
   double last_beta() const { return last_beta_; }
 
   double threshold() const { return threshold_; }
-  void set_threshold(double threshold) { threshold_ = threshold; }
 
   /// Im: the hard cap on the sampling interval, in default intervals. The
   /// coordinator's due-index sizes its bucket ring from this.

@@ -86,17 +86,6 @@ double ViolationLikelihoodEstimator::beta_bound(double threshold,
   return beta_bound_chebyshev(v, threshold, *stats, interval, &cache_);
 }
 
-double ViolationLikelihoodEstimator::violation_likelihood(double threshold,
-                                                          Tick i) const {
-  if (i < 1) throw std::invalid_argument("violation_likelihood: i >= 1");
-  const auto stats = snapshot_stats();
-  if (!stats) return 1.0;
-  if (bound_ == Bound::kGaussian) {
-    return gaussian_step_bound(*last_value_, threshold, *stats, i);
-  }
-  return chebyshev_step_bound(*last_value_, threshold, *stats, i);
-}
-
 void ViolationLikelihoodEstimator::reset() {
   stats_.reset();
   last_value_.reset();

@@ -30,7 +30,7 @@
 // Evaluation contract: `beta_bound_with` below — the literal product loop
 // with its saturation early-exit — is the semantic *and bitwise* definition
 // of β̄'s value. The fast paths in likelihood_kernel.h (zero-β̄ certificate,
-// incremental prefix reuse, blocked/SIMD loop) are pure accelerations:
+// incremental prefix reuse) are pure accelerations:
 // they must return the identical double for every input,
 // property-tested in tests/test_likelihood_kernel.cpp against direct calls
 // of this loop. Numerics notes, including why the incremental form keeps a
@@ -141,14 +141,10 @@ class ViolationLikelihoodEstimator {
   /// Upper bound on the mis-detection rate beta(I) for the given sampling
   /// interval, from the most recent observation. Returns 1 while fewer than
   /// `min_observations` delta values have been seen. Chebyshev evaluations
-  /// go through the likelihood kernel (certificate + incremental memo +
-  /// SIMD loop), bitwise identical to the literal loop (the kernel's
-  /// identity contract).
+  /// go through the likelihood kernel (certificate + incremental memo),
+  /// bitwise identical to the literal loop (the kernel's identity
+  /// contract).
   double beta_bound(double threshold, Tick interval) const;
-
-  /// P[next value at +i ticks exceeds threshold] bound (Definition 1 for a
-  /// horizon of i ticks).
-  double violation_likelihood(double threshold, Tick i) const;
 
   bool has_statistics() const;
   std::optional<DeltaStats> delta_stats() const;
@@ -160,8 +156,8 @@ class ViolationLikelihoodEstimator {
  private:
   /// One delta-statistics resolution for a whole bound evaluation: checks
   /// the cold-start guards and snapshots mean/stddev from a single pass
-  /// over the windowed estimator (beta_bound and violation_likelihood call
-  /// this exactly once per evaluation).
+  /// over the windowed estimator (beta_bound calls this exactly once per
+  /// evaluation).
   std::optional<DeltaStats> snapshot_stats() const;
 
   // Only the options nothing else keeps: the window and warm-up live in

@@ -6,7 +6,7 @@
 // likelihood.h is the *identity baseline*: an O(I) loop with two divisions
 // per step. After the due index (DESIGN.md §10) made idle ticks O(1), that
 // loop dominated every sample tick (ROADMAP "kill the β̄ bottleneck"). This
-// kernel removes it with three layers, every one of which returns the
+// kernel avoids most of it with two layers, each of which returns the
 // **bitwise-identical** double the baseline would have returned:
 //
 //  1. Zero-β̄ certificate (O(1)). When every per-step survival factor
@@ -29,12 +29,10 @@
 //     contract; the prefix-product memo gives the same O(1)/O(ΔI)
 //     re-evaluation for the AIMD access pattern. See DESIGN.md §11.)
 //
-//  3. Blocked/SIMD step loop. When the loop must run, per-step factors are
-//     computed block-wise in a branch-light form the compiler can
-//     vectorize (`#pragma omp simd` when built with -fopenmp-simd; plain
-//     scalar code otherwise — selected at build time, no runtime dispatch),
-//     then folded serially in i order so the product and its saturation
-//     early-exits match the baseline step for step.
+// When the loop must run, it is the baseline's own scalar product loop,
+// continued from a prefix: one survival factor per step, folded in i order
+// with the same saturation early-exits. Computing the factors in SIMD
+// blocks measured no faster (DESIGN.md §11).
 //
 // Identity baseline: tests/test_likelihood_kernel.cpp calls
 // `beta_bound_with(..., chebyshev_step_bound)` — the literal Inequality 3

@@ -50,9 +50,6 @@ class Monitor {
   Outcome force_sample(Tick t);
 
   double local_threshold() const { return sampler_.threshold(); }
-  void set_local_threshold(double threshold) {
-    sampler_.set_threshold(threshold);
-  }
 
   double error_allowance() const { return sampler_.error_allowance(); }
   void set_error_allowance(double err) { sampler_.set_error_allowance(err); }

@@ -5,24 +5,6 @@
 
 namespace volley {
 
-std::vector<double> split_even(double global_threshold,
-                               std::size_t monitors) {
-  return split_threshold(global_threshold, monitors);
-}
-
-std::vector<double> split_by_tail(double global_threshold,
-                                  std::span<const TimeSeries> series,
-                                  double k_percent) {
-  if (series.empty()) throw std::invalid_argument("split_by_tail: empty");
-  std::vector<double> weights;
-  weights.reserve(series.size());
-  for (const auto& s : series) {
-    weights.push_back(
-        std::max(s.threshold_for_selectivity(k_percent), 1e-6));
-  }
-  return split_threshold(global_threshold, series.size(), weights);
-}
-
 std::vector<double> split_by_spread(double global_threshold,
                                     std::span<const TimeSeries> series,
                                     double lo_percentile,

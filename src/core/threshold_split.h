@@ -1,23 +1,18 @@
-// Local-threshold decomposition strategies (paper Section II-A: choose
-// T_1..T_n with sum T_i = T so that "as long as v_i < T_i, no violation is
-// possible" — monitors then communicate only on local violations).
+// Local-threshold decomposition (paper Section II-A: choose T_1..T_n with
+// sum T_i = T so that "as long as v_i < T_i, no violation is possible" —
+// monitors then communicate only on local violations).
 //
 // How T is split determines how often local violations (and the global
-// polls they trigger) happen. Three strategies, from naive to robust:
+// polls they trigger) happen. The even split (`split_threshold`,
+// core/task.h) is fine for homogeneous monitors; a high-volume monitor
+// under a Zipf workload violates constantly. `split_by_spread` splits in
+// proportion to a robust scale estimate (inter-percentile spread, default
+// p90-p10, immune to rare anomaly ticks): every monitor gets the same
+// margin in its own sigma units, which minimizes the worst per-monitor
+// violation rate for roughly Gaussian noise.
 //
-//  * split_even            — T/n each. Fine for homogeneous monitors; a
-//    high-volume monitor under a Zipf workload will violate constantly.
-//  * split_by_tail         — proportional to each monitor's own high
-//    percentile. Follows each stream's alert scale, but anomaly-dominated
-//    tails can starve quiet monitors.
-//  * split_by_spread       — proportional to a robust scale estimate
-//    (inter-percentile spread, default p90-p10, immune to rare anomaly
-//    ticks): every monitor gets the same margin in its own sigma units,
-//    which minimizes the worst per-monitor violation rate for roughly
-//    Gaussian noise.
-//
-// All strategies return thresholds that sum to T exactly (up to floating
-// error) and are validated by tests/test_threshold_split.cpp.
+// The thresholds sum to T exactly (up to floating error); the
+// ThresholdSplit tests in tests/test_faults.cpp check it.
 #pragma once
 
 #include <span>
@@ -27,15 +22,6 @@
 #include "trace/trace.h"
 
 namespace volley {
-
-/// T/n for every monitor.
-std::vector<double> split_even(double global_threshold, std::size_t monitors);
-
-/// Proportional to each series' (100-k)-th percentile (clamped to a small
-/// positive floor so degenerate series still receive a share).
-std::vector<double> split_by_tail(double global_threshold,
-                                  std::span<const TimeSeries> series,
-                                  double k_percent);
 
 /// Proportional to each series' inter-percentile spread.
 std::vector<double> split_by_spread(double global_threshold,

@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/json.h"
 
 namespace volley::obs {
 
@@ -26,18 +29,14 @@ void validate_name(const std::string& name) {
   }
 }
 
-/// %.17g prints doubles round-trip exactly and without locale surprises.
-std::string fmt_double(double v) {
+/// A Prometheus text-format value: %.17g prints doubles round-trip exactly
+/// and without locale surprises, and infinities take the format's own
+/// +Inf/-Inf spelling (the JSON snapshot writes them as null instead).
+std::string prom_double(double v) {
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-/// JSON has no Inf/NaN; emit null for them (never expected in practice).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt_double(v);
 }
 
 /// uid 0 is reserved as scoped_handles' "no registry seen yet" sentinel.
@@ -169,7 +168,7 @@ std::string MetricsRegistry::to_prometheus() const {
     if (e.counter) {
       out << name << ' ' << e.counter->value() << '\n';
     } else if (e.gauge) {
-      out << name << ' ' << fmt_double(e.gauge->value()) << '\n';
+      out << name << ' ' << prom_double(e.gauge->value()) << '\n';
     } else {
       const Histogram h = e.histogram->snapshot();
       // Prometheus buckets are cumulative. stats::Histogram clamps
@@ -181,12 +180,12 @@ std::string MetricsRegistry::to_prometheus() const {
         cumulative += h.bin_count(b);
         const std::int64_t le_count =
             (b + 1 == h.bins()) ? cumulative - h.overflow() : cumulative;
-        out << name << "_bucket{le=\"" << fmt_double(h.bin_hi(b)) << "\"} "
+        out << name << "_bucket{le=\"" << prom_double(h.bin_hi(b)) << "\"} "
             << le_count << '\n';
       }
       out << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n';
       out << name << "_sum "
-          << fmt_double(h.count() > 0 ? h.mean() * static_cast<double>(
+          << prom_double(h.count() > 0 ? h.mean() * static_cast<double>(
                                                        h.count())
                                       : 0.0)
           << '\n';
@@ -213,7 +212,7 @@ std::string MetricsRegistry::to_json() const {
     if (!e.gauge) continue;
     if (!first) out << ',';
     first = false;
-    out << '"' << name << "\":" << json_double(e.gauge->value());
+    out << '"' << name << "\":" << json_number(e.gauge->value());
   }
   out << "},\"histograms\":{";
   first = true;
@@ -222,8 +221,8 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out << ',';
     first = false;
     const Histogram h = e.histogram->snapshot();
-    out << '"' << name << "\":{\"lo\":" << json_double(h.bin_lo(0))
-        << ",\"hi\":" << json_double(h.bin_hi(h.bins() - 1))
+    out << '"' << name << "\":{\"lo\":" << json_number(h.bin_lo(0))
+        << ",\"hi\":" << json_number(h.bin_hi(h.bins() - 1))
         << ",\"buckets\":[";
     for (std::size_t b = 0; b < h.bins(); ++b) {
       if (b) out << ',';
@@ -231,7 +230,7 @@ std::string MetricsRegistry::to_json() const {
     }
     out << "],\"underflow\":" << h.underflow()
         << ",\"overflow\":" << h.overflow() << ",\"count\":" << h.count()
-        << ",\"mean\":" << json_double(h.count() > 0 ? h.mean() : 0.0) << '}';
+        << ",\"mean\":" << json_number(h.count() > 0 ? h.mean() : 0.0) << '}';
   }
   out << "}}";
   return out.str();

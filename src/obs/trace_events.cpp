@@ -1,11 +1,9 @@
 #include "obs/trace_events.h"
 
 #include <array>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace volley::obs {
 
@@ -17,85 +15,6 @@ constexpr std::array<const char*, 9> kKindNames = {
     "liveness_transition", "reconnect_attempt",  "task_registry_change",
 };
 
-std::string fmt_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Minimal scanner for the fixed shape `to_json` emits. Tolerates
-/// whitespace between tokens; rejects anything else.
-class JsonScanner {
- public:
-  explicit JsonScanner(std::string_view s) : s_(s) {}
-
-  bool literal(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool key(std::string_view name) {
-    skip_ws();
-    if (!literal('"')) return false;
-    if (s_.substr(pos_, name.size()) != name) return false;
-    pos_ += name.size();
-    return literal('"') && literal(':');
-  }
-
-  bool string_value(std::string& out) {
-    skip_ws();
-    if (!literal('"')) return false;
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') ++pos_;
-    if (pos_ >= s_.size()) return false;
-    out.assign(s_.substr(start, pos_ - start));
-    ++pos_;
-    return true;
-  }
-
-  bool number(double& out) {
-    skip_ws();
-    const char* begin = s_.data() + pos_;
-    char* end = nullptr;
-    out = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\r' ||
-            s_[pos_] == '\n')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_{0};
-};
-
-/// `x` as a T when it is a finite integer within T's range, else nullopt.
-/// T's max() + 1 is a power of two, so the exclusive upper bound is exact.
-template <typename T>
-std::optional<T> integral_field(double x) {
-  if (!std::isfinite(x) || x != std::trunc(x)) return std::nullopt;
-  if (x < static_cast<double>(std::numeric_limits<T>::min()) ||
-      x >= static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
-    return std::nullopt;
-  }
-  return static_cast<T>(x);
-}
-
 }  // namespace
 
 const char* trace_kind_name(TraceKind kind) {
@@ -103,49 +22,14 @@ const char* trace_kind_name(TraceKind kind) {
   return i < kKindNames.size() ? kKindNames[i] : "unknown";
 }
 
-std::optional<TraceKind> trace_kind_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kKindNames.size(); ++i) {
-    if (name == kKindNames[i]) return static_cast<TraceKind>(i);
-  }
-  return std::nullopt;
-}
-
 std::string to_json(const TraceEvent& event) {
   std::ostringstream out;
   out << "{\"seq\":" << event.seq << ",\"kind\":\""
       << trace_kind_name(event.kind) << "\",\"tick\":" << event.tick
       << ",\"monitor\":" << event.monitor
-      << ",\"value\":" << fmt_double(event.value)
-      << ",\"detail\":" << fmt_double(event.detail) << "}";
+      << ",\"value\":" << json_number(event.value)
+      << ",\"detail\":" << json_number(event.detail) << "}";
   return out.str();
-}
-
-std::optional<TraceEvent> trace_event_from_json(std::string_view line) {
-  JsonScanner scan(line);
-  TraceEvent event;
-  double seq = 0.0, tick = 0.0, monitor = 0.0;
-  std::string kind;
-  if (!scan.literal('{') || !scan.key("seq") || !scan.number(seq) ||
-      !scan.literal(',') || !scan.key("kind") || !scan.string_value(kind) ||
-      !scan.literal(',') || !scan.key("tick") || !scan.number(tick) ||
-      !scan.literal(',') || !scan.key("monitor") || !scan.number(monitor) ||
-      !scan.literal(',') || !scan.key("value") || !scan.number(event.value) ||
-      !scan.literal(',') || !scan.key("detail") ||
-      !scan.number(event.detail) || !scan.literal('}') || !scan.at_end()) {
-    return std::nullopt;
-  }
-  const auto parsed_kind = trace_kind_from_name(kind);
-  const auto parsed_seq = integral_field<std::int64_t>(seq);
-  const auto parsed_tick = integral_field<Tick>(tick);
-  const auto parsed_monitor = integral_field<std::uint32_t>(monitor);
-  if (!parsed_kind || !parsed_seq || !parsed_tick || !parsed_monitor) {
-    return std::nullopt;
-  }
-  event.kind = *parsed_kind;
-  event.seq = *parsed_seq;
-  event.tick = *parsed_tick;
-  event.monitor = *parsed_monitor;
-  return event;
 }
 
 TraceSink::TraceSink(std::size_t capacity)

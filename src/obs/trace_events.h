@@ -42,15 +42,13 @@
 // per-sample events out of the global ring is what lets it hold alerts:
 // one 2048-monitor poll would otherwise overwrite all 4096 slots. `seq` is a
 // monotone per-sink sequence number, so an exporter can detect overwritten
-// gaps. Export is JSONL (one JSON object per line); `trace_event_from_json`
-// round-trips the format for offline tooling and tests.
+// gaps. Export is JSONL (one JSON object per line); offline tooling reads
+// it back through the one JSON reader, common/json.h.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -72,7 +70,6 @@ enum class TraceKind : std::uint8_t {
 
 /// Stable snake_case name ("sample_taken", ...) used in the JSONL export.
 const char* trace_kind_name(TraceKind kind);
-std::optional<TraceKind> trace_kind_from_name(std::string_view name);
 
 struct TraceEvent {
   TraceKind kind{TraceKind::kSampleTaken};
@@ -86,11 +83,6 @@ struct TraceEvent {
 /// One-line JSON object:
 /// {"seq":3,"kind":"sample_taken","tick":17,"monitor":2,"value":1.5,"detail":0}
 std::string to_json(const TraceEvent& event);
-
-/// Parses one `to_json` line (whitespace-tolerant, key order fixed as
-/// emitted). nullopt on malformed input, an unknown kind, or a seq, tick
-/// or monitor that is not an integer within its field's range.
-std::optional<TraceEvent> trace_event_from_json(std::string_view line);
 
 /// Bounded, thread-safe trace sink. Recording takes one uncontended mutex
 /// (one for both events of a `record_pair`); when the ring is full the

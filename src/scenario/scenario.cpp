@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
-#include "scenario/json.h"
+#include "common/json.h"
 
 namespace volley::scenario {
 

@@ -1,9 +1,7 @@
 #include "scenario/soak.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -13,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/json.h"
 #include "net/chaos_proxy.h"
 #include "net/coordinator_node.h"
 #include "net/messages.h"
@@ -27,26 +26,8 @@ namespace {
 
 // --- deterministic JSON rendering ------------------------------------------
 
-std::string fmt_double(double v) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.9g", v);
-  return buf.data();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
+/// Report numbers carry 9 significant digits.
+std::string fmt_double(double v) { return json_number(v, 9); }
 
 void append_check(std::string& out, const InvariantCheck& check) {
   out += "{\"name\":\"" + json_escape(check.name) + "\",\"pass\":";
@@ -105,7 +86,9 @@ class ArtifactWriter {
 
   void snapshot(const std::string& line) {
     if (!enabled()) return;
-    snapshots_ << line << '\n';
+    // Flushed before the check: a buffered write fails only when its bytes
+    // leave the buffer.
+    snapshots_ << line << '\n' << std::flush;
     if (!snapshots_)
       throw std::runtime_error("soak: snapshot write failed (" + base_ + ")");
   }
@@ -114,7 +97,7 @@ class ArtifactWriter {
     if (!enabled()) return;
     std::ofstream out(base_ + "-report.json",
                       std::ios::binary | std::ios::trunc);
-    out << json << '\n';
+    out << json << '\n' << std::flush;
     if (!out)
       throw std::runtime_error("soak: cannot write " + base_ +
                                "-report.json");

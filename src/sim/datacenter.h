@@ -7,10 +7,8 @@
 // aggregation) and the socket runtime's address assignment.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
+#include <cstddef>
 #include <stdexcept>
-#include <vector>
 
 namespace volley {
 
@@ -49,34 +47,6 @@ class Datacenter {
   std::size_t coordinator_of_host(std::size_t host) const {
     check_host(host);
     return host / options_.hosts_per_coordinator;
-  }
-  std::size_t coordinator_of_vm(std::size_t vm) const {
-    return coordinator_of_host(host_of_vm(vm));
-  }
-
-  /// VM ids hosted on a physical server.
-  std::vector<std::size_t> vms_on_host(std::size_t host) const {
-    check_host(host);
-    std::vector<std::size_t> out;
-    out.reserve(options_.vms_per_host);
-    const std::size_t base = host * options_.vms_per_host;
-    for (std::size_t i = 0; i < options_.vms_per_host; ++i)
-      out.push_back(base + i);
-    return out;
-  }
-
-  /// Hosts served by a coordinator.
-  std::vector<std::size_t> hosts_of_coordinator(std::size_t coord) const {
-    if (coord >= coordinator_count())
-      throw std::out_of_range("Datacenter: coordinator out of range");
-    std::vector<std::size_t> out;
-    for (std::size_t h = coord * options_.hosts_per_coordinator;
-         h < std::min((coord + 1) * options_.hosts_per_coordinator,
-                      options_.hosts);
-         ++h) {
-      out.push_back(h);
-    }
-    return out;
   }
 
   const DatacenterOptions& options() const { return options_; }

@@ -64,25 +64,4 @@ std::optional<LagCorrelation> best_lag_correlation(
   return best;
 }
 
-RollingCorrelation::RollingCorrelation(std::size_t window)
-    : xs_(window), ys_(window) {}
-
-void RollingCorrelation::add(double x, double y) {
-  xs_.push(x);
-  ys_.push(y);
-}
-
-std::optional<double> RollingCorrelation::current() const {
-  const auto x = xs_.to_vector();
-  const auto y = ys_.to_vector();
-  return pearson(x, y);
-}
-
-std::optional<LagCorrelation> RollingCorrelation::current_best_lag(
-    int max_lag) const {
-  const auto x = xs_.to_vector();
-  const auto y = ys_.to_vector();
-  return best_lag_correlation(x, y, max_lag);
-}
-
 }  // namespace volley

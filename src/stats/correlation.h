@@ -12,8 +12,6 @@
 #include <optional>
 #include <span>
 
-#include "common/ring_buffer.h"
-
 namespace volley {
 
 /// Pearson correlation coefficient of two equal-length series.
@@ -39,23 +37,5 @@ struct LagCorrelation {
 std::optional<LagCorrelation> best_lag_correlation(
     std::span<const double> x, std::span<const double> y, int max_lag,
     std::size_t min_overlap = 8);
-
-/// Streaming pairwise correlation tracker over a bounded recent window.
-/// Tasks push aligned state values each tick; `current()` reports the
-/// correlation over the retained window.
-class RollingCorrelation {
- public:
-  explicit RollingCorrelation(std::size_t window);
-
-  void add(double x, double y);
-  std::size_t size() const { return xs_.size(); }
-
-  std::optional<double> current() const;
-  std::optional<LagCorrelation> current_best_lag(int max_lag) const;
-
- private:
-  RingBuffer<double> xs_;
-  RingBuffer<double> ys_;
-};
 
 }  // namespace volley

@@ -42,81 +42,4 @@ BoxStats box_stats(std::span<const double> values) {
   return BoxStats{v[0], v[1], v[2], v[3], v[4]};
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (q <= 0.0 || q >= 1.0)
-    throw std::invalid_argument("P2Quantile: q must be in (0,1)");
-  desired_ = {1, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5};
-  increments_ = {0, q / 2, q, (1 + q) / 2, 1};
-  warmup_.reserve(5);
-}
-
-void P2Quantile::add(double x) {
-  ++count_;
-  if (count_ <= 5) {
-    warmup_.push_back(x);
-    std::sort(warmup_.begin(), warmup_.end());
-    if (count_ == 5) {
-      for (int i = 0; i < 5; ++i) {
-        heights_[i] = warmup_[static_cast<std::size_t>(i)];
-        positions_[i] = i + 1;
-      }
-    }
-    return;
-  }
-
-  // Find the cell k such that heights_[k] <= x < heights_[k+1].
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[static_cast<std::size_t>(k) + 1]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[static_cast<std::size_t>(i)] += 1;
-  for (int i = 0; i < 5; ++i) {
-    desired_[static_cast<std::size_t>(i)] +=
-        increments_[static_cast<std::size_t>(i)];
-  }
-
-  // Adjust interior markers with parabolic (fallback linear) interpolation.
-  for (int i = 1; i <= 3; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const double d = desired_[ui] - positions_[ui];
-    const double np = positions_[ui + 1] - positions_[ui];
-    const double nm = positions_[ui - 1] - positions_[ui];
-    if ((d >= 1.0 && np > 1.0) || (d <= -1.0 && nm < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      const double hp = heights_[ui + 1] - heights_[ui];
-      const double hm = heights_[ui - 1] - heights_[ui];
-      // Parabolic prediction.
-      double candidate =
-          heights_[ui] + sign / (np - nm) *
-                             ((sign - nm) * hp / np + (np - sign) * hm / nm);
-      if (heights_[ui - 1] < candidate && candidate < heights_[ui + 1]) {
-        heights_[ui] = candidate;
-      } else {
-        // Linear fallback toward the neighbour in the movement direction.
-        const auto nbr = static_cast<std::size_t>(i + (sign > 0 ? 1 : -1));
-        heights_[ui] += sign * (heights_[nbr] - heights_[ui]) /
-                        (positions_[nbr] - positions_[ui]);
-      }
-      positions_[ui] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) throw std::logic_error("P2Quantile: no samples");
-  if (count_ < 5) {
-    // Exact quantile over the warm-up buffer.
-    return quantile_of_sorted(warmup_, q_);
-  }
-  return heights_[2];
-}
-
 }  // namespace volley

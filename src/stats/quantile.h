@@ -1,16 +1,8 @@
-// Quantile estimation.
-//
-// Two flavours:
-//  * `exact_quantile` — sorts a snapshot; used to set task thresholds at the
-//    (100-k)-th percentile of a metric's values (Section V-A "Thresholds"),
-//    and by the Figure 6 box-plot statistics.
-//  * `P2Quantile` — the Jain/Chlamtac P-squared streaming estimator; used
-//    where traces are too long to buffer (online threshold tracking in the
-//    socket runtime).
+// Exact quantiles of a sample. `exact_quantile` sorts a snapshot; it sets
+// task thresholds at the (100-k)-th percentile of a metric's values
+// (Section V-A "Thresholds") and feeds the Figure 6 box-plot statistics.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -29,29 +21,5 @@ struct BoxStats {
   double min{0}, q1{0}, median{0}, q3{0}, max{0};
 };
 BoxStats box_stats(std::span<const double> values);
-
-/// Streaming quantile estimation with O(1) memory (P² algorithm,
-/// Jain & Chlamtac, CACM 1985).
-class P2Quantile {
- public:
-  /// q in (0, 1).
-  explicit P2Quantile(double q);
-
-  void add(double x);
-
-  /// Current estimate. Exact while fewer than 5 samples were seen.
-  double value() const;
-
-  std::size_t count() const { return count_; }
-
- private:
-  double q_;
-  std::size_t count_{0};
-  std::array<double, 5> heights_{};    // marker heights
-  std::array<double, 5> positions_{};  // actual marker positions
-  std::array<double, 5> desired_{};    // desired marker positions
-  std::array<double, 5> increments_{};
-  std::vector<double> warmup_;         // first five samples
-};
 
 }  // namespace volley

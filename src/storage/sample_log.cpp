@@ -24,7 +24,6 @@ void SampleLogWriter::append(const SampleRecord& record) {
   append_record(buffer_, record);
   write_out(out_, buffer_);
   if (!out_) throw std::runtime_error("SampleLogWriter: append failed");
-  ++records_;
 }
 
 void SampleLogWriter::flush() { out_.flush(); }

@@ -54,12 +54,9 @@ class SampleLogWriter {
   void append(const SampleRecord& record);
   void flush();
 
-  std::int64_t records_written() const { return records_; }
-
  private:
   std::ofstream out_;
   std::vector<std::byte> buffer_;
-  std::int64_t records_{0};
 };
 
 struct SampleLogReadResult {

@@ -38,10 +38,6 @@ double OuProcess::next(Rng& rng) {
   return x_;
 }
 
-void OuProcess::jump_to(double x) {
-  x_ = std::clamp(x, options_.lo, options_.hi);
-}
-
 BurstProcess::BurstProcess(const Options& options, Rng& rng)
     : options_(options) {
   if (options.mean_gap <= 0.0)

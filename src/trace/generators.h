@@ -53,7 +53,6 @@ class OuProcess {
 
   double next(Rng& rng);
   double current() const { return x_; }
-  void jump_to(double x);
 
  private:
   Options options_;
@@ -91,14 +90,5 @@ class BurstProcess {
   Tick episode_len_{0};
   double peak_{0.0};
 };
-
-/// Convenience: render a full series of a callable generator.
-template <typename Fn>
-std::vector<double> render_series(Tick ticks, Fn&& fn) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(ticks));
-  for (Tick t = 0; t < ticks; ++t) out.push_back(fn(t));
-  return out;
-}
 
 }  // namespace volley

@@ -33,7 +33,6 @@ class TimeSeries {
   Tick ticks() const { return static_cast<Tick>(values_.size()); }
 
   std::span<const double> values() const { return values_; }
-  std::vector<double>& mutable_values() { return values_; }
 
   void push_back(double v) { values_.push_back(v); }
 

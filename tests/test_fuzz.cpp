@@ -384,18 +384,58 @@ TEST(FuzzFraming, GarbageStreamEitherYieldsFramesOrThrowsOnce) {
   EXPECT_GT(corrupted, 0);
 }
 
+TEST(FuzzFraming, FieldSplicedAcrossFramesDecodesCanonicallyOrFails) {
+  // Every golden message cut at every byte into two frames: the first
+  // frame's length prefix ends inside a field (each byte of every
+  // multi-byte field included), so the field's tail opens the next frame.
+  // Each payload the reader yields must fail to decode or re-encode to
+  // exactly itself, and the well-formed frame after the splice must still
+  // decode: the framing stays in step.
+  const auto after = net::encode(net::Message{net::Heartbeat{6, 123456789}});
+  for (const auto& frame : canonical_frames()) {
+    const auto bytes = net::encode(frame);
+    const std::span<const std::byte> message(bytes);
+    for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+      std::vector<std::byte> stream;
+      for (const auto& part : {frame_payload(message.first(cut)),
+                               frame_payload(message.subspan(cut)),
+                               frame_payload(after)}) {
+        stream.insert(stream.end(), part.begin(), part.end());
+      }
+      FrameReader reader;
+      reader.feed(stream);
+      const std::string what = std::string(kFrameNames[frame.index()]) +
+                               " cut at " + std::to_string(cut);
+      for (int part = 0; part < 2; ++part) {
+        const auto payload = reader.next();
+        ASSERT_TRUE(payload.has_value()) << what;
+        expect_canonical_or_rejected(*payload, what);
+      }
+      const auto last = reader.next();
+      ASSERT_TRUE(last.has_value()) << what;
+      const auto decoded = net::decode(*last);
+      ASSERT_TRUE(decoded.has_value()) << what;
+      EXPECT_EQ(net::encode(*decoded), after) << what;
+      EXPECT_EQ(reader.buffered_bytes(), 0u) << what;
+    }
+  }
+}
+
 TEST(FuzzConfig, ParserIsTotalOverPrintableGarbage) {
   Rng rng(7005);
   const char charset[] = "abc=123 #\n\r\t.-_";
   for (int trial = 0; trial < 2000; ++trial) {
-    std::string text;
-    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 64));
-    for (std::size_t i = 0; i < len; ++i) {
-      text += charset[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(sizeof(charset) - 2)))];
+    std::vector<std::string> tokens(
+        static_cast<std::size_t>(rng.uniform_int(0, 4)));
+    for (auto& token : tokens) {
+      const auto len = static_cast<std::size_t>(rng.uniform_int(0, 16));
+      for (std::size_t i = 0; i < len; ++i) {
+        token += charset[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(sizeof(charset) - 2)))];
+      }
     }
     try {
-      const auto cfg = Config::from_text(text);
+      const auto cfg = Config::from_args(tokens);
       (void)cfg;
     } catch (const std::invalid_argument&) {
       // tokens without '=' are rejected loudly — that is the contract

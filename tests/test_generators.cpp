@@ -95,13 +95,6 @@ TEST(OuProcess, Validation) {
   EXPECT_THROW(OuProcess{o}, std::invalid_argument);
 }
 
-TEST(OuProcess, JumpToClamps) {
-  OuProcess::Options o;
-  OuProcess p(o);
-  p.jump_to(100.0);
-  EXPECT_DOUBLE_EQ(p.current(), o.hi);
-}
-
 TEST(BurstProcess, ZeroOutsideEpisodes) {
   BurstProcess::Options o;
   o.mean_gap = 1e9;  // effectively never
@@ -240,12 +233,6 @@ TEST(SeriesSource, CostLengthMismatchThrows) {
   EXPECT_THROW(SeriesSource(TimeSeries(std::vector<double>{1, 2}),
                             TimeSeries(std::vector<double>{1})),
                std::invalid_argument);
-}
-
-TEST(RenderSeries, EvaluatesCallablePerTick) {
-  const auto v = render_series(5, [](Tick t) { return static_cast<double>(t * t); });
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v[4], 16.0);
 }
 
 }  // namespace

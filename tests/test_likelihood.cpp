@@ -155,7 +155,6 @@ TEST(Estimator, FarFromThresholdMeansLowLikelihood) {
     est.observe(v, 1);
   }
   EXPECT_LT(est.beta_bound(1000.0, 4), 0.01);
-  EXPECT_LT(est.violation_likelihood(1000.0, 1), 0.01);
 }
 
 TEST(Estimator, NearThresholdMeansHighLikelihood) {
@@ -198,7 +197,6 @@ TEST(Estimator, RejectsBadArguments) {
   ViolationLikelihoodEstimator est;
   EXPECT_THROW(est.observe(1.0, 0), std::invalid_argument);
   EXPECT_THROW(est.beta_bound(1.0, 0), std::invalid_argument);
-  EXPECT_THROW(est.violation_likelihood(1.0, 0), std::invalid_argument);
   ViolationLikelihoodEstimator::Options bad;
   bad.min_observations = 0;
   EXPECT_THROW(ViolationLikelihoodEstimator{bad}, std::invalid_argument);

@@ -1,5 +1,5 @@
 // Identity tests for the β̄ likelihood kernel (DESIGN.md §11): every fast
-// path — zero-β̄ certificate, incremental prefix memo, blocked/SIMD loop —
+// path — zero-β̄ certificate, incremental prefix memo, plain scalar loop —
 // must return the double that the baseline
 // `beta_bound_with(..., chebyshev_step_bound)` loop returns, compared
 // *bitwise*, across a property sweep that covers σ = 0, k ≤ 0, cold

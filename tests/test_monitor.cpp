@@ -132,14 +132,6 @@ TEST(Monitor, TotalCostAccumulatesSourceCosts) {
   EXPECT_DOUBLE_EQ(monitor.total_cost(), 4.0);
 }
 
-TEST(Monitor, SetLocalThresholdTakesEffect) {
-  CallableSource source([](Tick) { return 5.0; }, 1000);
-  Monitor monitor(0, source, fast_growth(), 10.0);
-  EXPECT_FALSE(monitor.step(0).local_violation);
-  monitor.set_local_threshold(4.0);
-  EXPECT_TRUE(monitor.force_sample(1).local_violation);
-}
-
 TEST(Monitor, AllowanceUpdatePropagatesToSampler) {
   CallableSource source([](Tick) { return 0.0; }, 1000);
   Monitor monitor(0, source, fast_growth(), 10.0);

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
@@ -249,14 +250,49 @@ TEST(Metrics, GlobalRegistryIsASingleton) {
 // ---------------------------------------------------------------------------
 // TraceSink
 
-TEST(Trace, KindNamesRoundTrip) {
-  for (int k = 0; k <= 8; ++k) {
-    const auto kind = static_cast<TraceKind>(k);
-    const auto parsed = trace_kind_from_name(trace_kind_name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
+constexpr int kTraceKinds = 9;
+
+/// Reads one exported trace line back through the JSON reader. Throws
+/// std::invalid_argument on malformed JSON, a missing or mistyped field,
+/// an unknown kind, or a seq, tick or monitor outside its field's range.
+TraceEvent read_trace_line(const std::string& line) {
+  const JsonValue json = JsonValue::parse(line);
+  const auto field = [&](const std::string& key) -> const JsonValue& {
+    const JsonValue* v = json.find(key);
+    if (v == nullptr) throw std::invalid_argument("trace line: no " + key);
+    return *v;
+  };
+  TraceEvent event;
+  event.seq = field("seq").as_int("seq");
+  event.tick = field("tick").as_int("tick");
+  const std::int64_t monitor = field("monitor").as_int("monitor");
+  if (monitor < 0 || monitor > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("trace line: monitor out of range");
+  event.monitor = static_cast<std::uint32_t>(monitor);
+  event.value = field("value").as_number("value");
+  event.detail = field("detail").as_number("detail");
+  const std::string& kind = field("kind").as_string("kind");
+  for (int k = 0; k < kTraceKinds; ++k) {
+    if (kind == trace_kind_name(static_cast<TraceKind>(k))) {
+      event.kind = static_cast<TraceKind>(k);
+      return event;
+    }
   }
-  EXPECT_FALSE(trace_kind_from_name("nonsense").has_value());
+  throw std::invalid_argument("trace line: unknown kind " + kind);
+}
+
+TEST(Trace, KindNamesRoundTrip) {
+  for (int k = 0; k < kTraceKinds; ++k) {
+    TraceEvent e;
+    e.kind = static_cast<TraceKind>(k);
+    EXPECT_EQ(read_trace_line(to_json(e)).kind, e.kind);
+  }
+  EXPECT_STREQ(trace_kind_name(static_cast<TraceKind>(kTraceKinds)),
+               "unknown");
+  EXPECT_THROW(read_trace_line(
+                   R"({"seq":0,"kind":"nonsense","tick":0,"monitor":0,)"
+                   R"("value":0,"detail":0})"),
+               std::invalid_argument);
 }
 
 TEST(Trace, RecordsWithMonotoneSequence) {
@@ -296,24 +332,19 @@ TEST(Trace, JsonRoundTrip) {
   e.monitor = 3;
   e.value = 12.5;
   e.detail = 9.0;
-  const auto parsed = trace_event_from_json(to_json(e));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->kind, e.kind);
-  EXPECT_EQ(parsed->seq, e.seq);
-  EXPECT_EQ(parsed->tick, e.tick);
-  EXPECT_EQ(parsed->monitor, e.monitor);
-  EXPECT_DOUBLE_EQ(parsed->value, e.value);
-  EXPECT_DOUBLE_EQ(parsed->detail, e.detail);
+  const TraceEvent parsed = read_trace_line(to_json(e));
+  EXPECT_EQ(parsed.kind, e.kind);
+  EXPECT_EQ(parsed.seq, e.seq);
+  EXPECT_EQ(parsed.tick, e.tick);
+  EXPECT_EQ(parsed.monitor, e.monitor);
+  EXPECT_DOUBLE_EQ(parsed.value, e.value);
+  EXPECT_DOUBLE_EQ(parsed.detail, e.detail);
 }
 
 TEST(Trace, JsonRejectsMalformedLines) {
-  EXPECT_FALSE(trace_event_from_json("").has_value());
-  EXPECT_FALSE(trace_event_from_json("{}").has_value());
-  EXPECT_FALSE(trace_event_from_json("not json").has_value());
-  EXPECT_FALSE(trace_event_from_json(
-                   R"({"seq":0,"kind":"bogus_kind","tick":0,"monitor":0,)"
-                   R"("value":0,"detail":0})")
-                   .has_value());
+  EXPECT_THROW(read_trace_line(""), std::invalid_argument);
+  EXPECT_THROW(read_trace_line("{}"), std::invalid_argument);
+  EXPECT_THROW(read_trace_line("not json"), std::invalid_argument);
   // seq, tick and monitor must be finite integers within their field's
   // range: each of these once parsed to garbage through an undefined cast.
   for (const char* fields :
@@ -328,16 +359,15 @@ TEST(Trace, JsonRejectsMalformedLines) {
         R"("seq":0,"kind":"alert_raised","tick":0,"monitor":-1)"}) {
     const std::string line =
         std::string("{") + fields + R"(,"value":0,"detail":0})";
-    EXPECT_FALSE(trace_event_from_json(line).has_value()) << line;
+    EXPECT_THROW(read_trace_line(line), std::invalid_argument) << line;
   }
   // The edges of each range still parse.
-  const auto edge = trace_event_from_json(
+  const TraceEvent edge = read_trace_line(
       R"({"seq":-9223372036854775808,"kind":"alert_raised",)"
       R"("tick":9007199254740992,"monitor":4294967295,"value":0,"detail":0})");
-  ASSERT_TRUE(edge.has_value());
-  EXPECT_EQ(edge->seq, std::numeric_limits<std::int64_t>::min());
-  EXPECT_EQ(edge->tick, 9007199254740992);
-  EXPECT_EQ(edge->monitor, 4294967295u);
+  EXPECT_EQ(edge.seq, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(edge.tick, 9007199254740992);
+  EXPECT_EQ(edge.monitor, 4294967295u);
 }
 
 TEST(Trace, JsonlExportRoundTripsEveryLine) {
@@ -346,14 +376,18 @@ TEST(Trace, JsonlExportRoundTripsEveryLine) {
   sink.record(TraceKind::kAllowanceAdjusted, 5, 1, 0.02, 0.01);
   sink.record(TraceKind::kMisdetectWindow, 100, 0, 104.0, 4.0);
   const std::string jsonl = sink.to_jsonl();
+  const auto events = sink.snapshot();
   std::size_t lines = 0;
   std::size_t pos = 0;
   while (pos < jsonl.size()) {
     const std::size_t eol = jsonl.find('\n', pos);
     ASSERT_NE(eol, std::string::npos);  // every line newline-terminated
-    const auto parsed =
-        trace_event_from_json(jsonl.substr(pos, eol - pos));
-    ASSERT_TRUE(parsed.has_value()) << jsonl.substr(pos, eol - pos);
+    ASSERT_LT(lines, events.size());
+    const TraceEvent parsed = read_trace_line(jsonl.substr(pos, eol - pos));
+    EXPECT_EQ(parsed.seq, events[lines].seq);
+    EXPECT_EQ(parsed.kind, events[lines].kind);
+    EXPECT_EQ(parsed.tick, events[lines].tick);
+    EXPECT_EQ(parsed.value, events[lines].value);
     ++lines;
     pos = eol + 1;
   }
@@ -367,9 +401,7 @@ TEST(Trace, JsonlExportBoundsToNewestEvents) {
   }
   const std::string jsonl = sink.to_jsonl(2);
   const auto first_line = jsonl.substr(0, jsonl.find('\n'));
-  const auto parsed = trace_event_from_json(first_line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->tick, 8);  // newest 2, oldest first
+  EXPECT_EQ(read_trace_line(first_line).tick, 8);  // newest 2, oldest first
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
 }
 

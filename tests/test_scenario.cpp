@@ -1,14 +1,15 @@
-// Tests for the declarative scenario engine (scenario/json, scenario/scenario)
+// Tests for the declarative scenario engine (common/json, scenario/scenario)
 // and the soak runner (scenario/soak): strict JSON parsing, scenario
 // validation (unknown profiles, overlapping fault windows, phase tiling),
 // deterministic builders, byte-identical sim replay, invariant detection,
 // and a net-mode smoke run through the chaos proxy.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
-#include "scenario/json.h"
+#include "common/json.h"
 #include "scenario/scenario.h"
 #include "scenario/soak.h"
 
@@ -367,6 +368,26 @@ TEST(Soak, QuickModeScalesBeforeRunning) {
   EXPECT_EQ(report.ticks, 200);
   ASSERT_EQ(report.phases.size(), 1u);
   EXPECT_EQ(report.phases[0].end, 200);
+}
+
+TEST(Soak, ArtifactWriteFailuresThrow) {
+  // /dev/full accepts bytes into the stream's buffer and fails them only
+  // when they are flushed; the writer must still throw on either artifact.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "soak-artifacts-full";
+  for (const std::string artifact : {"report.json", "snapshots.jsonl"}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const Scenario s = small_scenario();
+    std::filesystem::create_symlink("/dev/full",
+                                    dir / (s.name + "-sim-" + artifact));
+    SoakOptions options;
+    options.artifact_dir = dir.string();
+    EXPECT_THROW(run_scenario_sim(s, options), std::runtime_error)
+        << artifact;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Soak, NetSmokeThroughChaosProxy) {

@@ -279,39 +279,6 @@ TEST(BoxStats, FiveNumberSummary) {
   EXPECT_DOUBLE_EQ(box.max, 101.0);
 }
 
-TEST(P2Quantile, RejectsBadQ) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(P2Quantile, ExactForFewSamples) {
-  P2Quantile q(0.5);
-  q.add(3.0);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
-}
-
-TEST(P2Quantile, ApproximatesUniformMedian) {
-  P2Quantile q(0.5);
-  Rng rng(31);
-  for (int i = 0; i < 100000; ++i) q.add(rng.uniform());
-  EXPECT_NEAR(q.value(), 0.5, 0.02);
-}
-
-TEST(P2Quantile, ApproximatesNormalTail) {
-  P2Quantile q(0.95);
-  Rng rng(37);
-  for (int i = 0; i < 200000; ++i) q.add(rng.normal(0.0, 1.0));
-  EXPECT_NEAR(q.value(), 1.6449, 0.08);
-}
-
-TEST(P2Quantile, ThrowsWithoutSamples) {
-  P2Quantile q(0.5);
-  EXPECT_THROW(q.value(), std::logic_error);
-}
-
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
@@ -422,15 +389,6 @@ TEST(LaggedPearson, RespectsMinOverlap) {
   const std::vector<double> x{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_FALSE(lagged_pearson(x, x, 7, 8).has_value());
   EXPECT_TRUE(lagged_pearson(x, x, 0, 8).has_value());
-}
-
-TEST(RollingCorrelation, TracksRecentWindowOnly) {
-  RollingCorrelation rc(50);
-  // First 50: anticorrelated. Then 50: correlated. Window must forget.
-  for (int i = 0; i < 50; ++i) rc.add(i, -i);
-  EXPECT_LT(*rc.current(), -0.99);
-  for (int i = 0; i < 50; ++i) rc.add(i, i);
-  EXPECT_GT(*rc.current(), 0.99);
 }
 
 }  // namespace

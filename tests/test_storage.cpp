@@ -62,7 +62,6 @@ TEST_F(SampleLogTest, RoundTripsRecords) {
       written.push_back(record);
     }
     writer.flush();
-    EXPECT_EQ(writer.records_written(), 500);
   }
   const auto result = read_sample_log(path_);
   EXPECT_TRUE(result.clean);
