@@ -15,7 +15,7 @@
 using namespace volley;
 
 int main() {
-  Datacenter datacenter;  // 20 hosts, 40 VMs each, 4 coordinators
+  Datacenter datacenter;  // 20 hosts, 40 VMs each
   const Tick ticks = 2880;  // half a day at 15 s
 
   NetworkWorkloadOptions options;

@@ -133,7 +133,7 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
     // retried next tick.
     std::size_t kept = 0;
     for (const MonitorId id : due_scratch_) {
-      if (faults_->down(id, t)) {
+      if (faults_->down(monitors_[id]->id(), t)) {
         due_index_insert(id, t + 1);
       } else {
         due_scratch_[kept++] = id;
@@ -153,25 +153,10 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
   for (const MonitorId id : due_scratch_) sampled(id, monitors_[id]->step(t));
 
   if (reports > 0) {
-    // Global poll: collect the value of every monitor at this tick. The
-    // monitors that just sampled serve their datum from cache; the rest
-    // pay one forced sampling operation each. Under faults a down monitor
-    // or a lost response contributes the monitor's last known value.
     result.global_poll = true;
     ++global_polls_;
     CoordinatorMetrics::get().polls->inc();
-    double sum = 0.0;
-    bool stale = false;
-    for (MonitorId i = 0; i < monitors_.size(); ++i) {
-      Monitor& m = *monitors_[i];
-      if (faults_ && (faults_->down(i, t) || faults_->lose_response(t))) {
-        stale = true;
-        sum += m.last_value();
-        continue;
-      }
-      sum += m.force_sample(t).sample.value;
-    }
-    if (stale) faults_->count_stale_poll();
+    const double sum = force_poll(t);
     result.global_value = sum;
     result.global_violation = sum > spec_.global_threshold;
     if (result.global_violation) {
@@ -180,9 +165,6 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
       obs::trace().record(obs::TraceKind::kAlertRaised, t, 0, sum,
                           spec_.global_threshold);
     }
-    // The poll rescheduled every monitor that wasn't already sampled at t,
-    // invalidating their ring entries wholesale; re-derive the index.
-    rebuild_due_index();
   }
 
   maybe_reallocate(t);
@@ -190,10 +172,23 @@ Coordinator::TickResult Coordinator::run_tick(Tick t) {
 }
 
 double Coordinator::force_poll(Tick t) {
+  // Collect the value of every monitor at t. The monitors that just
+  // sampled serve their datum from cache; the rest pay one forced sampling
+  // operation each. Under faults a down monitor or a lost response
+  // contributes the monitor's last known value.
   double sum = 0.0;
-  for (auto& m : monitors_) sum += m->force_sample(t).sample.value;
-  // Every monitor that wasn't already sampled at t rescheduled; the ring's
-  // entries are stale wholesale (same invariant as the in-tick poll).
+  bool stale = false;
+  for (auto& m : monitors_) {
+    if (faults_ && (faults_->down(m->id(), t) || faults_->lose_response(t))) {
+      stale = true;
+      sum += m->last_value();
+      continue;
+    }
+    sum += m->force_sample(t).sample.value;
+  }
+  if (stale) faults_->count_stale_poll();
+  // The poll rescheduled every monitor that wasn't already sampled at t,
+  // invalidating their ring entries wholesale; re-derive the index.
   rebuild_due_index();
   return sum;
 }

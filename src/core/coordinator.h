@@ -48,7 +48,9 @@ class Coordinator {
   /// never reallocates (fixed even split). `faults`, when set, must outlive
   /// the coordinator: run_tick then drops reports and poll responses and
   /// skips down monitors under its semantics (fault_model.h); null is the
-  /// reliable protocol. The first reallocation happens at
+  /// reliable protocol. The model is keyed by each monitor's own id(), so
+  /// a coordinator over a subset of a task's monitors (one shard) sees the
+  /// faults of exactly those monitors. The first reallocation happens at
   /// `start + updating_period`.
   Coordinator(const TaskSpec& spec,
               std::vector<std::unique_ptr<Monitor>> monitors,
@@ -79,11 +81,14 @@ class Coordinator {
   // count of 1 must stay byte-identical to the flat tick loop, so all
   // shard-tier accounting lives with the caller.
 
-  /// Root-tier escalation: force-samples every monitor at tick t and
-  /// returns the aggregate. Unlike the poll inside run_tick this does not
-  /// count a global poll, raise alerts, or touch metrics — the caller owns
-  /// that accounting. Forced samples reschedule monitors wholesale, so the
-  /// due index is rebuilt.
+  /// The global poll's value collection: force-samples every monitor at
+  /// tick t and returns the aggregate, under the fault model's semantics
+  /// when one is set (a down monitor or a lost response contributes its
+  /// last known value, and a poll with any such value counts once as
+  /// stale). run_tick's poll and the root tier's escalation both call it;
+  /// it counts no global poll, raises no alert and touches no metric — the
+  /// caller owns that accounting. Forced samples reschedule monitors
+  /// wholesale, so the due index is rebuilt.
   double force_poll(Tick t);
 
   /// Replaces the task-level error budget err (the root tier pushes a new

@@ -17,10 +17,18 @@
 //
 // Loss rates are windowed: each LossWindow applies over [start, end) and
 // overlapping windows compose as independent drops. A constant rate is one
-// window over the whole run (sim/faults.h FaultPlan::model). Every draw
-// comes from the model's own Rng stream, consumed in the order the
-// coordinators ask: ascending monitor id within a task, tasks in the order
-// their ticks run — so a run is a pure function of its inputs and seed.
+// window over the whole run (sim/faults.h FaultPlan::model). Monitors are
+// named by their task-wide (global) id, whichever shard polls them.
+//
+// Every draw comes from the model's own Rng stream, consumed in the order
+// the coordinators ask, so a run is a pure function of its inputs and
+// seed. Tasks run in the order their ticks run. Within one task's tick a
+// coordinator draws report losses as its due monitors sample, then, if it
+// polls, response losses in ascending monitor id. A two-tier task
+// (shard/sharded_coordinator.h, S > 1) runs that shard by shard in
+// ascending shard id, then the root's forced polls of the shards that did
+// not poll, in shard order; the shard → root escalation is in-process and
+// takes no draws. At S = 1 this is the flat coordinator's order.
 #pragma once
 
 #include <cstdint>

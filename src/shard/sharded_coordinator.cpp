@@ -43,7 +43,7 @@ struct ShardMetrics {
 ShardedCoordinator::ShardedCoordinator(
     const TaskSpec& spec, std::vector<std::unique_ptr<Monitor>> monitors,
     std::size_t shards, const AllocatorFactory& allocator_factory,
-    Tick start)
+    FaultModel* faults, Tick start)
     : spec_(spec) {
   spec_.validate();
   if (monitors.empty())
@@ -78,7 +78,7 @@ ShardedCoordinator::ShardedCoordinator(
     shards_.push_back(std::make_unique<Coordinator>(
         shard_spec, std::move(subset),
         allocator_factory ? allocator_factory(range.size()) : nullptr,
-        nullptr, start));
+        faults, start));
   }
   if (shards > 1 && allocator_factory)
     root_allocator_ = allocator_factory(shards);
@@ -116,8 +116,9 @@ Coordinator::TickResult ShardedCoordinator::run_tick(Tick t) {
     // Root poll: aggregate every shard. A shard that already polled this
     // tick collected its subset aggregate at t — reuse it; the rest pay a
     // forced subset poll (n_s operations, cached for monitors that
-    // sampled at t anyway). The total is exactly the flat coordinator's
-    // poll aggregate at t.
+    // sampled at t anyway), under the fault model when one is set. On
+    // reliable links the total is exactly the flat coordinator's poll
+    // aggregate at t.
     ++escalations_;
     ShardMetrics::get().escalations->inc();
     double total = 0.0;

@@ -44,6 +44,7 @@
 
 #include "core/coordinator.h"
 #include "core/error_allocation.h"
+#include "core/fault_model.h"
 #include "core/monitor.h"
 #include "core/task.h"
 #include "core/types.h"
@@ -64,13 +65,17 @@ class ShardedCoordinator {
   /// contiguous_placement. With shards == 1 the spec is used verbatim for
   /// the single shard (the flat-identity case); otherwise shard s gets
   /// T_s = Σ of its monitors' local thresholds and err_s = err · n_s/n.
-  /// Every reallocation clock — each shard's and the root's — first fires
-  /// at `start + updating_period`, as Coordinator's does.
+  /// `faults`, when set, is handed to every shard's Coordinator and must
+  /// outlive this one: each shard's samples and polls, and the root's
+  /// forced shard polls, run under its semantics by global monitor id
+  /// (core/fault_model.h); the escalation itself is in-process and takes
+  /// no draws. Every reallocation clock — each shard's and the root's —
+  /// first fires at `start + updating_period`, as Coordinator's does.
   ShardedCoordinator(const TaskSpec& spec,
                      std::vector<std::unique_ptr<Monitor>> monitors,
                      std::size_t shards,
                      const AllocatorFactory& allocator_factory,
-                     Tick start = 0);
+                     FaultModel* faults = nullptr, Tick start = 0);
 
   /// Advances every shard by one tick, then runs the root tier: escalation
   /// (poll all shards when any shard's aggregate exceeded its T_s) and the

@@ -41,20 +41,8 @@ std::vector<TaskChurnEvent> canonical_churn_order(
 
 // --- SimTask ----------------------------------------------------------------
 
-const TaskSpec& SimTask::spec() const {
-  return visit([](const auto& c) -> const TaskSpec& { return c.spec(); });
-}
-
-std::size_t SimTask::monitor_count() const {
-  return visit([](const auto& c) { return c.monitor_count(); });
-}
-
-const Monitor& SimTask::monitor(std::size_t i) const {
-  return visit([i](const auto& c) -> const Monitor& { return c.monitor(i); });
-}
-
 void SimTask::run_tick(Tick t, const RunOptions& options) {
-  const auto tick = flat_ ? flat_->run_tick(t) : sharded_->run_tick(t);
+  const auto tick = coordinator_->run_tick(t);
   if (tick.global_violation) detected_[static_cast<std::size_t>(t)] = 1;
   local_violations_ += tick.local_violations;
   if (!options.record_ops && !options.record_intervals) return;
@@ -74,27 +62,23 @@ RunResult SimTask::result(Tick end) const {
   r.local_violations = local_violations_;
   r.op_ticks = op_ticks_;
   r.interval_trajectory = interval_trajectory_;
-  visit([&r](const auto& c) {
-    r.monitors = c.monitor_count();
-    for (std::size_t i = 0; i < c.monitor_count(); ++i) {
-      r.scheduled_ops += c.monitor(i).scheduled_ops();
-      r.forced_ops += c.monitor(i).forced_ops();
-    }
-    r.total_cost = c.total_cost();
-    r.global_polls = c.global_polls();
-    r.reallocations = c.reallocations();
-  });
+  r.monitors = monitor_count();
+  for (std::size_t i = 0; i < monitor_count(); ++i) {
+    r.scheduled_ops += monitor(i).scheduled_ops();
+    r.forced_ops += monitor(i).forced_ops();
+  }
+  r.total_cost = coordinator_->total_cost();
+  r.global_polls = coordinator_->global_polls();
+  r.reallocations = coordinator_->reallocations();
   return r;
 }
 
 void SimTask::add_to(SimTotals& totals) const {
   totals.local_violations += local_violations_;
-  visit([&totals](const auto& c) {
-    totals.ops += c.total_ops();
-    totals.global_polls += c.global_polls();
-    totals.reallocations += c.reallocations();
-    totals.alerts += c.global_violations();
-  });
+  totals.ops += coordinator_->total_ops();
+  totals.global_polls += coordinator_->global_polls();
+  totals.reallocations += coordinator_->reallocations();
+  totals.alerts += coordinator_->global_violations();
 }
 
 // --- SimDriver --------------------------------------------------------------
@@ -149,14 +133,9 @@ SimTask SimDriver::make_task(const TaskChurnEvent& event,
   task.id_ = event.task;
   task.epoch_ = epoch;
   task.arrived_ = t;
-  const auto allocators = make_allocator_factory(options_.allocator);
-  if (options_.shards == 0) {
-    task.flat_ = std::make_unique<Coordinator>(spec, std::move(monitors),
-                                               allocators(n), faults_, t);
-  } else {
-    task.sharded_ = std::make_unique<shard::ShardedCoordinator>(
-        spec, std::move(monitors), options_.shards, allocators, t);
-  }
+  task.coordinator_ = std::make_unique<shard::ShardedCoordinator>(
+      spec, std::move(monitors), options_.shards,
+      make_allocator_factory(options_.allocator), faults_, t);
   task.detected_.assign(static_cast<std::size_t>(ticks_), 0);
   if (options_.record_ops || options_.record_intervals)
     task.prev_ops_.assign(n, 0);
@@ -219,8 +198,6 @@ SimTotals SimDriver::run(std::span<const TaskChurnEvent> raw_events,
   // the event set alone, independent of producer ordering.
   const std::vector<TaskChurnEvent> events = canonical_churn_order(
       std::vector<TaskChurnEvent>(raw_events.begin(), raw_events.end()));
-  if (options_.shards > 0 && faults_)
-    throw std::invalid_argument("SimDriver: sharded × faults is not supported");
 
   return with_run_registry([&] {
     std::size_t next_event = 0;

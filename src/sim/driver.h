@@ -13,17 +13,19 @@
 //  3. the after_tick hook runs.
 // A static run is a task list with one task arriving at tick 0.
 //
-// The parameters are the coordinator shape (RunOptions::shards), the
-// allocator, an optional fault model shared by every task, the churn
+// Every task runs on one shard::ShardedCoordinator; a flat task is its
+// one-shard case, which is the bare Coordinator's tick loop. The
+// parameters are the shard count (RunOptions::shards), the allocator, an
+// optional fault model shared by every task and every shard, the churn
 // schedule, and the scorer: the on_retire hook scores each task as it
 // leaves, with the one windowed scorer of sim/experiment.h. Every task's
 // updating-period clock starts at its arrival, as a net MonitorNode's does
-// on TaskAttach. Sharded × faults throws std::invalid_argument: the shard
-// tier has no fault semantics.
+// on TaskAttach.
 //
 // A run executes under one run-scoped metrics registry (run_registry.h),
 // hooks included, and is a pure function of its inputs: fault draws come
-// from the fault model's Rng in (tick, task id, monitor id) order.
+// from the fault model's Rng in tick order, then ascending task id, then
+// the order core/fault_model.h gives within one task.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "control/task_registry.h"
-#include "core/coordinator.h"
 #include "core/fault_model.h"
 #include "core/task.h"
 #include "shard/sharded_coordinator.h"
@@ -53,11 +54,10 @@ struct RunOptions {
   AllocatorKind allocator{AllocatorKind::kAdaptive};
   bool record_ops{false};        // fill RunResult::op_ticks
   bool record_intervals{false};  // fill RunResult::interval_trajectory
-  /// Coordinator shape: 0 runs each task on one flat Coordinator; S >= 1
-  /// runs it on a ShardedCoordinator over S contiguous shards (DESIGN.md
-  /// §13; S == 1 is the single-shard configuration pinned identical to
-  /// flat).
-  std::size_t shards{0};
+  /// Shard count S >= 1: each task runs on a ShardedCoordinator over S
+  /// contiguous shards (DESIGN.md §13). S == 1, the default, is the flat
+  /// coordinator; 0 throws std::invalid_argument when a task arrives.
+  std::size_t shards{1};
 };
 
 /// The allocator of every allocation loop — a flat task, each shard and
@@ -108,10 +108,12 @@ class SimTask {
   TaskId id() const { return id_; }
   std::uint64_t epoch() const { return epoch_; }
   Tick arrived() const { return arrived_; }
-  const TaskSpec& spec() const;
-  std::size_t monitor_count() const;
+  const TaskSpec& spec() const { return coordinator_->spec(); }
+  std::size_t monitor_count() const { return coordinator_->monitor_count(); }
   /// Monitor by global index.
-  const Monitor& monitor(std::size_t i) const;
+  const Monitor& monitor(std::size_t i) const {
+    return coordinator_->monitor(i);
+  }
   /// Per run tick: 1 where a poll found the aggregate above T. Zero
   /// outside the task's lifetime.
   std::span<const char> detected() const { return detected_; }
@@ -123,18 +125,13 @@ class SimTask {
 
  private:
   friend class SimDriver;
-  template <typename F>
-  decltype(auto) visit(F&& f) const {
-    return flat_ ? f(*flat_) : f(*sharded_);
-  }
   void run_tick(Tick t, const RunOptions& options);
   void add_to(SimTotals& totals) const;
 
   TaskId id_{0};
   std::uint64_t epoch_{0};
   Tick arrived_{0};
-  std::unique_ptr<Coordinator> flat_;  // exactly one of flat_ / sharded_
-  std::unique_ptr<shard::ShardedCoordinator> sharded_;
+  std::unique_ptr<shard::ShardedCoordinator> coordinator_;
   std::vector<char> detected_;
   std::int64_t local_violations_{0};
   std::vector<std::int64_t> prev_ops_;  // record_ops / record_intervals

@@ -26,8 +26,9 @@ namespace volley {
 
 /// Runs Volley over a distributed task: one monitor per series, with the
 /// given local thresholds (must sum to the spec's global threshold for the
-/// no-communication-when-quiet property to hold; this is asserted), on the
-/// coordinator shape options.shards selects.
+/// no-communication-when-quiet property to hold; this is asserted), on
+/// options.shards contiguous shards (1, the default, is the flat
+/// coordinator).
 ///
 /// Every run executes under a *private* metrics registry (obs/metrics.h):
 /// RunResult::metrics_json snapshots only the run's own counters, and the

@@ -26,7 +26,10 @@ void SampleLogWriter::append(const SampleRecord& record) {
   if (!out_) throw std::runtime_error("SampleLogWriter: append failed");
 }
 
-void SampleLogWriter::flush() { out_.flush(); }
+void SampleLogWriter::flush() {
+  out_.flush();
+  if (!out_) throw std::runtime_error("SampleLogWriter: flush failed");
+}
 
 SampleLogReadResult read_sample_log(const std::string& path) {
   const auto bytes = read_file(path);

@@ -51,6 +51,8 @@ class SampleLogWriter {
   explicit SampleLogWriter(const std::string& path);
 
   /// Appends one record (buffered; call flush() for durability points).
+  /// append and flush throw std::runtime_error when the stream reports a
+  /// write error.
   void append(const SampleRecord& record);
   void flush();
 

@@ -127,8 +127,11 @@ std::map<std::string, std::string> compute_entries() {
                    grid::thresholds(shape.monitors), options));
   }
 
-  // Faults: empty plan, each kind alone, all three. metrics_json is left
-  // out (fault runs executed outside a run-scoped registry).
+  // Faults: empty plan, each kind alone, all three; then the outage and
+  // all-three plans over S = 4 shards, which pin the shard-by-shard draw
+  // order (core/fault_model.h) and make no claim of equality with flat.
+  // metrics_json is left out (fault runs executed outside a run-scoped
+  // registry).
   {
     const auto series = grid::series(8, kTicks, 15);
     FaultPlan report;
@@ -150,15 +153,35 @@ std::map<std::string, std::string> compute_entries() {
                  {"faulty/response", &response},
                  {"faulty/outage", &outage},
                  {"faulty/all", &all}};
+    const auto faulty_line = [](const FaultyRunResult& r) {
+      return digest(r.run, false) + " lost_reports=" +
+             std::to_string(r.lost_reports) + " lost_responses=" +
+             std::to_string(r.lost_responses) + " outage_ticks=" +
+             std::to_string(r.outage_monitor_ticks) + " stale=" +
+             std::to_string(r.stale_polls);
+    };
     for (const auto& p : plans) {
-      const auto r = run_volley_faulty(grid::spec(8), series,
-                                       grid::thresholds(8),
-                                       p.plan ? *p.plan : FaultPlan{});
-      out[p.name] = digest(r.run, false) + " lost_reports=" +
-                    std::to_string(r.lost_reports) + " lost_responses=" +
-                    std::to_string(r.lost_responses) + " outage_ticks=" +
-                    std::to_string(r.outage_monitor_ticks) + " stale=" +
-                    std::to_string(r.stale_polls);
+      out[p.name] = faulty_line(run_volley_faulty(
+          grid::spec(8), series, grid::thresholds(8),
+          p.plan ? *p.plan : FaultPlan{}));
+    }
+    const struct {
+      const char* name;
+      const FaultPlan* plan;
+    } sharded_plans[] = {{"faulty/s4_outage", &outage},
+                         {"faulty/s4_all", &all}};
+    for (const auto& p : sharded_plans) {
+      FaultModel faults = p.plan->model();
+      RunOptions options;
+      options.shards = 4;
+      SimDriver driver(series, options, grid::thresholds(8), &faults);
+      const TaskSpec spec = grid::spec(8);
+      const RunResult run = driver.run_task(
+          spec, GroundTruth::from_series(TimeSeries::sum(series),
+                                         spec.global_threshold));
+      const SimTotals t = driver.totals();
+      out[p.name] = faulty_line({run, t.lost_reports, t.lost_responses,
+                                 t.outage_monitor_ticks, t.stale_polls});
     }
   }
 

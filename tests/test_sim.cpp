@@ -57,36 +57,7 @@ TEST(CostModel, RejectsBadInputs) {
 
 TEST(Datacenter, PaperTopologyCounts) {
   Datacenter dc;  // defaults = the paper's testbed
-  EXPECT_EQ(dc.host_count(), 20u);
   EXPECT_EQ(dc.vm_count(), 800u);
-  EXPECT_EQ(dc.coordinator_count(), 4u);  // one per 5 hosts
-}
-
-TEST(Datacenter, PlacementIsConsistent) {
-  Datacenter dc;
-  EXPECT_EQ(dc.host_of_vm(0), 0u);
-  EXPECT_EQ(dc.host_of_vm(39), 0u);
-  EXPECT_EQ(dc.host_of_vm(40), 1u);
-  EXPECT_EQ(dc.host_of_vm(799), 19u);
-  EXPECT_EQ(dc.coordinator_of_host(0), 0u);
-  EXPECT_EQ(dc.coordinator_of_host(4), 0u);
-  EXPECT_EQ(dc.coordinator_of_host(5), 1u);
-}
-
-TEST(Datacenter, OutOfRangeThrows) {
-  Datacenter dc;
-  EXPECT_THROW(dc.host_of_vm(800), std::out_of_range);
-  EXPECT_THROW(dc.coordinator_of_host(20), std::out_of_range);
-}
-
-TEST(Datacenter, UnevenCoordinatorSplit) {
-  DatacenterOptions o;
-  o.hosts = 7;
-  o.hosts_per_coordinator = 3;
-  Datacenter dc(o);
-  EXPECT_EQ(dc.coordinator_count(), 3u);
-  EXPECT_EQ(dc.coordinator_of_host(5), 1u);
-  EXPECT_EQ(dc.coordinator_of_host(6), 2u);  // host 6 alone
 }
 
 TEST(GroundTruth, FindsTicksAndEpisodes) {

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -135,6 +136,18 @@ TEST_F(SampleLogTest, RejectsForeignFiles) {
 TEST_F(SampleLogTest, WriterRejectsUnwritablePath) {
   EXPECT_THROW(SampleLogWriter("/nonexistent_dir_volley/x.bin"),
                std::runtime_error);
+}
+
+TEST_F(SampleLogTest, FlushReportsWriteErrors) {
+  // /dev/full accepts bytes into the stream's buffer and fails them only
+  // when they are flushed: 100 records fit the buffer, so the error
+  // surfaces at flush(), which must throw as append() does.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::filesystem::create_symlink("/dev/full", path_);
+  SampleLogWriter writer(path_);
+  for (Tick t = 0; t < 100; ++t)
+    writer.append({1, t, 0.5, SampleReason::kScheduled});
+  EXPECT_THROW(writer.flush(), std::runtime_error);
 }
 
 }  // namespace
